@@ -58,6 +58,7 @@ use crate::faultinject;
 use crate::grad::{AdjointFile, GradWorkspace};
 use crate::tape::{Op, Tape, TapeBuilder, Value};
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 use safety_opt_telemetry as telemetry;
 
@@ -445,6 +446,7 @@ pub struct FleetEvaluator<'f> {
     chunk: usize,
     backend: ExecBackend,
     lanes: usize,
+    scratch: Option<&'f FleetScratch>,
 }
 
 impl<'f> FleetEvaluator<'f> {
@@ -458,6 +460,7 @@ impl<'f> FleetEvaluator<'f> {
             chunk: DEFAULT_CHUNK,
             backend: crate::default_backend(),
             lanes: DEFAULT_LANES,
+            scratch: None,
         }
     }
 
@@ -484,6 +487,16 @@ impl<'f> FleetEvaluator<'f> {
     /// backend; results are bit-identical for every width).
     pub fn lanes(mut self, lanes: usize) -> Self {
         self.lanes = supported_lanes(lanes);
+        self
+    }
+
+    /// Keeps the inline path's sweep buffers in `slot` between calls,
+    /// so an optimizer that sends many small batches through fresh
+    /// evaluators allocates them once instead of once per call (see
+    /// [`FleetScratch`]). Results are bit-identical with or without a
+    /// slot.
+    pub fn reuse_scratch(mut self, slot: &'f FleetScratch) -> Self {
+        self.scratch = Some(slot);
         self
     }
 
@@ -577,7 +590,7 @@ impl<'f> FleetEvaluator<'f> {
             return Ok((costs, outputs));
         }
         if self.sequential(points.len()) {
-            let mut runner = self.runner();
+            let mut runner = self.inline_runner();
             for (idx, pts) in points.chunks(self.chunk).enumerate() {
                 let lo = idx * self.chunk;
                 let c = &mut costs[lo * n_models..(lo + pts.len()) * n_models];
@@ -588,6 +601,7 @@ impl<'f> FleetEvaluator<'f> {
                 };
                 run_chunk(idx, deadline, || runner.run_all(pts, c, o))?;
             }
+            self.keep_scratch(runner);
             return Ok((costs, outputs));
         }
         /// One worker unit: a chunk of points, its cost rows, and (when
@@ -653,7 +667,7 @@ impl<'f> FleetEvaluator<'f> {
     ) -> Result<Vec<f64>, EngineError> {
         let mut costs = vec![0.0; points.len()];
         if self.sequential(points.len()) {
-            let mut runner = self.runner();
+            let mut runner = self.inline_runner();
             for (idx, (pts, out)) in points
                 .chunks(self.chunk)
                 .zip(costs.chunks_mut(self.chunk))
@@ -661,6 +675,7 @@ impl<'f> FleetEvaluator<'f> {
             {
                 run_chunk(idx, deadline, || runner.run_model(model, pts, out))?;
             }
+            self.keep_scratch(runner);
             return Ok(costs);
         }
         let first_err = FirstError::default();
@@ -729,7 +744,7 @@ impl<'f> FleetEvaluator<'f> {
         // A 0-input fleet has an empty `grads`; run inline (there is
         // nothing to parallelize over anyway).
         if self.sequential(points.len()) || dim == 0 {
-            let mut runner = self.runner();
+            let mut runner = self.inline_runner();
             for (idx, pts) in points.chunks(self.chunk).enumerate() {
                 let lo = idx * self.chunk;
                 let out = &mut costs[lo..lo + pts.len()];
@@ -738,6 +753,7 @@ impl<'f> FleetEvaluator<'f> {
                     runner.run_model_grad(model, pts, out, grad_rows)
                 })?;
             }
+            self.keep_scratch(runner);
             return Ok((costs, grads));
         }
         let first_err = FirstError::default();
@@ -775,19 +791,67 @@ impl<'f> FleetEvaluator<'f> {
         self.threads == 1 || n <= self.chunk
     }
 
+    /// A pool worker's runner, with buffers of its own.
     fn runner(&self) -> FleetRunner<'f> {
-        FleetRunner::new(self.fleet, self.backend, self.lanes)
+        FleetRunner::new(
+            self.fleet,
+            self.backend,
+            self.lanes,
+            SweepBuffers::default(),
+        )
+    }
+
+    /// The inline path's runner, on the buffers of the
+    /// [`reuse_scratch`](Self::reuse_scratch) slot when one is set.
+    fn inline_runner(&self) -> FleetRunner<'f> {
+        let buf = self.scratch.map(FleetScratch::take).unwrap_or_default();
+        FleetRunner::new(self.fleet, self.backend, self.lanes, buf)
+    }
+
+    /// Returns a runner's buffers to the slot. Only called after every
+    /// chunk succeeded: on an error or caught panic the runner, and with
+    /// it any half-written buffer, is dropped instead.
+    fn keep_scratch(&self, runner: FleetRunner<'_>) {
+        if let Some(slot) = self.scratch {
+            slot.put(runner.buf);
+        }
     }
 }
 
-/// Per-worker fleet execution state: sweeps chunks of points through one
-/// backend, owning every scratch buffer (steady state allocates
-/// nothing).
-#[derive(Debug)]
-struct FleetRunner<'f> {
-    fleet: &'f Fleet,
-    backend: ExecBackend,
-    lanes: usize,
+/// A slot that keeps the sweep buffers of a [`FleetEvaluator`]'s inline
+/// path (one thread, or a batch of at most one chunk) between calls —
+/// see [`FleetEvaluator::reuse_scratch`]. Each call takes the buffers
+/// out and puts them back only when it succeeds, so the lock is never
+/// held during a sweep and a faulted call never leaves half-written
+/// buffers behind. Pool workers always use buffers of their own.
+#[derive(Debug, Default)]
+pub struct FleetScratch(Mutex<Option<SweepBuffers>>);
+
+impl FleetScratch {
+    /// An empty slot; the first call sizes its buffers.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn take(&self) -> SweepBuffers {
+        self.lock().take().unwrap_or_default()
+    }
+
+    fn put(&self, buf: SweepBuffers) {
+        *self.lock() = Some(buf);
+    }
+
+    /// Recovers from poison: the slot is only written by `take`/`put`,
+    /// which cannot panic mid-update.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<SweepBuffers>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Every scratch buffer of one [`FleetRunner`]: owned and lifetime-free,
+/// so a [`FleetScratch`] can keep it between calls.
+#[derive(Debug, Default)]
+struct SweepBuffers {
     /// Scalar-path arena scratch.
     scratch: Vec<f64>,
     /// One all-models output row for costs-only scalar evaluation, one
@@ -805,20 +869,30 @@ struct FleetRunner<'f> {
     adj: AdjointFile,
 }
 
+/// Per-worker fleet execution state: sweeps chunks of points through one
+/// backend on the [`SweepBuffers`] it takes (steady state allocates
+/// nothing).
+#[derive(Debug)]
+struct FleetRunner<'f> {
+    fleet: &'f Fleet,
+    backend: ExecBackend,
+    lanes: usize,
+    buf: SweepBuffers,
+}
+
 impl<'f> FleetRunner<'f> {
-    fn new(fleet: &'f Fleet, backend: ExecBackend, lanes: usize) -> Self {
+    /// A runner on `buf`, whose fleet-sized rows are (re)sized for
+    /// `fleet`; every other buffer sizes itself per sweep.
+    fn new(fleet: &'f Fleet, backend: ExecBackend, lanes: usize, mut buf: SweepBuffers) -> Self {
         let lanes = supported_lanes(lanes);
+        buf.out_row.resize(fleet.total_outputs(), 0.0);
+        buf.lane_rows.resize(fleet.total_outputs() * lanes, 0.0);
+        buf.lane_costs.resize(lanes, 0.0);
         Self {
             fleet,
             backend,
             lanes,
-            scratch: Vec::new(),
-            out_row: vec![0.0; fleet.total_outputs()],
-            file: LaneFile::default(),
-            lane_rows: vec![0.0; fleet.total_outputs() * lanes],
-            lane_costs: vec![0.0; lanes],
-            ws: GradWorkspace::new(),
-            adj: AdjointFile::default(),
+            buf,
         }
     }
 
@@ -849,9 +923,9 @@ impl<'f> FleetRunner<'f> {
             let c = &mut costs[i * n_models..(i + 1) * n_models];
             let o = match rows.as_deref_mut() {
                 Some(rows) => &mut rows[i * width..(i + 1) * width],
-                None => &mut self.out_row[..],
+                None => &mut self.buf.out_row[..],
             };
-            fleet.eval_all_into(p.as_ref(), &mut self.scratch, c, o);
+            fleet.eval_all_into(p.as_ref(), &mut self.buf.scratch, c, o);
         }
     }
 
@@ -869,10 +943,10 @@ impl<'f> FleetRunner<'f> {
         let mut start = 0;
         while start + L <= pts.len() {
             let block = &pts[start..start + L];
-            self.file.load::<L, P>(&fleet.tape, block);
+            self.buf.file.load::<L, P>(&fleet.tape, block);
             let mut timer = crate::profile::OpTimer::new();
             for slot in 0..fleet.tape.n_ops() {
-                self.file.sweep_op::<L, P>(&fleet.tape, slot, block);
+                self.buf.file.sweep_op::<L, P>(&fleet.tape, slot, block);
                 timer.lap(
                     &fleet.tape.profiler,
                     fleet.tape.ops[slot].kind_index(),
@@ -883,24 +957,24 @@ impl<'f> FleetRunner<'f> {
             }
             let out = match rows.as_deref_mut() {
                 Some(rows) => &mut rows[start * width..(start + L) * width],
-                None => &mut self.lane_rows[..],
+                None => &mut self.buf.lane_rows[..],
             };
             // Per lane, models read their output ranges in model order —
             // the scalar `eval_all_into` reduction exactly. Each model's
             // columns scatter into the flat width-strided output row.
             for model in 0..n_models {
                 let range = fleet.output_range(model);
-                self.lane_costs.fill(0.0);
-                self.file.read_outputs_strided::<L>(
+                self.buf.lane_costs.fill(0.0);
+                self.buf.file.read_outputs_strided::<L>(
                     &fleet.tape,
                     range.clone(),
                     width,
                     range.start,
-                    &mut self.lane_costs,
+                    &mut self.buf.lane_costs,
                     out,
                 );
                 for lane in 0..L {
-                    costs[(start + lane) * n_models + model] = self.lane_costs[lane];
+                    costs[(start + lane) * n_models + model] = self.buf.lane_costs[lane];
                 }
             }
             start += L;
@@ -925,8 +999,8 @@ impl<'f> FleetRunner<'f> {
             *c = fleet.eval_model_into(
                 model,
                 p.as_ref(),
-                &mut self.scratch,
-                &mut self.out_row[..n_out],
+                &mut self.buf.scratch,
+                &mut self.buf.out_row[..n_out],
             );
         }
     }
@@ -958,8 +1032,8 @@ impl<'f> FleetRunner<'f> {
             costs[i] = fleet.eval_model_grad_into(
                 model,
                 p.as_ref(),
-                &mut self.ws,
-                &mut self.out_row[..n_out],
+                &mut self.buf.ws,
+                &mut self.buf.out_row[..n_out],
                 &mut grads[i * dim..(i + 1) * dim],
             );
         }
@@ -982,10 +1056,11 @@ impl<'f> FleetRunner<'f> {
         let mut start = 0;
         while start + L <= pts.len() {
             let block = &pts[start..start + L];
-            self.file.load::<L, P>(&fleet.tape, block);
+            self.buf.file.load::<L, P>(&fleet.tape, block);
             let mut timer = crate::profile::OpTimer::new();
             for &slot in fleet.masks[model].iter() {
-                self.file
+                self.buf
+                    .file
                     .sweep_op::<L, P>(&fleet.tape, slot as usize, block);
                 timer.lap(
                     &fleet.tape.profiler,
@@ -995,18 +1070,21 @@ impl<'f> FleetRunner<'f> {
                     L as u64,
                 );
             }
-            self.file.read_outputs::<L>(
+            self.buf.file.read_outputs::<L>(
                 &fleet.tape,
                 range.clone(),
                 &mut costs[start..start + L],
-                &mut self.lane_rows[..L * n_out],
+                &mut self.buf.lane_rows[..L * n_out],
             );
-            self.adj.reset(fleet.tape.scratch_len() * L);
-            self.adj.seed::<L>(&fleet.tape, range.clone());
+            self.buf.adj.reset(fleet.tape.scratch_len() * L);
+            self.buf.adj.seed::<L>(&fleet.tape, range.clone());
             let mut timer = crate::profile::OpTimer::new();
             for &slot in fleet.masks[model].iter().rev() {
-                self.adj
-                    .backward_slot_block::<L>(&fleet.tape, slot as usize, self.file.regs());
+                self.buf.adj.backward_slot_block::<L>(
+                    &fleet.tape,
+                    slot as usize,
+                    self.buf.file.regs(),
+                );
                 timer.lap(
                     &fleet.tape.profiler,
                     fleet.tape.ops[slot as usize].kind_index(),
@@ -1016,7 +1094,8 @@ impl<'f> FleetRunner<'f> {
                 );
             }
             crate::grad::record_adjoint_sweeps(L as u64);
-            self.adj
+            self.buf
+                .adj
                 .grad_rows::<L>(dim, &mut grads[start * dim..(start + L) * dim]);
             start += L;
         }
@@ -1037,10 +1116,11 @@ impl<'f> FleetRunner<'f> {
         let mut start = 0;
         while start + L <= pts.len() {
             let block = &pts[start..start + L];
-            self.file.load::<L, P>(&fleet.tape, block);
+            self.buf.file.load::<L, P>(&fleet.tape, block);
             let mut timer = crate::profile::OpTimer::new();
             for &slot in fleet.masks[model].iter() {
-                self.file
+                self.buf
+                    .file
                     .sweep_op::<L, P>(&fleet.tape, slot as usize, block);
                 timer.lap(
                     &fleet.tape.profiler,
@@ -1050,11 +1130,11 @@ impl<'f> FleetRunner<'f> {
                     L as u64,
                 );
             }
-            self.file.read_outputs::<L>(
+            self.buf.file.read_outputs::<L>(
                 &fleet.tape,
                 range.clone(),
                 &mut costs[start..start + L],
-                &mut self.lane_rows[..L * n_out],
+                &mut self.buf.lane_rows[..L * n_out],
             );
             start += L;
         }

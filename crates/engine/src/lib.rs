@@ -79,7 +79,7 @@ pub use cache::{CacheStats, QuantizedCache};
 pub use env::{degrade_mode, set_degrade_mode, DegradeMode};
 pub use error::{CompileBudget, EngineError, EvalDeadline};
 pub use exec::{default_backend, math_mode, ExecBackend, MathMode};
-pub use fleet::{Fleet, FleetBuilder, FleetEvaluator};
+pub use fleet::{Fleet, FleetBuilder, FleetEvaluator, FleetScratch};
 pub use grad::GradWorkspace;
 pub use profile::{ProfileReport, ProfileRow};
 pub use tape::{CompileStats, Op, Tape, TapeBuilder, TruncNormSf, Value};

@@ -42,7 +42,7 @@
 use crate::compile::lower_hazard;
 use crate::model::SafetyModel;
 use crate::{Result, SafeOptError};
-use safety_opt_engine::fleet::{Fleet, FleetBuilder, FleetEvaluator};
+use safety_opt_engine::fleet::{Fleet, FleetBuilder, FleetEvaluator, FleetScratch};
 use safety_opt_engine::{
     faultinject, CacheStats, CompileBudget, CompileStats, EngineError, EvalDeadline, ExecBackend,
     GradWorkspace, QuantizedCache, Value,
@@ -362,6 +362,18 @@ impl CompiledFleet {
         FleetEvaluator::new(&self.fleet, self.threads).backend(self.backend)
     }
 
+    /// This fleet with every batch evaluated inline on the calling
+    /// thread: what each worker of a model-parallel study sweeps with,
+    /// so nested pools never oversubscribe the cores (results are
+    /// bit-identical for every thread count).
+    pub(crate) fn single_threaded(&self) -> Self {
+        Self {
+            fleet: Arc::clone(&self.fleet),
+            threads: 1,
+            backend: self.backend,
+        }
+    }
+
     /// One model's compiled cost as a scalar optimization objective with
     /// an optional quantized memo cache — the fleet twin of
     /// [`crate::compile::CompiledModel::objective`].
@@ -384,6 +396,7 @@ impl CompiledFleet {
             model,
             threads: self.threads,
             backend: self.backend,
+            scratch: FleetScratch::new(),
         }
     }
 }
@@ -502,19 +515,36 @@ impl safety_opt_optim::DifferentiableObjective for FleetModelObjective {
 
 /// One fleet model's cost as a [`safety_opt_optim::BatchObjective`]:
 /// one parallel masked sweep per generation/round.
+///
+/// Optimizer rounds are small (a lockstep round holds one probe per
+/// live restart), so most calls run inline on the calling thread. The
+/// objective keeps that inline path's sweep buffers (arena scratch,
+/// output rows, lane and adjoint files) in one [`FleetScratch`] and
+/// reuses them call after call; only a batch larger than one pool chunk
+/// spawns workers, each with buffers of its own. A call that fails or
+/// panics drops the buffers it held instead of returning them, so no
+/// later call sees a half-written one. Results are bit-identical to a
+/// fresh evaluator on every call.
 #[derive(Debug)]
 pub struct FleetModelBatchObjective {
     fleet: Arc<Fleet>,
     model: usize,
     threads: usize,
     backend: ExecBackend,
+    scratch: FleetScratch,
+}
+
+impl FleetModelBatchObjective {
+    fn evaluator(&self) -> FleetEvaluator<'_> {
+        FleetEvaluator::new(&self.fleet, self.threads)
+            .backend(self.backend)
+            .reuse_scratch(&self.scratch)
+    }
 }
 
 impl safety_opt_optim::BatchObjective for FleetModelBatchObjective {
     fn eval_batch(&self, points: &[Vec<f64>], out: &mut Vec<f64>) {
-        *out = FleetEvaluator::new(&self.fleet, self.threads)
-            .backend(self.backend)
-            .model_costs(self.model, points);
+        *out = self.evaluator().model_costs(self.model, points);
         for v in out.iter_mut() {
             if !v.is_finite() {
                 *v = f64::INFINITY;
@@ -531,9 +561,7 @@ impl safety_opt_optim::BatchObjective for FleetModelBatchObjective {
 /// to [`FleetModelObjective`]'s sequential `value_grad`.
 impl safety_opt_optim::BatchDifferentiableObjective for FleetModelBatchObjective {
     fn eval_grad_batch(&self, points: &[Vec<f64>], values: &mut Vec<f64>, grads: &mut Vec<f64>) {
-        let (v, g) = FleetEvaluator::new(&self.fleet, self.threads)
-            .backend(self.backend)
-            .model_grads(self.model, points);
+        let (v, g) = self.evaluator().model_grads(self.model, points);
         *values = v;
         *grads = g;
         for v in values.iter_mut() {
@@ -773,6 +801,45 @@ mod tests {
             assert_eq!(lockstep.evaluations, sequential.evaluations, "model {k}");
             assert_eq!(lockstep.iterations, sequential.iterations, "model {k}");
             assert_eq!(lockstep.termination, sequential.termination, "model {k}");
+        }
+    }
+
+    #[test]
+    fn batch_objective_reuses_scratch_bit_identically() {
+        // One objective, batch sizes alternating across the scalar tail
+        // (1, 3), one full SoA block (16), a block plus a ragged tail
+        // (17) and the pooled path (300 > one chunk, two threads), with
+        // value and gradient calls interleaved: every call must match a
+        // fresh evaluator bit for bit.
+        let models = family(4);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for backend in [ExecBackend::Scalar, ExecBackend::Soa] {
+            let fleet = CompiledFleet::compile_with_threads(&models, 2)
+                .unwrap()
+                .with_backend(backend);
+            let objective = fleet.model_batch_objective(2);
+            let fresh = || FleetEvaluator::new(fleet.fleet(), 2).backend(backend);
+            let mut offset = 0.0;
+            for round in 0..3 {
+                for n in [1, 3, 16, 17, 300, 17, 1] {
+                    offset += 0.61;
+                    let points: Vec<Vec<f64>> = (0..n)
+                        .map(|i| {
+                            let t = (i as f64 * 0.37 + offset) % 25.0;
+                            vec![5.0 + t, 30.0 - t]
+                        })
+                        .collect();
+                    let (mut values, mut grads) = (Vec::new(), Vec::new());
+                    objective.eval_grad_batch(&points, &mut values, &mut grads);
+                    let (fv, fg) = fresh().model_grads(2, &points);
+                    assert_eq!(bits(&values), bits(&fv), "{backend:?} round {round} n={n}");
+                    assert_eq!(bits(&grads), bits(&fg), "{backend:?} round {round} n={n}");
+                    let mut costs = Vec::new();
+                    objective.eval_batch(&points, &mut costs);
+                    let fc = fresh().model_costs(2, &points);
+                    assert_eq!(bits(&costs), bits(&fc), "{backend:?} round {round} n={n}");
+                }
+            }
         }
     }
 

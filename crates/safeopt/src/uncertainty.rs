@@ -15,6 +15,15 @@
 //!   — how much do the optimal timer runtimes move when the model
 //!   constants wiggle within their credible ranges?
 //!
+//! Both compile the whole Monte-Carlo batch into one shared fleet arena
+//! ([`crate::fleet`]). The optimum study then splits the work by model:
+//! each sampled model is an independent gradient-descent problem, so
+//! whole models run in parallel on the engine's worker count, and each
+//! model's small lockstep batches sweep inline on its worker through a
+//! batch objective that reuses its sweep buffers from call to call. The
+//! per-model optima are folded into the statistics in sample order, so
+//! the report is identical for every worker count.
+//!
 //! ```
 //! use safety_opt_core::uncertainty::propagate;
 //! # use safety_opt_core::model::{Hazard, SafetyModel};
@@ -48,7 +57,12 @@ use crate::optimize::SafetyOptimizer;
 use crate::{Result, SafeOptError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use safety_opt_engine::EngineError;
 use safety_opt_stats::mc::RunningStats;
+use safety_opt_telemetry as telemetry;
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Draws the whole Monte-Carlo batch of models up front — the shared
 /// structure of the sampled family then lowers and evaluates once
@@ -179,20 +193,48 @@ impl OptimumDistribution {
 /// Optimizes each of `runs` sampled models and reports the distribution
 /// of the optimal configuration.
 ///
+/// The samples compile into one shared fleet arena. The models are then
+/// optimized in parallel, whole models at a time, on
+/// [`safety_opt_engine::default_threads`] workers (the calling thread is
+/// one of them); each model's batches sweep inline on its worker. The
+/// per-model results are folded into the statistics in sample order, so
+/// the report is `PartialEq`-identical for every worker count.
+///
 /// # Errors
 ///
 /// Propagates sampler errors; requires `runs >= 1`. Compilation and
 /// optimizer failures on individual samples are tolerated (counted in
 /// [`OptimumDistribution::failures`]) as long as at least one sample
-/// optimizes successfully. This per-sample tolerance covers the typed
-/// engine errors too — a blown [`safety_opt_engine::CompileBudget`], an
-/// expired deadline, or an injected fault
-/// ([`SafeOptError::Engine`](crate::SafeOptError::Engine)) on one sample
-/// increments `failures` instead of aborting the whole study.
+/// optimizes successfully; when none does, the error of the last failed
+/// sample (in sample order) is returned. This per-sample tolerance
+/// covers the typed engine errors too — a blown
+/// [`safety_opt_engine::CompileBudget`], an expired deadline, or an
+/// injected fault ([`SafeOptError::Engine`](crate::SafeOptError::Engine))
+/// on one sample increments `failures` instead of aborting the whole
+/// study. A panic while optimizing one sample — such as an armed
+/// `fleet.chunk` failpoint, which the infallible batch objective
+/// re-raises — is caught on its worker and recorded as that sample's
+/// [`EngineError::WorkerPanicked`] with `chunk` set to the sample index.
+/// Failpoint hits are counted process-wide, so with more than one
+/// worker a `site@N` or `p < 1` trigger lands on a schedule-dependent
+/// sample; `p = 1` fails every sample on any schedule.
 pub fn optimize_under_uncertainty<F>(
+    sampler: F,
+    runs: usize,
+    seed: u64,
+) -> Result<OptimumDistribution>
+where
+    F: FnMut(&mut StdRng) -> Result<SafetyModel>,
+{
+    optimize_with_workers(sampler, runs, seed, safety_opt_engine::default_threads())
+}
+
+/// [`optimize_under_uncertainty`] on an explicit worker count.
+pub(crate) fn optimize_with_workers<F>(
     mut sampler: F,
     runs: usize,
     seed: u64,
+    workers: usize,
 ) -> Result<OptimumDistribution>
 where
     F: FnMut(&mut StdRng) -> Result<SafetyModel>,
@@ -207,34 +249,30 @@ where
     // sweep) — bit-identical to optimizing each sample sequentially
     // with the same gradient-descent restarts.
     let models = sample_models(&mut sampler, runs, seed)?;
-    let (fleet, slots) =
-        CompiledFleet::compile_partial(&models, safety_opt_engine::default_threads());
+    let (fleet, slots) = CompiledFleet::compile_partial(&models, workers);
+    let optima = match &fleet {
+        Some(fleet) => optimize_models(&models, fleet, &slots),
+        None => (0..slots.len()).map(|_| OnceLock::new()).collect(),
+    };
     let mut arg_min: Vec<RunningStats> = Vec::new();
     let mut min_cost = RunningStats::new();
     let mut failures = 0usize;
     let mut last_error: Option<SafeOptError> = None;
-    for (model, slot) in models.iter().zip(slots) {
-        let result = match slot {
-            Ok(k) => {
-                let fleet = fleet.as_ref().expect("fleet exists when a model compiled");
-                let objective = fleet.model_batch_objective(k);
-                SafetyOptimizer::new(model)
-                    .starts(4)
-                    .with_batch_differentiable_objective(&objective)
-                    .run()
-            }
-            Err(e) => Err(e),
-        };
+    for (slot, optimum) in slots.into_iter().zip(optima) {
+        let result = slot.and_then(|_| {
+            optimum
+                .into_inner()
+                .expect("every compiled sample was optimized")
+        });
         match result {
-            Ok(optimum) => {
-                let x = optimum.point().values();
+            Ok((x, cost)) => {
                 if arg_min.is_empty() {
                     arg_min = vec![RunningStats::new(); x.len()];
                 }
-                for (stat, v) in arg_min.iter_mut().zip(x) {
+                for (stat, v) in arg_min.iter_mut().zip(&x) {
                     stat.push(*v);
                 }
-                min_cost.push(optimum.cost());
+                min_cost.push(cost);
             }
             Err(e) => {
                 failures += 1;
@@ -251,6 +289,85 @@ where
         runs,
         failures,
     })
+}
+
+/// One sample's optimum: its arg-min and minimal cost.
+type SampleOptimum = Result<(Vec<f64>, f64)>;
+
+/// Optimizes every compiled sample (`slots[i]` is sample `i`'s fleet
+/// index) on `fleet.threads()` workers, the calling thread included.
+/// Workers take sample indices from a shared counter and write each
+/// outcome into that sample's cell; cells of samples that did not
+/// compile stay empty.
+fn optimize_models(
+    models: &[SafetyModel],
+    fleet: &CompiledFleet,
+    slots: &[Result<usize>],
+) -> Vec<OnceLock<SampleOptimum>> {
+    let optima: Vec<OnceLock<SampleOptimum>> = slots.iter().map(|_| OnceLock::new()).collect();
+    let inline = fleet.single_threaded();
+    let next = AtomicUsize::new(0);
+    let scope_h = telemetry::ScopeHandle::current();
+    let work = || loop {
+        // Relaxed: the counter only hands out indices; each outcome is
+        // published through its cell and the scope's join.
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = slots.get(i) else { break };
+        if let Ok(k) = slot {
+            let outcome = optimize_sample(&models[i], &inline, *k, i);
+            optima[i]
+                .set(outcome)
+                .expect("each sample index is handed out once");
+        }
+    };
+    let compiled = slots.iter().filter(|s| s.is_ok()).count();
+    let workers = fleet.threads().min(compiled);
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(|| {
+                let _trace_scope = scope_h.attach();
+                work();
+            });
+        }
+        work();
+    });
+    optima
+}
+
+/// Optimizes sample `sample` (fleet model `k`) with four lockstep
+/// gradient-descent restarts. A panic is caught here and becomes the
+/// sample's typed error, so one faulted sample never aborts the study.
+fn optimize_sample(
+    model: &SafetyModel,
+    fleet: &CompiledFleet,
+    k: usize,
+    sample: usize,
+) -> SampleOptimum {
+    let objective = fleet.model_batch_objective(k);
+    let run = || {
+        SafetyOptimizer::new(model)
+            .starts(4)
+            .with_batch_differentiable_objective(&objective)
+            .run()
+    };
+    let optimum = std::panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        Err(SafeOptError::Engine(EngineError::WorkerPanicked {
+            chunk: sample,
+            payload: panic_text(payload.as_ref()),
+        }))
+    })?;
+    Ok((optimum.point().values().to_vec(), optimum.cost()))
+}
+
+/// Best-effort text of a caught panic payload.
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else if let Some(s) = payload.downcast_ref::<&'static str>() {
+        (*s).to_string()
+    } else {
+        String::from("<non-string panic>")
+    }
 }
 
 #[cfg(test)]
@@ -366,6 +483,89 @@ mod tests {
             all_bad,
             Err(SafeOptError::UnknownParameter { .. })
         ));
+    }
+
+    /// A sample that compiles but cannot be optimized: its opaque
+    /// closure yields the invalid probability `2 + tag` everywhere, so
+    /// each such sample fails with an error naming its own `tag`.
+    fn unoptimizable_model(tag: f64) -> Result<SafetyModel> {
+        let mut space = ParameterSpace::new();
+        space.parameter("t", 5.0, 30.0)?;
+        let h = Hazard::builder("h")
+            .cut_set("c", [crate::pprob::from_fn("bad", move |_| 2.0 + tag)])
+            .build();
+        Ok(SafetyModel::new(space).hazard(h, 1.0))
+    }
+
+    /// A sample that fails to compile (foreign parameter id `9 + tag`)
+    /// and is rolled back out of the fleet.
+    fn uncompilable_model(tag: usize) -> Result<SafetyModel> {
+        let mut space = ParameterSpace::new();
+        space.parameter("t", 5.0, 30.0)?;
+        let foreign = crate::param::ParamId::new(9 + tag);
+        let h = Hazard::builder("h")
+            .cut_set("e", [exposure(0.1, foreign)])
+            .build();
+        Ok(SafetyModel::new(space).hazard(h, 1.0))
+    }
+
+    #[test]
+    fn studies_are_identical_for_every_worker_count() {
+        // Healthy samples with rolled-back and unoptimizable ones mixed
+        // in: the report must not depend on which worker ran what.
+        let mixed = |workers| {
+            let mut k = 0usize;
+            optimize_with_workers(
+                move |rng| {
+                    k += 1;
+                    match k % 5 {
+                        2 => uncompilable_model(k),
+                        4 => unoptimizable_model(k as f64),
+                        _ => sampled_model(rng),
+                    }
+                },
+                11,
+                9,
+                workers,
+            )
+        };
+        let reference = mixed(1).unwrap();
+        assert_eq!(reference.failures, 4);
+        assert_eq!(reference.min_cost.count(), 7);
+        for workers in [2, 3, 4] {
+            assert_eq!(mixed(workers).unwrap(), reference, "{workers} workers");
+        }
+
+        // Every sample fails, each with its own error: the study returns
+        // the last sample's, whatever the worker count.
+        let failing = |workers| {
+            let mut k = 0usize;
+            optimize_with_workers(
+                move |_| {
+                    k += 1;
+                    if k % 3 == 0 {
+                        uncompilable_model(k)
+                    } else {
+                        unoptimizable_model(k as f64)
+                    }
+                },
+                7,
+                1,
+                workers,
+            )
+            .unwrap_err()
+        };
+        let last = failing(1);
+        assert_eq!(
+            last,
+            SafeOptError::InvalidProbability {
+                expression: "bad".into(),
+                value: 9.0,
+            }
+        );
+        for workers in [2, 3, 4] {
+            assert_eq!(failing(workers), last, "{workers} workers");
+        }
     }
 
     #[test]

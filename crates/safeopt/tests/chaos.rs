@@ -422,25 +422,29 @@ fn expired_deadlines_are_typed_on_every_batch_path() {
     );
 }
 
+/// The one-timer tradeoff family the uncertainty tests sample: an HV
+/// rate uncertain in [0.1, 0.16].
+fn tradeoff_sample(rng: &mut rand::rngs::StdRng) -> Result<SafetyModel> {
+    use rand::Rng as _;
+    let lambda = 0.1 + 0.06 * rng.gen::<f64>();
+    let mut space = ParameterSpace::new();
+    let t = space.parameter("t", 5.0, 30.0)?;
+    let transit = TruncatedNormal::lower_bounded(4.0, 2.0, 0.0)?;
+    let col = Hazard::builder("col")
+        .cut_set("ot", [overtime(transit, t)])
+        .build();
+    let alr = Hazard::builder("alr")
+        .cut_set("hv", [constant(0.5)?, exposure(lambda, t)])
+        .build();
+    Ok(SafetyModel::new(space)
+        .hazard(col, 100_000.0)
+        .hazard(alr, 1.0))
+}
+
 #[test]
 fn mid_fleet_compile_fault_counts_as_an_uncertainty_failure() {
     let _guard = chaos_lock();
-    let sampler = |rng: &mut rand::rngs::StdRng| -> Result<SafetyModel> {
-        use rand::Rng as _;
-        let lambda = 0.1 + 0.06 * rng.gen::<f64>();
-        let mut space = ParameterSpace::new();
-        let t = space.parameter("t", 5.0, 30.0)?;
-        let transit = TruncatedNormal::lower_bounded(4.0, 2.0, 0.0)?;
-        let col = Hazard::builder("col")
-            .cut_set("ot", [overtime(transit, t)])
-            .build();
-        let alr = Hazard::builder("alr")
-            .cut_set("hv", [constant(0.5)?, exposure(lambda, t)])
-            .build();
-        Ok(SafetyModel::new(space)
-            .hazard(col, 100_000.0)
-            .hazard(alr, 1.0))
-    };
+    let sampler = tradeoff_sample;
     // The second sample's fleet lowering faults: it is counted as a
     // failure, the other four samples aggregate normally.
     faultinject::arm(sites::FLEET_BUILD, Trigger::Nth(2));
@@ -453,4 +457,43 @@ fn mid_fleet_compile_fault_counts_as_an_uncertainty_failure() {
     let clean = optimize_under_uncertainty(sampler, 5, 3).unwrap();
     assert_eq!(clean.failures, 0);
     assert_eq!(clean.min_cost.count(), 5);
+}
+
+#[test]
+fn engine_panics_during_a_study_are_typed_per_sample_errors() {
+    use safety_opt_optim::BatchDifferentiableObjective as _;
+
+    let _guard = chaos_lock();
+    let never_faulted = optimize_under_uncertainty(tradeoff_sample, 6, 11).unwrap();
+    // Every sweep panics: each sample's optimization is caught on its
+    // worker and recorded as a typed error, so the study returns the
+    // last one instead of unwinding.
+    faultinject::arm(sites::FLEET_CHUNK, Trigger::Prob { p: 1.0, seed: 0 });
+    let faulted = optimize_under_uncertainty(tradeoff_sample, 6, 11);
+    faultinject::disarm(sites::FLEET_CHUNK);
+    assert_worker_panicked(&faulted.unwrap_err(), sites::FLEET_CHUNK);
+    let rerun = optimize_under_uncertainty(tradeoff_sample, 6, 11).unwrap();
+    assert_eq!(rerun, never_faulted);
+
+    // A batch objective whose sweep panicked drops the buffers it held:
+    // its next call matches a never-faulted objective bit for bit.
+    let models = family(3);
+    let fleet = CompiledFleet::compile_with_threads(&models, 1).unwrap();
+    let pts = &points()[..17];
+    let (mut v, mut g) = (Vec::new(), Vec::new());
+    let objective = fleet.model_batch_objective(1);
+    objective.eval_grad_batch(pts, &mut v, &mut g);
+    faultinject::arm(sites::FLEET_CHUNK, Trigger::Nth(1));
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        objective.eval_grad_batch(&points()[..3], &mut v, &mut g)
+    }));
+    faultinject::disarm(sites::FLEET_CHUNK);
+    assert!(panicked.is_err(), "armed fleet.chunk must panic the sweep");
+    objective.eval_grad_batch(pts, &mut v, &mut g);
+    let (mut fv, mut fg) = (Vec::new(), Vec::new());
+    fleet
+        .model_batch_objective(1)
+        .eval_grad_batch(pts, &mut fv, &mut fg);
+    assert_eq!(bits(&v), bits(&fv));
+    assert_eq!(bits(&g), bits(&fg));
 }

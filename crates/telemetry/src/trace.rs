@@ -854,11 +854,21 @@ pub fn export_chrome_trace(events: &[Event]) -> String {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that touch the process-global event ring:
+    /// one drains it while the other fills a shard, so running them
+    /// concurrently makes each see the other's events.
+    fn ring_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// The whole module shares process-global mode + ring + scope
     /// state, so one test exercises the stateful paths sequentially
     /// (mirroring the lib-level mode test).
     #[test]
     fn scopes_events_and_exports_work_end_to_end() {
+        let _ring = ring_lock();
         set_trace_mode(TraceMode::Off);
         clear_events();
 
@@ -926,6 +936,7 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_and_counts() {
+        let _ring = ring_lock();
         // Private-API test: fill one shard directly past capacity.
         let before = dropped_events();
         for i in 0..(SHARD_CAP + 10) {

@@ -10,12 +10,13 @@
 //!   `dim = 2` finite differences only pay 4 sweeps, so the adjoint win
 //!   is structural, not dramatic).
 //!
-//! On top of the adjoint-vs-FD ratio, the bin splits the adjoint into
-//! its two execution backends — `adjoint_scalar` (one point at a time)
-//! vs `adjoint_soa` (the lane-blocked structure-of-arrays sweep) — and
-//! gates the SoA adjoint at ≥1.4× the scalar adjoint on one core, after
-//! asserting the two backends agree **bit for bit** (the 0-ULP contract
-//! pinned adversarially in `engine/tests/grad_soa_equivalence.rs`).
+//! On top of the adjoint-vs-FD ratio, the bin times the adjoint two
+//! ways — `adjoint_scalar` (a pointwise [`Tape::eval_grad_into`] loop,
+//! one point at a time) vs `adjoint_soa` (the lane-blocked
+//! structure-of-arrays batch sweep) — and gates the SoA adjoint at
+//! ≥1.4× the scalar adjoint on one core, after asserting the two agree
+//! **bit for bit** (the 0-ULP contract pinned adversarially in
+//! `engine/tests/grad_soa_equivalence.rs`).
 //!
 //! Writes `BENCH_grad.json` at the workspace root in the shared
 //! [`safety_opt_bench::BenchReport`] schema.
@@ -44,7 +45,7 @@ use safety_opt_core::model::{Hazard, SafetyModel};
 use safety_opt_core::param::ParameterSpace;
 use safety_opt_core::pprob::{complement, constant, exposure, overtime};
 use safety_opt_elbtunnel::analytic::ElbtunnelModel;
-use safety_opt_engine::{BatchEvaluator, ExecBackend};
+use safety_opt_engine::{BatchEvaluator, GradWorkspace, Tape};
 use safety_opt_stats::dist::TruncatedNormal;
 
 /// Synthetic-family parameter count (the issue's "≥8-dim" regime).
@@ -133,6 +134,22 @@ fn fd_gradients(compiled: &CompiledModel, points: &[Vec<f64>], h: f64, out: &mut
     checksum
 }
 
+/// The scalar adjoint reference: cost and gradient of every point by
+/// one point-at-a-time forward + backward sweep, written to cost and
+/// gradient vectors as a batch evaluator would.
+fn pointwise_grads(tape: &Tape, points: &[Vec<f64>]) -> (Vec<f64>, Vec<f64>) {
+    let dim = tape.n_inputs();
+    let mut ws = GradWorkspace::new();
+    let mut out = vec![0.0; tape.n_outputs()];
+    let mut grads = vec![0.0; points.len() * dim];
+    let costs = points
+        .iter()
+        .zip(grads.chunks_mut(dim))
+        .map(|(p, g)| tape.eval_grad_into(p, &mut ws, &mut out, g))
+        .collect();
+    (costs, grads)
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let enforce = std::env::args().any(|a| a == "--enforce");
     let thread_scaling = std::env::args().any(|a| a == "--thread-scaling");
@@ -177,15 +194,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("equivalence check     adjoint == central differences (mixed 1e-4 tol)");
 
-    // Backend gate: the lane-blocked SoA adjoint must equal the scalar
-    // adjoint bit for bit before its throughput means anything.
+    // Sweep gate: the lane-blocked SoA adjoint must equal the pointwise
+    // scalar adjoint bit for bit before its throughput means anything.
     {
-        let (sv, sg) = BatchEvaluator::new(syn.tape(), 1)
-            .backend(ExecBackend::Scalar)
-            .eval_grad_batch(&syn_points);
-        let (bv, bg) = BatchEvaluator::new(syn.tape(), 1)
-            .backend(ExecBackend::Soa)
-            .eval_grad_batch(&syn_points);
+        let (sv, sg) = pointwise_grads(syn.tape(), &syn_points);
+        let (bv, bg) = BatchEvaluator::new(syn.tape(), 1).eval_grad_batch(&syn_points);
         assert!(
             sv.iter().zip(&bv).all(|(a, b)| a.to_bits() == b.to_bits())
                 && sg.iter().zip(&bg).all(|(a, b)| a.to_bits() == b.to_bits()),
@@ -229,19 +242,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             g.iter().sum()
         },
     );
-    // The two adjoint backends head to head, forced through the engine
-    // seam on one worker so the ratio isolates the lane-blocked sweep
-    // itself (`CompiledModel::gradient_batch` above uses the process
-    // default backend, i.e. SoA unless `SAFETY_OPT_BACKEND` overrides).
+    // The pointwise adjoint loop vs the lane-blocked batch sweep, both
+    // on one worker straight on the tape, so the ratio isolates the
+    // lane-blocked sweep itself.
     let adj_scalar = measure(
         "adjoint_scalar_one_core",
-        "adjoint scalar (1 core)",
+        "adjoint scalar pointwise (1 core)",
         "gradients/sec",
         SYN_POINTS,
         || {
-            let (_, g) = BatchEvaluator::new(syn.tape(), 1)
-                .backend(ExecBackend::Scalar)
-                .eval_grad_batch(&syn_points);
+            let (_, g) = pointwise_grads(syn.tape(), &syn_points);
             g.iter().sum()
         },
     );
@@ -251,9 +261,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "gradients/sec",
         SYN_POINTS,
         || {
-            let (_, g) = BatchEvaluator::new(syn.tape(), 1)
-                .backend(ExecBackend::Soa)
-                .eval_grad_batch(&syn_points);
+            let (_, g) = BatchEvaluator::new(syn.tape(), 1).eval_grad_batch(&syn_points);
             g.iter().sum()
         },
     );
@@ -275,9 +283,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     "gradients/sec",
                     SYN_POINTS,
                     || {
-                        let (_, g) = BatchEvaluator::new(syn.tape(), threads)
-                            .backend(ExecBackend::Soa)
-                            .eval_grad_batch(&syn_points);
+                        let (_, g) =
+                            BatchEvaluator::new(syn.tape(), threads).eval_grad_batch(&syn_points);
                         g.iter().sum()
                     },
                 );

@@ -1,6 +1,6 @@
-//! E10 — SoA backend throughput: points/sec of the scalar
-//! point-at-a-time backend vs. the op-at-a-time SoA backend on the
-//! Elbtunnel **surface workload** (a dense cost-surface grid over the
+//! E10 — SoA sweep throughput: points/sec of a scalar point-at-a-time
+//! loop ([`Tape::eval_into`], one full tape sweep per point) vs. the
+//! op-at-a-time SoA batch sweep on the Elbtunnel **surface workload** (a dense cost-surface grid over the
 //! timer domain — the shape of every sweep the analysis front-ends run).
 //!
 //! Writes `BENCH_soa.json` at the workspace root in the shared
@@ -14,31 +14,42 @@
 //! With `--enforce`, exits non-zero when the one-core SoA path falls
 //! below the 1.5× speedup target — meant for the quiet reference
 //! machine; shared CI runners record the baseline without gating on
-//! wall-clock. The SoA↔scalar **bitwise** (0 ULP) equivalence check is
-//! always enforced.
+//! wall-clock. The SoA↔pointwise **bitwise** (0 ULP) equivalence check
+//! is always enforced.
 
 use safety_opt_bench::{bench_timestamp, measure, BenchReport};
 use safety_opt_core::compile::CompiledModel;
 use safety_opt_elbtunnel::analytic::ElbtunnelModel;
-use safety_opt_engine::ExecBackend;
+use safety_opt_engine::Tape;
 
 /// Grid resolution per timer axis (N_SIDE² points per pass).
 const N_SIDE: usize = 141;
 /// Acceptance threshold: SoA vs. scalar points/sec on one core.
 const TARGET_SPEEDUP: f64 = 1.5;
 
+/// The scalar reference: every point's cost by one full point-at-a-time
+/// tape sweep, written to a cost vector as a batch evaluator would, and
+/// summed as the checksum.
+fn pointwise_cost_sum(tape: &Tape, points: &[Vec<f64>], scratch: &mut Vec<f64>) -> f64 {
+    let mut out = vec![0.0; tape.n_outputs()];
+    let costs: Vec<f64> = points
+        .iter()
+        .map(|p| tape.eval_into(p, scratch, &mut out))
+        .collect();
+    costs.iter().sum()
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let enforce = std::env::args().any(|a| a == "--enforce");
     let n_points = N_SIDE * N_SIDE;
-    println!("# SoA backend throughput — Elbtunnel cost surface, {N_SIDE}x{N_SIDE} grid\n");
+    println!("# SoA sweep throughput — Elbtunnel cost surface, {N_SIDE}x{N_SIDE} grid\n");
 
     let paper = ElbtunnelModel::paper();
     let model = paper.build()?;
-    let scalar = CompiledModel::compile_with_threads(&model, 1)?.with_backend(ExecBackend::Scalar);
-    let soa = CompiledModel::compile_with_threads(&model, 1)?.with_backend(ExecBackend::Soa);
+    let soa = CompiledModel::compile_with_threads(&model, 1)?;
+    let tape = soa.tape();
     let threads = safety_opt_engine::default_threads();
-    let soa_parallel =
-        CompiledModel::compile_with_threads(&model, threads)?.with_backend(ExecBackend::Soa);
+    let soa_parallel = CompiledModel::compile_with_threads(&model, threads)?;
 
     // The surface workload: the dense (T1, T2) grid every cost-surface /
     // sensitivity sweep evaluates.
@@ -53,37 +64,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
 
-    // Correctness gate before timing anything: SoA == scalar, bit for
-    // bit, costs and hazards.
-    let (sc, sh) = scalar.cost_and_hazards_batch(&points)?;
+    // Correctness gate before timing anything: SoA == pointwise, bit
+    // for bit, costs and hazards.
+    let mut scratch = Vec::with_capacity(tape.scratch_len());
+    let mut sh = vec![0.0; n_points * tape.n_outputs()];
+    let sc: Vec<f64> = points
+        .iter()
+        .zip(sh.chunks_mut(tape.n_outputs()))
+        .map(|(p, out)| tape.eval_into(p, &mut scratch, out))
+        .collect();
     let (fc, fh) = soa.cost_and_hazards_batch(&points)?;
     for (i, (a, b)) in sc.iter().zip(&fc).enumerate() {
         assert_eq!(
             a.to_bits(),
             b.to_bits(),
-            "SoA diverged from scalar backend (cost, point {i})"
+            "SoA diverged from the pointwise sweep (cost, point {i})"
         );
     }
     for (i, (a, b)) in sh.iter().zip(&fh).enumerate() {
         assert_eq!(
             a.to_bits(),
             b.to_bits(),
-            "SoA diverged from scalar backend (hazard slot {i})"
+            "SoA diverged from the pointwise sweep (hazard slot {i})"
         );
     }
-    println!("equivalence check     soa == scalar backend, 0 ULP\n");
+    println!("equivalence check     soa == pointwise sweep, 0 ULP\n");
 
     let scalar_mode = measure(
         "scalar_one_core",
-        "scalar (1 core)",
+        "scalar pointwise (1 core)",
         "points/sec",
         n_points,
-        || {
-            scalar
-                .cost_batch(&points)
-                .map(|v| v.iter().sum())
-                .unwrap_or(0.0)
-        },
+        || pointwise_cost_sum(tape, &points, &mut scratch),
     );
     let soa_mode = measure(
         "soa_one_core",
@@ -115,7 +127,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
     println!("soa vs scalar (1 core)   : {speedup:.2}x  (target >= {TARGET_SPEEDUP}x)");
     println!("soa + parallel vs scalar : {speedup_par:.2}x  ({threads} threads)");
-    println!("tape ops                 : {}", scalar.tape().n_ops());
+    println!("tape ops                 : {}", tape.n_ops());
     println!(
         "verdict                  : {}",
         if pass { "PASS" } else { "FAIL" }
@@ -130,7 +142,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         timestamp: &timestamp,
         extras: vec![
             ("n_points", n_points.to_string()),
-            ("tape_ops", scalar.tape().n_ops().to_string()),
+            ("tape_ops", tape.n_ops().to_string()),
         ],
         modes: &modes,
         speedups: vec![

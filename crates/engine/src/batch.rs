@@ -6,17 +6,19 @@
 //! chunk length only, never of timing — and every point's result is
 //! written to its own output index, so batch results are **bit-identical
 //! for every thread count** (asserted by the equivalence property tests).
+//! One crate-private driver, `run_pool`, owns that contract for every
+//! batch entry point of this module and of [`crate::fleet`].
 //!
-//! Within a chunk, points run through the configured
-//! [`ExecBackend`]: the scalar point-at-a-time loop, or lane-blocked
-//! op-at-a-time SoA sweeps (see [`crate::exec`]) — also bit-identical by
-//! construction.
+//! Within a chunk, full lane blocks of points run through the
+//! op-at-a-time SoA sweeps (see [`crate::exec`]) and the ragged tail
+//! through the point-at-a-time [`Tape::eval_into`] /
+//! [`Tape::eval_grad_into`] — bit-identical by construction.
 //!
 //! Workers own their scratch buffers; steady-state evaluation performs no
 //! allocation beyond the output vectors.
 
 use crate::error::{EngineError, EvalDeadline};
-use crate::exec::{dispatch_lanes, supported_lanes, ExecBackend, LaneFile, DEFAULT_LANES};
+use crate::exec::{dispatch_lanes, supported_lanes, LaneFile, DEFAULT_LANES};
 use crate::faultinject;
 use crate::grad::{AdjointFile, GradWorkspace};
 use crate::tape::Tape;
@@ -28,11 +30,9 @@ use safety_opt_telemetry as telemetry;
 
 /// Points swept by full SoA lane blocks.
 static SOA_POINTS: telemetry::Counter = telemetry::Counter::new("engine.batch.soa_points");
-/// Points the SoA backend ran point-at-a-time because fewer than a lane
-/// block remained (the ragged tail).
+/// Points run point-at-a-time because fewer than a lane block remained
+/// (the ragged tail).
 static TAIL_POINTS: telemetry::Counter = telemetry::Counter::new("engine.batch.tail_points");
-/// Points evaluated by the scalar backend's point-at-a-time loop.
-static SCALAR_POINTS: telemetry::Counter = telemetry::Counter::new("engine.batch.scalar_points");
 /// Work chunks executed by tape/grad runners (sequential or pooled).
 static CHUNKS: telemetry::Counter = telemetry::Counter::new("engine.batch.chunks");
 /// Wall-clock nanoseconds per evaluated chunk (`full` mode only).
@@ -43,26 +43,23 @@ static LANE_WIDTH: telemetry::Histogram = telemetry::Histogram::new("engine.batc
 /// Default number of points per work unit.
 const DEFAULT_CHUNK: usize = 256;
 
-/// Batch evaluator: a tape plus a parallelism + backend configuration.
+/// Batch evaluator: a tape plus a parallelism configuration.
 #[derive(Debug, Clone)]
 pub struct BatchEvaluator<'t> {
     tape: &'t Tape,
     threads: usize,
     chunk: usize,
-    backend: ExecBackend,
     lanes: usize,
 }
 
 impl<'t> BatchEvaluator<'t> {
     /// Creates an evaluator over `tape` with `threads` workers
-    /// (`threads = 1` evaluates inline with zero spawn overhead) and the
-    /// [`crate::default_backend`] execution backend.
+    /// (`threads = 1` evaluates inline with zero spawn overhead).
     pub fn new(tape: &'t Tape, threads: usize) -> Self {
         Self {
             tape,
             threads: threads.max(1),
             chunk: DEFAULT_CHUNK,
-            backend: crate::default_backend(),
             lanes: DEFAULT_LANES,
         }
     }
@@ -80,16 +77,9 @@ impl<'t> BatchEvaluator<'t> {
         self
     }
 
-    /// Overrides the execution backend (results are bit-identical for
-    /// every choice).
-    pub fn backend(mut self, backend: ExecBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Overrides the SoA lane-block width, rounded down to the nearest
-    /// monomorphized width (1, 2, 4, 8, or 16; ignored by the scalar
-    /// backend; results are bit-identical for every width).
+    /// monomorphized width (1, 2, 4, 8, or 16; results are
+    /// bit-identical for every width).
     pub fn lanes(mut self, lanes: usize) -> Self {
         self.lanes = supported_lanes(lanes);
         self
@@ -98,11 +88,6 @@ impl<'t> BatchEvaluator<'t> {
     /// Configured worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Configured execution backend.
-    pub fn exec_backend(&self) -> ExecBackend {
-        self.backend
     }
 
     /// Evaluates the weighted cost at every point.
@@ -121,7 +106,7 @@ impl<'t> BatchEvaluator<'t> {
     /// checked cooperatively before each chunk starts.
     ///
     /// On success the costs are bit-identical to [`costs`](Self::costs)
-    /// for every thread count and backend. On error the evaluation is
+    /// for every thread count. On error the evaluation is
     /// **all-or-nothing**: no partial results are returned, no shared
     /// state is poisoned (worker pools are per-call scopes), and an
     /// identical retry succeeds bit-identically once the fault is gone.
@@ -134,42 +119,12 @@ impl<'t> BatchEvaluator<'t> {
         deadline: Option<&EvalDeadline>,
     ) -> Result<Vec<f64>, EngineError> {
         let mut costs = vec![0.0; points.len()];
-        if self.sequential(points.len()) {
-            let mut runner = self.runner();
-            for (idx, (pts, out)) in points
-                .chunks(self.chunk)
-                .zip(costs.chunks_mut(self.chunk))
-                .enumerate()
-            {
-                run_chunk(idx, deadline, || runner.run(pts, out, None))?;
-            }
-            return Ok(costs);
-        }
-        let first_err = FirstError::default();
-        let assignments = round_robin(
-            self.threads,
-            points
-                .chunks(self.chunk)
-                .zip(costs.chunks_mut(self.chunk))
-                .enumerate(),
-        );
-        let scope_h = telemetry::ScopeHandle::current();
-        std::thread::scope(|scope| {
-            for units in assignments {
-                let first_err = &first_err;
-                scope.spawn(move || {
-                    let _trace_scope = scope_h.attach();
-                    let mut runner = self.runner();
-                    for (idx, (pts, out)) in units {
-                        if let Err(e) = run_chunk(idx, deadline, || runner.run(pts, out, None)) {
-                            first_err.record(idx, e);
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        first_err.into_result(costs)
+        let units = points.chunks(self.chunk).zip(costs.chunks_mut(self.chunk));
+        let runner = || TapeRunner::new(self.tape, self.lanes);
+        self.pool(deadline, units, runner, |r, (pts, out)| {
+            r.run(pts, out, None)
+        })?;
+        Ok(costs)
     }
 
     /// Evaluates cost **and** per-output (hazard) values at every point.
@@ -196,46 +151,15 @@ impl<'t> BatchEvaluator<'t> {
         let n_out = self.tape.n_outputs();
         let mut costs = vec![0.0; points.len()];
         let mut outputs = vec![0.0; points.len() * n_out];
-        let row = n_out.max(1);
-        if self.sequential(points.len()) {
-            let mut runner = self.runner();
-            for (idx, pts) in points.chunks(self.chunk).enumerate() {
-                let lo = idx * self.chunk;
-                let out = &mut costs[lo..lo + pts.len()];
-                let rows = &mut outputs[lo * n_out..(lo + pts.len()) * n_out];
-                run_chunk(idx, deadline, || runner.run(pts, out, Some(rows)))?;
-            }
-            return Ok((costs, outputs));
-        }
-        let first_err = FirstError::default();
-        let assignments = round_robin(
-            self.threads,
-            points
-                .chunks(self.chunk)
-                .zip(costs.chunks_mut(self.chunk))
-                .zip(outputs.chunks_mut(self.chunk * row))
-                .map(|((p, c), o)| (p, c, o))
-                .enumerate(),
-        );
-        let scope_h = telemetry::ScopeHandle::current();
-        std::thread::scope(|scope| {
-            for units in assignments {
-                let first_err = &first_err;
-                scope.spawn(move || {
-                    let _trace_scope = scope_h.attach();
-                    let mut runner = self.runner();
-                    for (idx, (pts, out, rows)) in units {
-                        if let Err(e) =
-                            run_chunk(idx, deadline, || runner.run(pts, out, Some(rows)))
-                        {
-                            first_err.record(idx, e);
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        first_err.into_result((costs, outputs))
+        let units = points
+            .chunks(self.chunk)
+            .zip(costs.chunks_mut(self.chunk))
+            .zip(row_chunks(&mut outputs, points.len(), self.chunk, n_out));
+        let runner = || TapeRunner::new(self.tape, self.lanes);
+        self.pool(deadline, units, runner, |r, ((pts, out), rows)| {
+            r.run(pts, out, Some(rows))
+        })?;
+        Ok((costs, outputs))
     }
 
     /// Evaluates cost **and** cost gradient at every point via the
@@ -246,11 +170,11 @@ impl<'t> BatchEvaluator<'t> {
     ///
     /// Points shard across the same deterministic chunked pool as plain
     /// evaluation, so gradients are bit-identical for every thread
-    /// count. On the SoA backend every full lane block runs the
-    /// lane-blocked forward sweep **and** the lane-blocked adjoint
-    /// sweep ([`crate::grad::AdjointFile`]); the ragged tail and the
-    /// scalar backend run the point-at-a-time adjoint — all 0-ULP
-    /// bit-identical by the per-lane op-order contract.
+    /// count. Every full lane block runs the lane-blocked forward sweep
+    /// **and** the lane-blocked adjoint sweep
+    /// ([`crate::grad::AdjointFile`]); the ragged tail runs the
+    /// point-at-a-time adjoint — 0-ULP bit-identical by the per-lane
+    /// op-order contract.
     ///
     /// # Panics
     ///
@@ -272,60 +196,27 @@ impl<'t> BatchEvaluator<'t> {
         let dim = self.tape.n_inputs();
         let mut costs = vec![0.0; points.len()];
         let mut grads = vec![0.0; points.len() * dim];
-        // A 0-input tape has an empty `grads`, so the parallel path's
-        // zip would yield no work units at all; run it inline (there is
-        // nothing to parallelize over anyway).
-        if self.sequential(points.len()) || dim == 0 {
-            let mut runner = self.grad_runner();
-            for (idx, pts) in points.chunks(self.chunk).enumerate() {
-                let lo = idx * self.chunk;
-                let out = &mut costs[lo..lo + pts.len()];
-                let grad_rows = &mut grads[lo * dim..(lo + pts.len()) * dim];
-                run_chunk(idx, deadline, || runner.run(pts, out, grad_rows))?;
-            }
-            return Ok((costs, grads));
-        }
-        let first_err = FirstError::default();
-        let assignments = round_robin(
-            self.threads,
-            points
-                .chunks(self.chunk)
-                .zip(costs.chunks_mut(self.chunk))
-                .zip(grads.chunks_mut(self.chunk * dim))
-                .map(|((p, c), g)| (p, c, g))
-                .enumerate(),
-        );
-        let scope_h = telemetry::ScopeHandle::current();
-        std::thread::scope(|scope| {
-            for units in assignments {
-                let first_err = &first_err;
-                scope.spawn(move || {
-                    let _trace_scope = scope_h.attach();
-                    let mut runner = self.grad_runner();
-                    for (idx, (pts, cost_chunk, grad_chunk)) in units {
-                        if let Err(e) =
-                            run_chunk(idx, deadline, || runner.run(pts, cost_chunk, grad_chunk))
-                        {
-                            first_err.record(idx, e);
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        first_err.into_result((costs, grads))
+        let units = points
+            .chunks(self.chunk)
+            .zip(costs.chunks_mut(self.chunk))
+            .zip(row_chunks(&mut grads, points.len(), self.chunk, dim));
+        let runner = || GradRunner::new(self.tape, self.lanes);
+        self.pool(deadline, units, runner, |r, ((pts, out), grads)| {
+            r.run(pts, out, grads)
+        })?;
+        Ok((costs, grads))
     }
 
-    fn sequential(&self, n: usize) -> bool {
-        self.threads == 1 || n <= self.chunk
-    }
-
-    fn runner(&self) -> TapeRunner<'t> {
-        TapeRunner::new(self.tape, self.backend, self.lanes)
-    }
-
-    fn grad_runner(&self) -> GradRunner<'t> {
-        GradRunner::new(self.tape, self.backend, self.lanes)
+    /// Runs `units` through [`run_pool`], the inline path and every
+    /// worker on a fresh runner.
+    fn pool<U: Send, R>(
+        &self,
+        deadline: Option<&EvalDeadline>,
+        units: impl ExactSizeIterator<Item = U>,
+        runner: impl Fn() -> R + Sync,
+        run: impl Fn(&mut R, U) + Sync,
+    ) -> Result<(), EngineError> {
+        run_pool(self.threads, deadline, units, &runner, &runner, run).map(drop)
     }
 }
 
@@ -336,9 +227,8 @@ impl<'t> BatchEvaluator<'t> {
 #[derive(Debug)]
 struct GradRunner<'t> {
     tape: &'t Tape,
-    backend: ExecBackend,
     lanes: usize,
-    /// Scalar-path forward + adjoint workspace.
+    /// Ragged-tail forward + adjoint workspace.
     ws: GradWorkspace,
     /// One output row (the gradient path discards output values).
     out_row: Vec<f64>,
@@ -351,11 +241,10 @@ struct GradRunner<'t> {
 }
 
 impl<'t> GradRunner<'t> {
-    fn new(tape: &'t Tape, backend: ExecBackend, lanes: usize) -> Self {
+    fn new(tape: &'t Tape, lanes: usize) -> Self {
         let lanes = supported_lanes(lanes);
         Self {
             tape,
-            backend,
             lanes,
             ws: GradWorkspace::new(),
             out_row: vec![0.0; tape.n_outputs()],
@@ -374,21 +263,11 @@ impl<'t> GradRunner<'t> {
         let _chunk_span = telemetry::span(&CHUNK_NANOS);
         CHUNKS.add(1);
         let dim = self.tape.n_inputs();
-        let start = if self.backend == ExecBackend::Soa {
-            LANE_WIDTH.observe(self.lanes as u64);
-            dispatch_lanes!(self.lanes, L => self.run_blocks::<L, P>(pts, costs, grads))
-        } else {
-            0
-        };
-        match self.backend {
-            ExecBackend::Soa => {
-                SOA_POINTS.add(start as u64);
-                TAIL_POINTS.add((pts.len() - start) as u64);
-            }
-            ExecBackend::Scalar => SCALAR_POINTS.add(pts.len() as u64),
-        }
-        // Scalar backend, and the SoA backend's ragged tail (fewer than
-        // `lanes` points remain).
+        LANE_WIDTH.observe(self.lanes as u64);
+        let start = dispatch_lanes!(self.lanes, L => self.run_blocks::<L, P>(pts, costs, grads));
+        SOA_POINTS.add(start as u64);
+        TAIL_POINTS.add((pts.len() - start) as u64);
+        // The ragged tail: fewer than `lanes` points remain.
         for (i, p) in pts.iter().enumerate().skip(start) {
             costs[i] = self.tape.eval_grad_into(
                 p.as_ref(),
@@ -425,15 +304,14 @@ impl<'t> GradRunner<'t> {
     }
 }
 
-/// Per-worker execution state: sweeps chunks of points through one
-/// backend, owning every scratch buffer (steady state allocates
-/// nothing). Shared by the sequential and worker paths.
+/// Per-worker execution state: sweeps chunks of points, owning every
+/// scratch buffer (steady state allocates nothing). Shared by the
+/// sequential and worker paths.
 #[derive(Debug)]
 struct TapeRunner<'t> {
     tape: &'t Tape,
-    backend: ExecBackend,
     lanes: usize,
-    /// Scalar-path scratch ([`Tape::eval_into`]).
+    /// Ragged-tail scratch ([`Tape::eval_into`]).
     scratch: Vec<f64>,
     /// One output row for costs-only evaluation.
     out_row: Vec<f64>,
@@ -444,12 +322,11 @@ struct TapeRunner<'t> {
 }
 
 impl<'t> TapeRunner<'t> {
-    fn new(tape: &'t Tape, backend: ExecBackend, lanes: usize) -> Self {
+    fn new(tape: &'t Tape, lanes: usize) -> Self {
         let n_out = tape.n_outputs();
         let lanes = supported_lanes(lanes);
         Self {
             tape,
-            backend,
             lanes,
             scratch: Vec::with_capacity(tape.scratch_len()),
             out_row: vec![0.0; n_out],
@@ -467,23 +344,13 @@ impl<'t> TapeRunner<'t> {
         let _chunk_span = telemetry::span(&CHUNK_NANOS);
         CHUNKS.add(1);
         let n_out = self.tape.n_outputs();
-        let start = if self.backend == ExecBackend::Soa {
-            LANE_WIDTH.observe(self.lanes as u64);
-            dispatch_lanes!(self.lanes, L => {
-                self.run_blocks::<L, P>(pts, costs, rows.as_deref_mut())
-            })
-        } else {
-            0
-        };
-        match self.backend {
-            ExecBackend::Soa => {
-                SOA_POINTS.add(start as u64);
-                TAIL_POINTS.add((pts.len() - start) as u64);
-            }
-            ExecBackend::Scalar => SCALAR_POINTS.add(pts.len() as u64),
-        }
-        // Scalar backend, and the SoA backend's ragged tail (fewer than
-        // `lanes` points remain).
+        LANE_WIDTH.observe(self.lanes as u64);
+        let start = dispatch_lanes!(self.lanes, L => {
+            self.run_blocks::<L, P>(pts, costs, rows.as_deref_mut())
+        });
+        SOA_POINTS.add(start as u64);
+        TAIL_POINTS.add((pts.len() - start) as u64);
+        // The ragged tail: fewer than `lanes` points remain.
         for (i, p) in pts.iter().enumerate().skip(start) {
             let out = match rows.as_deref_mut() {
                 Some(rows) => &mut rows[i * n_out..(i + 1) * n_out],
@@ -529,10 +396,82 @@ impl<'t> TapeRunner<'t> {
     }
 }
 
+/// The chunked pool behind every `try_*` batch entry point of
+/// [`BatchEvaluator`] and [`crate::fleet::FleetEvaluator`]: one unit per
+/// chunk of points, run by `run` on a per-worker runner.
+///
+/// * Chunk indices are assigned before round-robin sharding, so a chunk
+///   index names the same points for every thread count.
+/// * The deadline is checked before each chunk, and each chunk runs
+///   under `catch_unwind` ([`run_chunk`]); when several chunks fail the
+///   lowest chunk's error wins ([`FirstError`]).
+/// * Each worker attaches the caller's trace scope.
+/// * With one thread or at most one chunk everything runs inline on
+///   `inline_runner`: nothing is spawned and nothing is allocated for
+///   the assignment. That runner is handed back on success only (`None`
+///   when the pool ran), so a caller keeping its buffers never keeps a
+///   half-written one.
+///
+/// Build `units` so that every chunk yields one, also when an output
+/// row has width 0 ([`row_chunks`]).
+pub(crate) fn run_pool<U: Send, R>(
+    threads: usize,
+    deadline: Option<&EvalDeadline>,
+    units: impl ExactSizeIterator<Item = U>,
+    inline_runner: impl FnOnce() -> R,
+    worker_runner: impl Fn() -> R + Sync,
+    run: impl Fn(&mut R, U) + Sync,
+) -> Result<Option<R>, EngineError> {
+    if threads == 1 || units.len() <= 1 {
+        let mut runner = inline_runner();
+        for (idx, unit) in units.enumerate() {
+            run_chunk(idx, deadline, || run(&mut runner, unit))?;
+        }
+        return Ok(Some(runner));
+    }
+    let first_err = FirstError::default();
+    let assignments = round_robin(threads, units.enumerate());
+    let scope_h = telemetry::ScopeHandle::current();
+    let (worker_runner, run) = (&worker_runner, &run);
+    std::thread::scope(|scope| {
+        for worker_units in assignments {
+            let first_err = &first_err;
+            scope.spawn(move || {
+                let _trace_scope = scope_h.attach();
+                let mut runner = worker_runner();
+                for (idx, unit) in worker_units {
+                    if let Err(e) = run_chunk(idx, deadline, || run(&mut runner, unit)) {
+                        first_err.record(idx, e);
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    first_err.into_result(None)
+}
+
+/// Splits `buf`, `n` rows of `width` values, into one slice per chunk
+/// of `chunk` rows. Unlike `chunks_mut`, it still yields one (empty)
+/// slice per chunk when `width` is 0, so a zipped unit iterator never
+/// drops chunks.
+pub(crate) fn row_chunks(
+    mut buf: &mut [f64],
+    n: usize,
+    chunk: usize,
+    width: usize,
+) -> impl ExactSizeIterator<Item = &mut [f64]> {
+    (0..n.div_ceil(chunk)).map(move |i| {
+        let rows = chunk.min(n - i * chunk);
+        let (head, tail) = std::mem::take(&mut buf).split_at_mut(rows * width);
+        buf = tail;
+        head
+    })
+}
+
 /// Assigns work units to workers round-robin (unit `i` goes to worker
-/// `i % threads`) — deterministic and lock-free. Shared with the fleet
-/// evaluator so both pools chunk identically.
-pub(crate) fn round_robin<T>(threads: usize, units: impl Iterator<Item = T>) -> Vec<Vec<T>> {
+/// `i % threads`) — deterministic and lock-free.
+fn round_robin<T>(threads: usize, units: impl Iterator<Item = T>) -> Vec<Vec<T>> {
     let mut assignments: Vec<Vec<T>> = (0..threads).map(|_| Vec::new()).collect();
     for (i, unit) in units.enumerate() {
         assignments[i % threads].push(unit);
@@ -544,8 +483,8 @@ pub(crate) fn round_robin<T>(threads: usize, units: impl Iterator<Item = T>) -> 
 /// first, then isolates any panic behind
 /// [`EngineError::WorkerPanicked`]. Chunk indices are assigned before
 /// round-robin sharding, so `chunk` identifies the same points for
-/// every thread count. Shared with the fleet evaluator.
-pub(crate) fn run_chunk(
+/// every thread count.
+fn run_chunk(
     chunk: usize,
     deadline: Option<&EvalDeadline>,
     work: impl FnOnce(),
@@ -585,15 +524,15 @@ fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
 /// fail in one call, the error from the **lowest-indexed** chunk wins,
 /// so the reported failure is as deterministic as the results it
 /// replaces (it never depends on worker timing for deterministic
-/// faults). Shared with the fleet evaluator.
+/// faults).
 #[derive(Debug, Default)]
-pub(crate) struct FirstError(Mutex<Option<(usize, EngineError)>>);
+struct FirstError(Mutex<Option<(usize, EngineError)>>);
 
 impl FirstError {
     /// Records `err` for `chunk` unless a lower-indexed chunk already
     /// failed. Recovers from poison: the cell is written only by this
     /// method, which cannot panic mid-update.
-    pub(crate) fn record(&self, chunk: usize, err: EngineError) {
+    fn record(&self, chunk: usize, err: EngineError) {
         let mut slot = self.0.lock().unwrap_or_else(PoisonError::into_inner);
         match &*slot {
             Some((winner, _)) if *winner <= chunk => {}
@@ -603,7 +542,7 @@ impl FirstError {
 
     /// Consumes the cell: `Ok(ok)` if no worker failed, the winning
     /// error otherwise.
-    pub(crate) fn into_result<T>(self, ok: T) -> Result<T, EngineError> {
+    fn into_result<T>(self, ok: T) -> Result<T, EngineError> {
         match self.0.into_inner().unwrap_or_else(PoisonError::into_inner) {
             Some((_, err)) => Err(err),
             None => Ok(ok),
@@ -698,18 +637,16 @@ mod tests {
     fn soa_backend_is_bit_identical_to_scalar() {
         let tape = demo_tape();
         let points = random_points(997, 4); // odd: exercises the tail
-        let scalar = BatchEvaluator::new(&tape, 1)
-            .backend(ExecBackend::Scalar)
-            .costs(&points);
-        let (scalar_c, scalar_o) = BatchEvaluator::new(&tape, 1)
-            .backend(ExecBackend::Scalar)
-            .costs_and_outputs(&points);
-        assert_eq!(scalar, scalar_c);
+        let mut scratch = Vec::new();
+        let mut scalar = Vec::new();
+        let mut scalar_o = vec![0.0; points.len() * tape.n_outputs()];
+        for (p, out) in points.iter().zip(scalar_o.chunks_mut(tape.n_outputs())) {
+            scalar.push(tape.eval_into(p, &mut scratch, out));
+        }
         for lanes in [1, 4, 8, 5] {
             for threads in [1, 3] {
                 let ev = BatchEvaluator::new(&tape, threads)
                     .chunk_size(19)
-                    .backend(ExecBackend::Soa)
                     .lanes(lanes);
                 assert_eq!(
                     ev.costs(&points),
@@ -717,7 +654,7 @@ mod tests {
                     "lanes {lanes}, {threads} threads"
                 );
                 let (c, o) = ev.costs_and_outputs(&points);
-                assert_eq!(c, scalar_c);
+                assert_eq!(c, scalar);
                 assert_eq!(o, scalar_o);
             }
         }
@@ -864,7 +801,6 @@ mod tests {
         assert!(BatchEvaluator::new(&tape, 4).costs(&points).is_empty());
         let (c, o) = BatchEvaluator::new(&tape, 4).costs_and_outputs(&points);
         assert!(c.is_empty() && o.is_empty());
-        let soa = BatchEvaluator::new(&tape, 1).backend(ExecBackend::Soa);
-        assert!(soa.costs(&points).is_empty());
+        assert!(BatchEvaluator::new(&tape, 1).costs(&points).is_empty());
     }
 }

@@ -1,8 +1,8 @@
 //! Shared parsing for the `SAFETY_OPT_*` environment knobs.
 //!
-//! Every process-level knob (`SAFETY_OPT_THREADS`, `_BACKEND`, `_MATH`,
-//! `_QUANT`, `_PREPROCESS`, `_FAILPOINTS`, `_DEGRADE`, …) follows the
-//! same contract:
+//! Every process-level knob (`SAFETY_OPT_THREADS`, `_MATH`, `_QUANT`,
+//! `_PREPROCESS`, `_FAILPOINTS`, `_DEGRADE`, …) follows the same
+//! contract:
 //!
 //! * read **once per process** (the knob is a process-level contract,
 //!   not a per-call switch — evaluators are constructed per batch call

@@ -1,33 +1,23 @@
-//! Execution backends: point-at-a-time vs. lane-blocked SoA sweeps.
+//! Lane-blocked structure-of-arrays (SoA) sweeps of a compiled [`Tape`].
 //!
-//! The engine has two ways to evaluate a compiled [`Tape`] over a batch
-//! of points:
+//! Batch evaluators sweep a tape **op-at-a-time** over a block of
+//! points: the scratch becomes a lane-blocked register file
+//! (`[n_regs × LANES]`, register-major), and each op processes a whole
+//! block of points before the next op runs. The per-op dispatch (enum
+//! match, argument-table walk, bounds checks) amortizes over the block,
+//! and the lane loops are monomorphized over the block width so the
+//! fused n-ary product/sum kernels compile to fully unrolled,
+//! vectorizable straight-line code. Opaque [`Op::Closure`] ops and
+//! ragged tail blocks (fewer points than the lane count remain) fall
+//! back to the point-at-a-time sweep ([`Tape::eval_into`]).
 //!
-//! * [`ExecBackend::Scalar`] — the original point-at-a-time loop: one
-//!   full tape sweep per point ([`Tape::eval_into`]).
-//! * [`ExecBackend::Soa`] — **op-at-a-time structure-of-arrays
-//!   sweeps**: the scratch becomes a lane-blocked register file
-//!   (`[n_regs × LANES]`, register-major), and each op processes a whole
-//!   block of points before the next op runs. The per-op dispatch
-//!   (enum match, argument-table walk, bounds checks) amortizes over the
-//!   block, and the lane loops are monomorphized over the block width so
-//!   the fused n-ary product/sum kernels compile to fully unrolled,
-//!   vectorizable straight-line code. Opaque [`Op::Closure`] ops and
-//!   ragged tail blocks (fewer points than the lane count remain) fall
-//!   back to the scalar path.
-//!
-//! Determinism contract: for every point the SoA sweep performs **the
-//! same floating-point operations in the same order** as the scalar
-//! sweep — per lane, products multiply in argument order, sums
-//! accumulate in argument order, and outputs reduce in declaration
-//! order — so results are **bit-identical** between backends, for every
-//! lane count, thread count, and chunk size (enforced by the
-//! `soa_equivalence` property suite).
-//!
-//! Backend selection: explicitly via the evaluator builders
-//! ([`crate::BatchEvaluator::backend`],
-//! [`crate::FleetEvaluator::backend`]), or globally via the
-//! `SAFETY_OPT_BACKEND` environment variable (see [`default_backend`]).
+//! Determinism contract: for every point the lane-blocked sweep
+//! performs **the same floating-point operations in the same order** as
+//! the point-at-a-time sweep — per lane, products multiply in argument
+//! order, sums accumulate in argument order, and outputs reduce in
+//! declaration order — so results are **bit-identical** to
+//! [`Tape::eval_into`] for every lane count, thread count, and chunk
+//! size (enforced by the `soa_equivalence` property suite).
 
 use crate::tape::{Op, Reg, Tape, Value};
 use std::ops::Range;
@@ -42,9 +32,9 @@ static CLOSURE_SOA_FALLBACK: telemetry::Counter =
 
 /// Warns once per process that an SoA sweep hit an opaque `Closure` op.
 /// Only in `full` telemetry mode: the degradation is correct (the
-/// fallback is the scalar backend's exact code path), it just costs the
-/// lane-block speedup for that op, which users chasing SoA throughput
-/// deserve to hear about exactly once.
+/// fallback is the point-at-a-time sweep's exact code path), it just
+/// costs the lane-block speedup for that op, which users chasing SoA
+/// throughput deserve to hear about exactly once.
 fn warn_closure_fallback_once(lanes: usize) {
     static WARN: std::sync::Once = std::sync::Once::new();
     static TRACE_WARN: std::sync::Once = std::sync::Once::new();
@@ -72,23 +62,7 @@ fn warn_closure_fallback_once(lanes: usize) {
     }
 }
 
-/// How a batch evaluator sweeps the tape (see the module docs).
-///
-/// SoA is the default: it is strictly faster on every measured
-/// workload (`BENCH_soa.json`) and bit-identical to the scalar sweep
-/// by construction (the `soa_equivalence` 0-ULP property suite).
-/// `SAFETY_OPT_BACKEND=scalar` remains the escape hatch, and CI runs a
-/// scalar-forced leg.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecBackend {
-    /// Point-at-a-time: one full tape sweep per point.
-    Scalar,
-    /// Op-at-a-time SoA: each op sweeps a lane block of points.
-    #[default]
-    Soa,
-}
-
-/// Default lane-block width of the SoA backend (points per op sweep).
+/// Default lane-block width of the SoA sweeps (points per op sweep).
 pub const DEFAULT_LANES: usize = 16;
 
 /// Rounds a requested lane count down to the nearest monomorphized
@@ -142,24 +116,24 @@ pub(crate) use dispatch_lanes;
 
 /// Floating-point contract of the SoA lane kernels (see [`math_mode`]).
 ///
-/// `Exact` is the default: every lane kernel performs the scalar
-/// backend's float sequence per lane, so results are 0-ULP
-/// bit-identical across backends, lane widths, thread counts, and
-/// chunk sizes. `Relaxed` swaps the transcendental calls inside lane
+/// `Exact` is the default: every lane kernel performs the
+/// point-at-a-time sweep's float sequence per lane, so results are 0-ULP
+/// bit-identical to [`Tape::eval_into`] across lane widths, thread
+/// counts, and chunk sizes. `Relaxed` swaps the transcendental calls inside lane
 /// blocks (`exp`/`exp_m1` in [`Op::Exposure`] forward and adjoint
 /// kernels) for the branchless vectorizable kernels of
 /// [`crate::fast_exp`], which are allowed to drift from the scalar
 /// path by the documented ulp bounds (≤1 ulp for `exp`; see the module
-/// docs for `exp_m1`). Scalar sweeps — and therefore ragged tails and
-/// `Closure` fallbacks — always stay exact, so relaxed results remain
-/// deterministic, but may differ across backends, lane widths, and
-/// chunk boundaries within the bound — chunk boundaries decide which
+/// docs for `exp_m1`). Point-at-a-time sweeps — and therefore ragged
+/// tails and `Closure` fallbacks — always stay exact, so relaxed results
+/// remain deterministic, but may differ across lane widths and chunk
+/// boundaries within the bound — chunk boundaries decide which
 /// points ride a lane block vs the scalar-exact tail, so worker counts
 /// agree for a fixed chunk size while the single-thread sequential
 /// fast path (one chunk spanning the whole batch) may differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MathMode {
-    /// 0-ULP bit-identity with the scalar backend (the default).
+    /// 0-ULP bit-identity with the point-at-a-time sweep (the default).
     #[default]
     Exact,
     /// Vectorizable transcendental kernels with documented ulp drift.
@@ -177,8 +151,7 @@ pub enum MathMode {
 /// Panics if `SAFETY_OPT_MATH` is set to anything but `"exact"` or
 /// `"relaxed"` (case-insensitive). A typo silently falling back to the
 /// exact default would be undetectable precisely because exact results
-/// are bit-identical — the `SAFETY_OPT_BACKEND`/`SAFETY_OPT_THREADS`
-/// contract.
+/// are bit-identical — the `SAFETY_OPT_THREADS` contract.
 pub fn math_mode() -> MathMode {
     static MODE: std::sync::OnceLock<MathMode> = std::sync::OnceLock::new();
     *MODE.get_or_init(|| {
@@ -202,45 +175,6 @@ fn parse_math_override(value: Option<&str>) -> Option<MathMode> {
 #[inline]
 pub(crate) fn relaxed_math() -> bool {
     math_mode() == MathMode::Relaxed
-}
-
-/// Backend used by evaluators that were not given one explicitly: the
-/// `SAFETY_OPT_BACKEND` environment variable when set (`"scalar"` or
-/// `"soa"`), [`ExecBackend::Soa`] otherwise — the SoA sweeps are
-/// strictly faster on every measured workload and bit-identical to the
-/// scalar path; `SAFETY_OPT_BACKEND=scalar` is the escape hatch.
-///
-/// The override exists so CI can force the whole test suite through the
-/// SoA path without touching any call site; results are bit-identical
-/// either way. The variable is read **once per process** — evaluators
-/// are constructed per batch call inside optimizer loops, and the
-/// override is a process-level contract, not a per-call knob.
-///
-/// # Panics
-///
-/// Panics if `SAFETY_OPT_BACKEND` is set to anything but `"scalar"` or
-/// `"soa"` (case-insensitive). A forced backend exists precisely to pin
-/// which code path runs; silently falling back to the default would make
-/// a misconfiguration (a typo) undetectable, because results are
-/// bit-identical across backends by design — exactly the
-/// `SAFETY_OPT_THREADS` contract.
-pub fn default_backend() -> ExecBackend {
-    static DEFAULT: std::sync::OnceLock<ExecBackend> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        parse_backend_override(crate::env::var("SAFETY_OPT_BACKEND").as_deref())
-            .unwrap_or(ExecBackend::Soa)
-    })
-}
-
-/// Parses a `SAFETY_OPT_BACKEND` override: `None`/empty means "unset"
-/// (use the SoA default); anything else must name a backend.
-fn parse_backend_override(value: Option<&str>) -> Option<ExecBackend> {
-    crate::env::parse_choice(
-        "SAFETY_OPT_BACKEND",
-        value,
-        &[("scalar", ExecBackend::Scalar), ("soa", ExecBackend::Soa)],
-        "unset it to use the SoA default",
-    )
 }
 
 /// Lane-blocked SoA register file: register `r`'s value for lane `l`
@@ -328,7 +262,7 @@ impl LaneFile {
             }
             Op::Closure { f } => {
                 // Scalar fallback: opaque functions see one full input
-                // row at a time, exactly like the scalar backend.
+                // row at a time, exactly like the point-at-a-time sweep.
                 CLOSURE_SOA_FALLBACK.add(L as u64);
                 warn_closure_fallback_once(L);
                 for (o, p) in out.iter_mut().zip(points) {
@@ -349,7 +283,7 @@ impl LaneFile {
             }
             Op::Product { c, args } => {
                 // Per lane the factors multiply in argument order — the
-                // scalar backend's exact sequence, loop-interchanged.
+                // point-at-a-time sweep's exact sequence, loop-interchanged.
                 let mut acc = [*c; L];
                 for &r in tape.arg_slice(*args) {
                     let v = arg(r);
@@ -395,7 +329,7 @@ impl LaneFile {
 
     /// Reads the declared outputs in `range` for every lane: `costs`
     /// (length `L`) receives each lane's weighted sum accumulated in
-    /// declaration order — the scalar backend's exact reduction — and
+    /// declaration order — the point-at-a-time sweep's exact reduction — and
     /// `outputs` the point-major rows (`L × range.len()`).
     pub(crate) fn read_outputs<const L: usize>(
         &self,
@@ -458,34 +392,6 @@ impl LaneFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backend_override_parses_known_backends() {
-        assert_eq!(parse_backend_override(None), None);
-        assert_eq!(parse_backend_override(Some("")), None);
-        assert_eq!(parse_backend_override(Some("  ")), None);
-        assert_eq!(
-            parse_backend_override(Some("scalar")),
-            Some(ExecBackend::Scalar)
-        );
-        assert_eq!(
-            parse_backend_override(Some(" soa ")),
-            Some(ExecBackend::Soa)
-        );
-        assert_eq!(parse_backend_override(Some("SoA")), Some(ExecBackend::Soa));
-    }
-
-    #[test]
-    #[should_panic(expected = "SAFETY_OPT_BACKEND must be \"scalar\" or \"soa\"")]
-    fn unknown_backend_is_rejected_loudly() {
-        parse_backend_override(Some("simd"));
-    }
-
-    #[test]
-    #[should_panic(expected = "SAFETY_OPT_BACKEND must be \"scalar\" or \"soa\"")]
-    fn numeric_backend_is_rejected_loudly() {
-        parse_backend_override(Some("1"));
-    }
 
     #[test]
     fn math_override_parses_known_modes() {

@@ -145,7 +145,7 @@ pub fn std_normal_sf(z: f64) -> f64 {
     0.5 * erfc(z / std::f64::consts::SQRT_2)
 }
 
-/// Lane-blocked twin of [`std_normal_sf`] for the SoA backend's
+/// Lane-blocked twin of [`std_normal_sf`] for the SoA
 /// op-at-a-time sweeps — **bit-identical** per lane to the scalar
 /// function.
 ///

@@ -3,7 +3,7 @@
 //! In [`MathMode::Exact`](crate::exec::MathMode) the SoA lane kernels
 //! call the platform `exp`/`exp_m1` scalar per lane — the calls cannot
 //! vectorize (libm is an opaque function boundary), but results stay
-//! 0-ULP bit-identical to the scalar backend. `SAFETY_OPT_MATH=relaxed`
+//! 0-ULP bit-identical to the scalar sweep. `SAFETY_OPT_MATH=relaxed`
 //! swaps those calls for the kernels here: a straight-line Cody–Waite
 //! reduction (`x = k·ln 2 + r`, `|r| ≤ ln 2 / 2`) with fdlibm's minimax
 //! rational for `expm1(r)/r`, the bias trick for the nearest-integer
@@ -32,7 +32,7 @@
 //!
 //! The scalar functions and the `_block` twins share one code path per
 //! regime, so a relaxed-mode result is deterministic and thread-count
-//! independent; it may differ from the exact backend (and across lane
+//! independent; it may differ from the exact mode (and across lane
 //! widths / chunk boundaries, which decide whether a point runs in a
 //! block or in the scalar-exact ragged tail) within the bounds above.
 

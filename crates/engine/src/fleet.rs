@@ -51,9 +51,9 @@
 //! assert_eq!(costs[1], standalone.build().eval(&[10.0]));
 //! ```
 
-use crate::batch::{round_robin, run_chunk, unwrap_engine, FirstError};
+use crate::batch::{row_chunks, run_pool, unwrap_engine};
 use crate::error::{EngineError, EvalDeadline};
-use crate::exec::{dispatch_lanes, supported_lanes, ExecBackend, LaneFile, DEFAULT_LANES};
+use crate::exec::{dispatch_lanes, supported_lanes, LaneFile, DEFAULT_LANES};
 use crate::faultinject;
 use crate::grad::{AdjointFile, GradWorkspace};
 use crate::tape::{Op, Tape, TapeBuilder, Value};
@@ -435,30 +435,26 @@ const DEFAULT_CHUNK: usize = 256;
 /// [`crate::batch::BatchEvaluator`]: points are cut into fixed-length
 /// chunks assigned to workers round-robin, each point's results go to
 /// its own output indices, so results are bit-identical for every thread
-/// count. Within a chunk, points run through the configured
-/// [`ExecBackend`] — scalar per-point arena sweeps, or lane-blocked
-/// op-at-a-time SoA sweeps (see [`crate::exec`]) — also bit-identical by
-/// construction.
+/// count. Within a chunk, full lane blocks run lane-blocked op-at-a-time
+/// SoA sweeps (see [`crate::exec`]) and the ragged tail per-point arena
+/// sweeps — also bit-identical by construction.
 #[derive(Debug, Clone)]
 pub struct FleetEvaluator<'f> {
     fleet: &'f Fleet,
     threads: usize,
     chunk: usize,
-    backend: ExecBackend,
     lanes: usize,
     scratch: Option<&'f FleetScratch>,
 }
 
 impl<'f> FleetEvaluator<'f> {
     /// Creates an evaluator with `threads` workers (`threads = 1`
-    /// evaluates inline with zero spawn overhead) and the
-    /// [`crate::default_backend`] execution backend.
+    /// evaluates inline with zero spawn overhead).
     pub fn new(fleet: &'f Fleet, threads: usize) -> Self {
         Self {
             fleet,
             threads: threads.max(1),
             chunk: DEFAULT_CHUNK,
-            backend: crate::default_backend(),
             lanes: DEFAULT_LANES,
             scratch: None,
         }
@@ -475,16 +471,9 @@ impl<'f> FleetEvaluator<'f> {
         self
     }
 
-    /// Overrides the execution backend (results are bit-identical for
-    /// every choice).
-    pub fn backend(mut self, backend: ExecBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Overrides the SoA lane-block width, rounded down to the nearest
-    /// monomorphized width (1, 2, 4, 8, or 16; ignored by the scalar
-    /// backend; results are bit-identical for every width).
+    /// monomorphized width (1, 2, 4, 8, or 16; results are
+    /// bit-identical for every width).
     pub fn lanes(mut self, lanes: usize) -> Self {
         self.lanes = supported_lanes(lanes);
         self
@@ -503,11 +492,6 @@ impl<'f> FleetEvaluator<'f> {
     /// Configured worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Configured execution backend.
-    pub fn exec_backend(&self) -> ExecBackend {
-        self.backend
     }
 
     /// Costs of **every model** at every point: point-major
@@ -572,76 +556,24 @@ impl<'f> FleetEvaluator<'f> {
         want_outputs: bool,
         deadline: Option<&EvalDeadline>,
     ) -> Result<(Vec<f64>, Vec<f64>), EngineError> {
-        let fleet = self.fleet;
-        let n_models = fleet.n_models();
-        let width = fleet.total_outputs();
-        // Rows of width zero carry nothing; route them to a scratch row.
-        let keep_outputs = want_outputs && width > 0;
-        let mut costs = vec![0.0; points.len() * n_models];
-        let mut outputs = vec![
-            0.0;
-            if keep_outputs {
-                points.len() * width
-            } else {
-                0
-            }
-        ];
-        if points.is_empty() || n_models == 0 {
-            return Ok((costs, outputs));
-        }
-        if self.sequential(points.len()) {
-            let mut runner = self.inline_runner();
-            for (idx, pts) in points.chunks(self.chunk).enumerate() {
-                let lo = idx * self.chunk;
-                let c = &mut costs[lo * n_models..(lo + pts.len()) * n_models];
-                let o = if keep_outputs {
-                    Some(&mut outputs[lo * width..(lo + pts.len()) * width])
-                } else {
-                    None
-                };
-                run_chunk(idx, deadline, || runner.run_all(pts, c, o))?;
-            }
-            self.keep_scratch(runner);
-            return Ok((costs, outputs));
-        }
-        /// One worker unit: a chunk of points, its cost rows, and (when
-        /// outputs are kept) its output rows.
-        type Unit<'a, P> = (&'a [P], &'a mut [f64], Option<&'a mut [f64]>);
-        let units: Vec<Unit<'_, P>> = if keep_outputs {
-            points
-                .chunks(self.chunk)
-                .zip(costs.chunks_mut(self.chunk * n_models))
-                .zip(outputs.chunks_mut(self.chunk * width))
-                .map(|((p, c), o)| (p, c, Some(o)))
-                .collect()
+        let n = points.len();
+        let n_models = self.fleet.n_models();
+        // Without kept outputs the rows go to the runner's scratch row.
+        let width = if want_outputs {
+            self.fleet.total_outputs()
         } else {
-            points
-                .chunks(self.chunk)
-                .zip(costs.chunks_mut(self.chunk * n_models))
-                .map(|(p, c)| (p, c, None))
-                .collect()
+            0
         };
-        let first_err = FirstError::default();
-        let assignments = round_robin(self.threads, units.into_iter().enumerate());
-        let scope_h = telemetry::ScopeHandle::current();
-        std::thread::scope(|scope| {
-            for worker_units in assignments {
-                let first_err = &first_err;
-                scope.spawn(move || {
-                    let _trace_scope = scope_h.attach();
-                    let mut runner = self.runner();
-                    for (idx, (pts, c_rows, o_rows)) in worker_units {
-                        if let Err(e) =
-                            run_chunk(idx, deadline, || runner.run_all(pts, c_rows, o_rows))
-                        {
-                            first_err.record(idx, e);
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        first_err.into_result((costs, outputs))
+        let mut costs = vec![0.0; n * n_models];
+        let mut outputs = vec![0.0; n * width];
+        let units = points
+            .chunks(self.chunk)
+            .zip(row_chunks(&mut costs, n, self.chunk, n_models))
+            .zip(row_chunks(&mut outputs, n, self.chunk, width));
+        self.pool(deadline, units, |r, ((pts, c_rows), o_rows)| {
+            r.run_all(pts, c_rows, want_outputs.then_some(o_rows))
+        })?;
+        Ok((costs, outputs))
     }
 
     /// Costs of **one model** at every point through its reachability
@@ -666,52 +598,18 @@ impl<'f> FleetEvaluator<'f> {
         deadline: Option<&EvalDeadline>,
     ) -> Result<Vec<f64>, EngineError> {
         let mut costs = vec![0.0; points.len()];
-        if self.sequential(points.len()) {
-            let mut runner = self.inline_runner();
-            for (idx, (pts, out)) in points
-                .chunks(self.chunk)
-                .zip(costs.chunks_mut(self.chunk))
-                .enumerate()
-            {
-                run_chunk(idx, deadline, || runner.run_model(model, pts, out))?;
-            }
-            self.keep_scratch(runner);
-            return Ok(costs);
-        }
-        let first_err = FirstError::default();
-        let assignments = round_robin(
-            self.threads,
-            points
-                .chunks(self.chunk)
-                .zip(costs.chunks_mut(self.chunk))
-                .enumerate(),
-        );
-        let scope_h = telemetry::ScopeHandle::current();
-        std::thread::scope(|scope| {
-            for units in assignments {
-                let first_err = &first_err;
-                scope.spawn(move || {
-                    let _trace_scope = scope_h.attach();
-                    let mut runner = self.runner();
-                    for (idx, (pts, out)) in units {
-                        if let Err(e) =
-                            run_chunk(idx, deadline, || runner.run_model(model, pts, out))
-                        {
-                            first_err.record(idx, e);
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        first_err.into_result(costs)
+        let units = points.chunks(self.chunk).zip(costs.chunks_mut(self.chunk));
+        self.pool(deadline, units, |r, (pts, out)| {
+            r.run_model(model, pts, out)
+        })?;
+        Ok(costs)
     }
 
     /// Costs **and** cost gradients of **one model** at every point via
     /// the masked reverse-mode adjoint sweep
     /// ([`Fleet::eval_model_grad_into`]). Returns `(costs, grads)` with
     /// `grads` flattened row-major (`points.len() × n_inputs`) —
-    /// bit-identical across thread counts, backends, and lane widths,
+    /// bit-identical across thread counts and lane widths,
     /// and bit-identical to that model's standalone
     /// [`crate::batch::BatchEvaluator::eval_grad_batch`] up to the
     /// adjoint accumulation-order caveat of
@@ -741,80 +639,44 @@ impl<'f> FleetEvaluator<'f> {
         let dim = self.fleet.n_inputs();
         let mut costs = vec![0.0; points.len()];
         let mut grads = vec![0.0; points.len() * dim];
-        // A 0-input fleet has an empty `grads`; run inline (there is
-        // nothing to parallelize over anyway).
-        if self.sequential(points.len()) || dim == 0 {
-            let mut runner = self.inline_runner();
-            for (idx, pts) in points.chunks(self.chunk).enumerate() {
-                let lo = idx * self.chunk;
-                let out = &mut costs[lo..lo + pts.len()];
-                let grad_rows = &mut grads[lo * dim..(lo + pts.len()) * dim];
-                run_chunk(idx, deadline, || {
-                    runner.run_model_grad(model, pts, out, grad_rows)
-                })?;
-            }
-            self.keep_scratch(runner);
-            return Ok((costs, grads));
-        }
-        let first_err = FirstError::default();
-        let assignments = round_robin(
+        let units = points
+            .chunks(self.chunk)
+            .zip(costs.chunks_mut(self.chunk))
+            .zip(row_chunks(&mut grads, points.len(), self.chunk, dim));
+        self.pool(deadline, units, |r, ((pts, out), grad_rows)| {
+            r.run_model_grad(model, pts, out, grad_rows)
+        })?;
+        Ok((costs, grads))
+    }
+
+    /// Runs `units` through [`run_pool`]. The inline path runs on the
+    /// buffers of the [`reuse_scratch`](Self::reuse_scratch) slot when
+    /// one is set and puts them back only after every chunk succeeded:
+    /// on an error or caught panic they are dropped instead. Pool
+    /// workers use buffers of their own.
+    fn pool<U: Send>(
+        &self,
+        deadline: Option<&EvalDeadline>,
+        units: impl ExactSizeIterator<Item = U>,
+        run: impl Fn(&mut FleetRunner<'f>, U) + Sync,
+    ) -> Result<(), EngineError> {
+        let inline_runner = || {
+            let buf = self.scratch.map(FleetScratch::take).unwrap_or_default();
+            FleetRunner::new(self.fleet, self.lanes, buf)
+        };
+        let worker_runner = || FleetRunner::new(self.fleet, self.lanes, SweepBuffers::default());
+        let inline = run_pool(
             self.threads,
-            points
-                .chunks(self.chunk)
-                .zip(costs.chunks_mut(self.chunk))
-                .zip(grads.chunks_mut(self.chunk * dim))
-                .map(|((p, c), g)| (p, c, g))
-                .enumerate(),
-        );
-        let scope_h = telemetry::ScopeHandle::current();
-        std::thread::scope(|scope| {
-            for units in assignments {
-                let first_err = &first_err;
-                scope.spawn(move || {
-                    let _trace_scope = scope_h.attach();
-                    let mut runner = self.runner();
-                    for (idx, (pts, cost_chunk, grad_chunk)) in units {
-                        if let Err(e) = run_chunk(idx, deadline, || {
-                            runner.run_model_grad(model, pts, cost_chunk, grad_chunk)
-                        }) {
-                            first_err.record(idx, e);
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        first_err.into_result((costs, grads))
-    }
-
-    fn sequential(&self, n: usize) -> bool {
-        self.threads == 1 || n <= self.chunk
-    }
-
-    /// A pool worker's runner, with buffers of its own.
-    fn runner(&self) -> FleetRunner<'f> {
-        FleetRunner::new(
-            self.fleet,
-            self.backend,
-            self.lanes,
-            SweepBuffers::default(),
-        )
-    }
-
-    /// The inline path's runner, on the buffers of the
-    /// [`reuse_scratch`](Self::reuse_scratch) slot when one is set.
-    fn inline_runner(&self) -> FleetRunner<'f> {
-        let buf = self.scratch.map(FleetScratch::take).unwrap_or_default();
-        FleetRunner::new(self.fleet, self.backend, self.lanes, buf)
-    }
-
-    /// Returns a runner's buffers to the slot. Only called after every
-    /// chunk succeeded: on an error or caught panic the runner, and with
-    /// it any half-written buffer, is dropped instead.
-    fn keep_scratch(&self, runner: FleetRunner<'_>) {
-        if let Some(slot) = self.scratch {
+            deadline,
+            units,
+            inline_runner,
+            worker_runner,
+            run,
+        )?;
+        if let (Some(slot), Some(runner)) = (self.scratch, inline) {
             slot.put(runner.buf);
         }
+        Ok(())
     }
 }
 
@@ -852,10 +714,10 @@ impl FleetScratch {
 /// so a [`FleetScratch`] can keep it between calls.
 #[derive(Debug, Default)]
 struct SweepBuffers {
-    /// Scalar-path arena scratch.
+    /// Ragged-tail arena scratch.
     scratch: Vec<f64>,
-    /// One all-models output row for costs-only scalar evaluation, one
-    /// per-model output row for masked scalar evaluation.
+    /// One all-models output row for costs-only tail evaluation, one
+    /// per-model output row for masked tail evaluation.
     out_row: Vec<f64>,
     /// SoA register file over the arena.
     file: LaneFile,
@@ -863,19 +725,17 @@ struct SweepBuffers {
     lane_rows: Vec<f64>,
     /// One lane block of per-model costs for masked SoA evaluation.
     lane_costs: Vec<f64>,
-    /// Scalar-path forward + adjoint workspace of the masked gradient.
+    /// Ragged-tail forward + adjoint workspace of the masked gradient.
     ws: GradWorkspace,
     /// Lane-blocked adjoint file of the masked backward sweep.
     adj: AdjointFile,
 }
 
-/// Per-worker fleet execution state: sweeps chunks of points through one
-/// backend on the [`SweepBuffers`] it takes (steady state allocates
-/// nothing).
+/// Per-worker fleet execution state: sweeps chunks of points on the
+/// [`SweepBuffers`] it takes (steady state allocates nothing).
 #[derive(Debug)]
 struct FleetRunner<'f> {
     fleet: &'f Fleet,
-    backend: ExecBackend,
     lanes: usize,
     buf: SweepBuffers,
 }
@@ -883,17 +743,12 @@ struct FleetRunner<'f> {
 impl<'f> FleetRunner<'f> {
     /// A runner on `buf`, whose fleet-sized rows are (re)sized for
     /// `fleet`; every other buffer sizes itself per sweep.
-    fn new(fleet: &'f Fleet, backend: ExecBackend, lanes: usize, mut buf: SweepBuffers) -> Self {
+    fn new(fleet: &'f Fleet, lanes: usize, mut buf: SweepBuffers) -> Self {
         let lanes = supported_lanes(lanes);
         buf.out_row.resize(fleet.total_outputs(), 0.0);
         buf.lane_rows.resize(fleet.total_outputs() * lanes, 0.0);
         buf.lane_costs.resize(lanes, 0.0);
-        Self {
-            fleet,
-            backend,
-            lanes,
-            buf,
-        }
+        Self { fleet, lanes, buf }
     }
 
     /// Evaluates every model at every point of `pts`: `costs` point-major
@@ -911,14 +766,10 @@ impl<'f> FleetRunner<'f> {
         let fleet = self.fleet;
         let n_models = fleet.n_models();
         let width = fleet.total_outputs();
-        let start = if self.backend == ExecBackend::Soa {
-            dispatch_lanes!(self.lanes, L => {
-                self.run_all_blocks::<L, P>(pts, costs, rows.as_deref_mut())
-            })
-        } else {
-            0
-        };
-        // Scalar backend, and the SoA backend's ragged tail.
+        let start = dispatch_lanes!(self.lanes, L => {
+            self.run_all_blocks::<L, P>(pts, costs, rows.as_deref_mut())
+        });
+        // The ragged tail.
         for (i, p) in pts.iter().enumerate().skip(start) {
             let c = &mut costs[i * n_models..(i + 1) * n_models];
             let o = match rows.as_deref_mut() {
@@ -988,11 +839,8 @@ impl<'f> FleetRunner<'f> {
         if faultinject::should_fail(faultinject::sites::FLEET_CHUNK) {
             panic!("fault injected: fleet.chunk");
         }
-        let start = if self.backend == ExecBackend::Soa {
-            dispatch_lanes!(self.lanes, L => self.run_model_blocks::<L, P>(model, pts, costs))
-        } else {
-            0
-        };
+        let start =
+            dispatch_lanes!(self.lanes, L => self.run_model_blocks::<L, P>(model, pts, costs));
         let fleet = self.fleet;
         let n_out = fleet.n_outputs(model);
         for (p, c) in pts.iter().zip(costs.iter_mut()).skip(start) {
@@ -1018,13 +866,9 @@ impl<'f> FleetRunner<'f> {
         if faultinject::should_fail(faultinject::sites::FLEET_CHUNK) {
             panic!("fault injected: fleet.chunk");
         }
-        let start = if self.backend == ExecBackend::Soa {
-            dispatch_lanes!(self.lanes, L => {
-                self.run_model_grad_blocks::<L, P>(model, pts, costs, grads)
-            })
-        } else {
-            0
-        };
+        let start = dispatch_lanes!(self.lanes, L => {
+            self.run_model_grad_blocks::<L, P>(model, pts, costs, grads)
+        });
         let fleet = self.fleet;
         let n_out = fleet.n_outputs(model);
         let dim = fleet.n_inputs();
@@ -1269,23 +1113,29 @@ mod tests {
     fn soa_backend_is_bit_identical_to_scalar() {
         let (fleet, _) = family(3);
         let pts = points(701, 5); // odd: exercises the ragged tail
-        let scalar = FleetEvaluator::new(&fleet, 1)
-            .backend(ExecBackend::Scalar)
-            .costs_and_outputs_all(&pts);
+        let mut scratch = Vec::new();
+        let mut ref_c = vec![0.0; pts.len() * 3];
+        let mut ref_o = vec![0.0; pts.len() * fleet.total_outputs()];
+        for ((p, c), o) in pts
+            .iter()
+            .zip(ref_c.chunks_mut(3))
+            .zip(ref_o.chunks_mut(fleet.total_outputs()))
+        {
+            fleet.eval_all_into(p, &mut scratch, c, o);
+        }
         for lanes in [1, 4, 8, 5] {
             for threads in [1, 2] {
                 let ev = FleetEvaluator::new(&fleet, threads)
                     .chunk_size(23)
-                    .backend(ExecBackend::Soa)
                     .lanes(lanes);
                 let (c, o) = ev.costs_and_outputs_all(&pts);
-                assert_eq!(c, scalar.0, "costs, lanes {lanes}, {threads} threads");
-                assert_eq!(o, scalar.1, "outputs, lanes {lanes}, {threads} threads");
-                assert_eq!(ev.costs_all(&pts), scalar.0);
+                assert_eq!(c, ref_c, "costs, lanes {lanes}, {threads} threads");
+                assert_eq!(o, ref_o, "outputs, lanes {lanes}, {threads} threads");
+                assert_eq!(ev.costs_all(&pts), ref_c);
                 for model in 0..3 {
                     let mc = ev.model_costs(model, &pts);
                     for (i, &v) in mc.iter().enumerate() {
-                        assert_eq!(v.to_bits(), scalar.0[i * 3 + model].to_bits());
+                        assert_eq!(v.to_bits(), ref_c[i * 3 + model].to_bits());
                     }
                 }
             }
@@ -1297,27 +1147,24 @@ mod tests {
         let (fleet, tapes) = family(4);
         let pts = points(151, 7); // odd: exercises the ragged tail
         for (k, tape) in tapes.iter().enumerate() {
-            let (ref_c, ref_g) = crate::batch::BatchEvaluator::new(tape, 1)
-                .backend(ExecBackend::Scalar)
-                .eval_grad_batch(&pts);
-            for backend in [ExecBackend::Scalar, ExecBackend::Soa] {
-                for threads in [1, 3] {
-                    let (c, g) = FleetEvaluator::new(&fleet, threads)
-                        .chunk_size(23)
-                        .backend(backend)
-                        .lanes(8)
-                        .model_grads(k, &pts);
-                    assert_eq!(
-                        c.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        ref_c.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        "costs of model {k}, {backend:?}, {threads} threads"
-                    );
-                    assert_eq!(
-                        g.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        ref_g.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        "grads of model {k}, {backend:?}, {threads} threads"
-                    );
-                }
+            let (ref_c, ref_g): (Vec<f64>, Vec<Vec<f64>>) =
+                pts.iter().map(|p| tape.eval_grad(p)).unzip();
+            let ref_g = ref_g.concat();
+            for threads in [1, 3] {
+                let (c, g) = FleetEvaluator::new(&fleet, threads)
+                    .chunk_size(23)
+                    .lanes(8)
+                    .model_grads(k, &pts);
+                assert_eq!(
+                    c.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    ref_c.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "costs of model {k}, {threads} threads"
+                );
+                assert_eq!(
+                    g.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    ref_g.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "grads of model {k}, {threads} threads"
+                );
             }
         }
     }

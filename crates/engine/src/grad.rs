@@ -42,8 +42,8 @@
 //! Hash-consed ops shared across hazards accumulate their adjoints
 //! additively, so sharing is handled by construction. Batched gradients
 //! ([`crate::BatchEvaluator::eval_grad_batch`]) shard points across the
-//! same deterministic chunked pool as plain evaluation, and on the SoA
-//! backend the adjoint sweep runs **lane-blocked op-at-a-time** like
+//! same deterministic chunked pool as plain evaluation, and the
+//! adjoint sweep runs **lane-blocked op-at-a-time** like
 //! the forward sweep: the forward pass retains the whole lane-major
 //! register file ([`crate::exec::LaneFile`]), and the backward pass
 //! sweeps each op's VJP across the block in an [`AdjointFile`] of the

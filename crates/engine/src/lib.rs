@@ -21,12 +21,12 @@
 //! 3. **Batch evaluation** ([`batch::BatchEvaluator`]) — shards point
 //!    batches across a `std::thread` scoped pool with deterministic
 //!    chunking; results are bit-identical for every thread count.
-//!    Within a chunk the sweep runs on a pluggable [`exec::ExecBackend`]:
-//!    lane-blocked **op-at-a-time SoA sweeps** by default, which
-//!    amortize op dispatch over a whole block of points and expose the
-//!    fused n-ary kernels to the vectorizer — bit-identical by
-//!    construction to the scalar point-at-a-time loop, which remains
-//!    available as the `SAFETY_OPT_BACKEND=scalar` escape hatch.
+//!    Within a chunk the sweep runs lane-blocked **op-at-a-time SoA
+//!    sweeps** ([`exec`]), which amortize op dispatch over a whole block
+//!    of points and expose the fused n-ary kernels to the vectorizer —
+//!    bit-identical by construction to the point-at-a-time
+//!    [`Tape::eval_into`], which runs the ragged tail of each chunk and
+//!    remains the single-point API.
 //! 4. **Adjoint gradients** ([`grad`]) — a reverse-mode sweep over the
 //!    same op-tape: one forward + one backward pass yields the full
 //!    cost gradient at a cost independent of the input dimension
@@ -50,8 +50,8 @@
 //! `BENCH_engine.json`), `... --bin fleet_throughput` for
 //! models·points/sec of the per-model loop vs. the fleet on the
 //! Elbtunnel uncertainty workload (written to `BENCH_fleet.json`), and
-//! `... --bin soa_throughput` for points/sec of the scalar vs. SoA
-//! execution backends on the Elbtunnel surface grid (written to
+//! `... --bin soa_throughput` for points/sec of a point-at-a-time loop
+//! vs. the SoA batch sweep on the Elbtunnel surface grid (written to
 //! `BENCH_soa.json`).
 
 // Special-function coefficients are transcribed at full published
@@ -78,7 +78,7 @@ pub use batch::BatchEvaluator;
 pub use cache::{CacheStats, QuantizedCache};
 pub use env::{degrade_mode, set_degrade_mode, DegradeMode};
 pub use error::{CompileBudget, EngineError, EvalDeadline};
-pub use exec::{default_backend, math_mode, ExecBackend, MathMode};
+pub use exec::{math_mode, MathMode};
 pub use fleet::{Fleet, FleetBuilder, FleetEvaluator, FleetScratch};
 pub use grad::GradWorkspace;
 pub use profile::{ProfileReport, ProfileRow};

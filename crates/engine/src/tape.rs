@@ -107,7 +107,7 @@ impl TruncNormSf {
         }
     }
 
-    /// Lane-blocked twin of [`eval`](Self::eval) for the SoA backend:
+    /// Lane-blocked twin of [`eval`](Self::eval) for the SoA sweeps:
     /// per lane the in-range arithmetic is **exactly** [`eval`]'s
     /// sequence (bit-identical results), but the normalization
     /// (subtract, divide, clamp) is hoisted out of the scalar

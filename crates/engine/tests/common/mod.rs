@@ -2,7 +2,8 @@
 //! property suites (`fleet_equivalence`, `soa_equivalence`): random
 //! model families — shared hazard structure, per-model perturbed
 //! constants, NaN-producing opaque closures — compiled both as one
-//! fleet and as standalone per-model tapes.
+//! fleet and as standalone per-model tapes, plus the pointwise oracles
+//! the batch entry points are checked against.
 
 #![allow(dead_code)] // each test crate uses a different subset
 
@@ -11,6 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use safety_opt_engine::fleet::{Fleet, FleetBuilder};
 use safety_opt_engine::tape::{ClosureFn, Tape, TapeBuilder, Value};
+use safety_opt_engine::GradWorkspace;
 use safety_opt_stats::dist::TruncatedNormal;
 use std::sync::Arc;
 
@@ -259,4 +261,98 @@ pub fn random_points(n: usize, seed: u64) -> Vec<Vec<f64>> {
 /// Bit view of a float slice: NaN-safe exact comparison.
 pub fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+// Pointwise oracles: one point-at-a-time sweep per point
+// (`Tape::eval_into` / `eval_grad_into`, `Fleet::eval_*_into`), the
+// reference every lane-blocked batch entry point must reproduce bit for
+// bit. Rows are point-major; indexing (not `chunks_mut`) keeps 0-wide
+// rows working.
+
+/// Costs and point-major output rows of `tape` at every point.
+pub fn pointwise_outputs<P: AsRef<[f64]>>(tape: &Tape, points: &[P]) -> (Vec<f64>, Vec<f64>) {
+    let n_out = tape.n_outputs();
+    let mut scratch = Vec::new();
+    let mut outputs = vec![0.0; points.len() * n_out];
+    let costs = points
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            let row = &mut outputs[i * n_out..(i + 1) * n_out];
+            tape.eval_into(p.as_ref(), &mut scratch, row)
+        })
+        .collect();
+    (costs, outputs)
+}
+
+/// Costs of `tape` at every point.
+pub fn pointwise_costs<P: AsRef<[f64]>>(tape: &Tape, points: &[P]) -> Vec<f64> {
+    pointwise_outputs(tape, points).0
+}
+
+/// Costs and point-major gradient rows of `tape` at every point.
+pub fn pointwise_grads<P: AsRef<[f64]>>(tape: &Tape, points: &[P]) -> (Vec<f64>, Vec<f64>) {
+    let dim = tape.n_inputs();
+    let mut ws = GradWorkspace::new();
+    let mut out = vec![0.0; tape.n_outputs()];
+    let mut grads = vec![0.0; points.len() * dim];
+    let costs = points
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            let row = &mut grads[i * dim..(i + 1) * dim];
+            tape.eval_grad_into(p.as_ref(), &mut ws, &mut out, row)
+        })
+        .collect();
+    (costs, grads)
+}
+
+/// Point-major costs (`points × n_models`) and output rows
+/// (`points × total_outputs`) of every fleet model at every point.
+pub fn pointwise_all<P: AsRef<[f64]>>(fleet: &Fleet, points: &[P]) -> (Vec<f64>, Vec<f64>) {
+    let (n_models, width) = (fleet.n_models(), fleet.total_outputs());
+    let mut scratch = Vec::new();
+    let mut costs = vec![0.0; points.len() * n_models];
+    let mut outputs = vec![0.0; points.len() * width];
+    for (i, p) in points.iter().enumerate() {
+        fleet.eval_all_into(
+            p.as_ref(),
+            &mut scratch,
+            &mut costs[i * n_models..(i + 1) * n_models],
+            &mut outputs[i * width..(i + 1) * width],
+        );
+    }
+    (costs, outputs)
+}
+
+/// Costs of fleet model `model` at every point (masked sweep).
+pub fn pointwise_model<P: AsRef<[f64]>>(fleet: &Fleet, model: usize, points: &[P]) -> Vec<f64> {
+    let mut scratch = Vec::new();
+    let mut out = vec![0.0; fleet.n_outputs(model)];
+    points
+        .iter()
+        .map(|p| fleet.eval_model_into(model, p.as_ref(), &mut scratch, &mut out))
+        .collect()
+}
+
+/// Costs and point-major gradient rows of fleet model `model` at every
+/// point (masked adjoint sweep).
+pub fn pointwise_model_grads<P: AsRef<[f64]>>(
+    fleet: &Fleet,
+    model: usize,
+    points: &[P],
+) -> (Vec<f64>, Vec<f64>) {
+    let dim = fleet.n_inputs();
+    let mut ws = GradWorkspace::new();
+    let mut out = vec![0.0; fleet.n_outputs(model)];
+    let mut grads = vec![0.0; points.len() * dim];
+    let costs = points
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            let row = &mut grads[i * dim..(i + 1) * dim];
+            fleet.eval_model_grad_into(model, p.as_ref(), &mut ws, &mut out, row)
+        })
+        .collect();
+    (costs, grads)
 }

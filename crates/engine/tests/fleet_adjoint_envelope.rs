@@ -10,16 +10,19 @@
 //! NaN-poisoned opaque closures, heavy cross-model sharing — so the
 //! measured distances are fixed numbers, not a proptest draw: every
 //! fleet gradient component stays within **128 ulps** of the standalone
-//! tape's adjoint, across both backends and thread counts 1 and 4.
+//! tape's adjoint, for the pointwise masked adjoint and the batched SoA
+//! sweep at thread counts 1 and 4.
 //! (Observed maximum on this family: 32 ulps; 128 leaves headroom for
 //! deeper sharing without letting a real accuracy regression —
 //! re-association into different math, a broken mask — through.)
 
 mod common;
 
-use common::{bits, compile_family, random_points, FactorSpec, FamilySpec, DIM};
+use common::{
+    bits, compile_family, pointwise_grads, pointwise_model_grads, random_points, FactorSpec,
+    FamilySpec, DIM,
+};
 use safety_opt_engine::fleet::FleetEvaluator;
-use safety_opt_engine::{BatchEvaluator, ExecBackend};
 
 /// The pinned envelope.
 const MAX_ULPS: u64 = 128;
@@ -148,30 +151,34 @@ fn fleet_masked_adjoint_stays_within_the_pinned_envelope() {
         for seed in [11u64, 202, 3003] {
             let points = random_points(47, seed);
             for (k, tape) in tapes.iter().enumerate() {
-                let (sv, sg) = BatchEvaluator::new(tape, 1)
-                    .backend(ExecBackend::Scalar)
-                    .eval_grad_batch(&points);
-                for backend in [ExecBackend::Scalar, ExecBackend::Soa] {
-                    for threads in [1usize, 4] {
-                        let (fv, fg) = FleetEvaluator::new(&fleet, threads)
-                            .backend(backend)
-                            .model_grads(k, &points);
-                        // Values: bit-identical, no envelope at all.
-                        assert_eq!(
-                            bits(&fv),
-                            bits(&sv),
-                            "values, family {fi}, model {k}, {backend:?}, {threads} threads"
+                let (sv, sg) = pointwise_grads(tape, &points);
+                let fleet_runs = [
+                    ("pointwise", pointwise_model_grads(&fleet, k, &points)),
+                    (
+                        "1 thread",
+                        FleetEvaluator::new(&fleet, 1).model_grads(k, &points),
+                    ),
+                    (
+                        "4 threads",
+                        FleetEvaluator::new(&fleet, 4).model_grads(k, &points),
+                    ),
+                ];
+                for (run, (fv, fg)) in fleet_runs {
+                    // Values: bit-identical, no envelope at all.
+                    assert_eq!(
+                        bits(&fv),
+                        bits(&sv),
+                        "values, family {fi}, model {k}, {run}"
+                    );
+                    for (i, (a, b)) in sg.iter().zip(&fg).enumerate() {
+                        let d = ulp_distance(*a, *b);
+                        assert!(
+                            d <= MAX_ULPS,
+                            "grad[{i}] (point {}, input {}) of family {fi} model {k}: \
+                             {a} vs {b} = {d} ulps ({run})",
+                            i / DIM,
+                            i % DIM,
                         );
-                        for (i, (a, b)) in sg.iter().zip(&fg).enumerate() {
-                            let d = ulp_distance(*a, *b);
-                            assert!(
-                                d <= MAX_ULPS,
-                                "grad[{i}] (point {}, input {}) of family {fi} model {k}: \
-                                 {a} vs {b} = {d} ulps ({backend:?}, {threads} threads)",
-                                i / DIM,
-                                i % DIM,
-                            );
-                        }
                     }
                 }
             }

@@ -2,9 +2,10 @@
 //! batched reverse-mode gradients of random tapes and random model
 //! fleets — `MulAdd` Shannon nodes, saturating `SumClamp`s,
 //! NaN-poisoned opaque closures (which drop the whole lane block onto
-//! the scalar fallback) — through [`ExecBackend::Soa`] are
-//! **bit-identical** (0 ULP) to the scalar adjoint, pointwise
-//! ([`Tape::eval_grad`]) and batched ([`ExecBackend::Scalar`]), across
+//! the scalar fallback) — through the lane-blocked batch evaluators are
+//! **bit-identical** (0 ULP) to the pointwise scalar adjoint
+//! ([`safety_opt_engine::Tape::eval_grad_into`],
+//! [`safety_opt_engine::Fleet::eval_model_grad_into`]), across
 //! thread counts 1, 2, 4, 7, lane counts 1, 4, 8, 16 and odd
 //! (exercising the monomorphized block widths, the rounding, and the
 //! ragged scalar tail), and random chunk sizes.
@@ -20,10 +21,13 @@
 
 mod common;
 
-use common::{bits, compile_family, family_strategy, random_points, DIM};
+use common::{
+    bits, compile_family, family_strategy, pointwise_grads, pointwise_model_grads, random_points,
+    DIM,
+};
 use proptest::prelude::*;
 use safety_opt_engine::fleet::FleetEvaluator;
-use safety_opt_engine::{BatchEvaluator, ExecBackend};
+use safety_opt_engine::BatchEvaluator;
 
 /// The adversarial lane-count matrix: the monomorphized widths, odd
 /// requests that round down mid-batch, and 1 (every point is a tail).
@@ -46,10 +50,8 @@ proptest! {
         // Odd point count: every lane width leaves a ragged tail.
         let points = random_points(61, seed);
         for tape in tapes.iter().take(2) {
-            let (ref_v, ref_g) = BatchEvaluator::new(tape, 1)
-                .backend(ExecBackend::Scalar)
-                .eval_grad_batch(&points);
-            // The scalar batch itself is the pointwise adjoint.
+            let (ref_v, ref_g) = pointwise_grads(tape, &points);
+            // The workspace-reusing oracle is the allocating adjoint.
             for (i, p) in points.iter().enumerate() {
                 let (v, g) = tape.eval_grad(p);
                 prop_assert_eq!(v.to_bits(), ref_v[i].to_bits());
@@ -59,7 +61,6 @@ proptest! {
                 for lanes in LANES {
                     let (v, g) = BatchEvaluator::new(tape, threads)
                         .chunk_size(chunk)
-                        .backend(ExecBackend::Soa)
                         .lanes(lanes)
                         .eval_grad_batch(&points);
                     prop_assert_eq!(
@@ -75,8 +76,8 @@ proptest! {
         }
     }
 
-    // Fleets: the masked per-model adjoint under the SoA backend equals
-    // the scalar backend bit for bit (the 0-ULP backend contract), and
+    // Fleets: the masked per-model SoA adjoint equals the pointwise
+    // masked adjoint bit for bit (the 0-ULP sweep contract), and
     // both track the standalone per-model tape within an ulp-level
     // envelope. The standalone comparison is *not* bitwise by design:
     // cross-model hash-consing can place a shared subexpression's
@@ -95,15 +96,11 @@ proptest! {
         let (fleet, tapes) = compile_family(&spec);
         let points = random_points(37, seed);
         for (k, tape) in tapes.iter().enumerate().take(2) {
-            let (ref_v, ref_g) = FleetEvaluator::new(&fleet, 1)
-                .backend(ExecBackend::Scalar)
-                .model_grads(k, &points);
+            let (ref_v, ref_g) = pointwise_model_grads(&fleet, k, &points);
             // Masked arena sweep vs standalone tape: same NaN pattern,
             // ≤ 128 ulp everywhere (~3e-14 relative: a reordering
             // envelope — a masking bug would diverge structurally).
-            let (tape_v, tape_g) = BatchEvaluator::new(tape, 1)
-                .backend(ExecBackend::Scalar)
-                .eval_grad_batch(&points);
+            let (tape_v, tape_g) = pointwise_grads(tape, &points);
             let monotone = |x: f64| {
                 let t = x.to_bits() as i64;
                 if t < 0 { i64::MIN - t } else { t }
@@ -120,7 +117,6 @@ proptest! {
                 for lanes in LANES {
                     let (v, g) = FleetEvaluator::new(&fleet, threads)
                         .chunk_size(chunk)
-                        .backend(ExecBackend::Soa)
                         .lanes(lanes)
                         .model_grads(k, &points);
                     prop_assert_eq!(

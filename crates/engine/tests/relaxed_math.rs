@@ -2,7 +2,7 @@
 //! (`SAFETY_OPT_MATH=relaxed`): the vectorizable `exp`/`exp_m1` lane
 //! kernels stay within their documented ulp bounds of the platform
 //! libm, and end-to-end SoA sweeps — forward values *and* adjoint
-//! gradients — stay within a few ulps of the exact scalar backend,
+//! gradients — stay within a few ulps of the exact pointwise sweep,
 //! preserve NaN poisoning, and remain deterministic across thread
 //! counts.
 //!
@@ -14,9 +14,9 @@
 
 mod common;
 
-use common::{closure_fn, random_points, DIM};
+use common::{closure_fn, pointwise_grads, random_points, DIM};
 use safety_opt_engine::tape::TapeBuilder;
-use safety_opt_engine::{fast_exp, math_mode, BatchEvaluator, ExecBackend, MathMode, Tape};
+use safety_opt_engine::{fast_exp, math_mode, BatchEvaluator, MathMode, Tape};
 
 /// Pins the process to relaxed mode. Every test calls this before any
 /// engine work; the assert makes an accidental exact-mode run (e.g. a
@@ -123,14 +123,10 @@ fn relaxed_soa_adjoint_stays_within_a_few_ulps_of_exact_scalar() {
     force_relaxed();
     let tape = exposure_tape();
     let points = random_points(61, 0x51ee7);
-    // The scalar backend never uses the relaxed kernels, so it is the
+    // The pointwise sweep never uses the relaxed kernels, so it is the
     // exact reference even inside a relaxed process.
-    let (ref_v, ref_g) = BatchEvaluator::new(&tape, 1)
-        .backend(ExecBackend::Scalar)
-        .eval_grad_batch(&points);
-    let (v, g) = BatchEvaluator::new(&tape, 1)
-        .backend(ExecBackend::Soa)
-        .eval_grad_batch(&points);
+    let (ref_v, ref_g) = pointwise_grads(&tape, &points);
+    let (v, g) = BatchEvaluator::new(&tape, 1).eval_grad_batch(&points);
     // One ≤1-ulp kernel per factor, a handful of correctly-rounded
     // multiplies on top: a small end-to-end ulp envelope. 16 is ~2× the
     // worst drift observed across seeds.
@@ -152,12 +148,10 @@ fn relaxed_soa_adjoint_stays_within_a_few_ulps_of_exact_scalar() {
     // boundaries, allowed to differ within the bound.)
     let (rv, rg) = BatchEvaluator::new(&tape, 2)
         .chunk_size(8)
-        .backend(ExecBackend::Soa)
         .eval_grad_batch(&points);
     for threads in [4usize, 7] {
         let (tv, tg) = BatchEvaluator::new(&tape, threads)
             .chunk_size(8)
-            .backend(ExecBackend::Soa)
             .eval_grad_batch(&points);
         assert_eq!(
             tv.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -186,12 +180,8 @@ fn relaxed_mode_preserves_nan_poisoning() {
     // some points, below it on others — and the poisoned closure drops
     // its whole lane block onto the scalar-exact fallback.
     let points = random_points(61, 0xdead);
-    let (ref_v, ref_g) = BatchEvaluator::new(&tape, 1)
-        .backend(ExecBackend::Scalar)
-        .eval_grad_batch(&points);
-    let (v, g) = BatchEvaluator::new(&tape, 1)
-        .backend(ExecBackend::Soa)
-        .eval_grad_batch(&points);
+    let (ref_v, ref_g) = pointwise_grads(&tape, &points);
+    let (v, g) = BatchEvaluator::new(&tape, 1).eval_grad_batch(&points);
     assert!(
         ref_v.iter().any(|x| x.is_nan()),
         "suite needs poisoned points"

@@ -7,11 +7,12 @@
 //! higher-level safeopt chaos suite covers the same sites through the
 //! compiled-model and fleet APIs).
 
+mod common;
+
+use common::{pointwise_costs, pointwise_grads};
 use safety_opt_engine::faultinject::{self, sites, Trigger};
 use safety_opt_engine::fleet::{FleetBuilder, FleetEvaluator};
-use safety_opt_engine::{
-    BatchEvaluator, EngineError, ExecBackend, QuantizedCache, Tape, TapeBuilder,
-};
+use safety_opt_engine::{BatchEvaluator, EngineError, QuantizedCache, Tape, TapeBuilder};
 use std::sync::{Mutex, MutexGuard, Once, PoisonError};
 
 fn chaos_lock() -> MutexGuard<'static, ()> {
@@ -61,40 +62,37 @@ fn pool_and_grad_chunks_fail_typed_and_retry_bit_identically() {
     let _guard = chaos_lock();
     let tape = tape();
     let pts = points(257);
-    let base = BatchEvaluator::new(&tape, 1).try_costs(&pts, None).unwrap();
-    let base_grad = BatchEvaluator::new(&tape, 1)
-        .try_eval_grad_batch(&pts, None)
-        .unwrap();
-    for backend in [ExecBackend::Scalar, ExecBackend::Soa] {
-        for threads in [1usize, 4] {
-            let ev = || BatchEvaluator::new(&tape, threads).backend(backend);
-            faultinject::arm(sites::POOL_CHUNK, Trigger::Prob { p: 1.0, seed: 0 });
-            match ev().try_costs(&pts, None).unwrap_err() {
-                EngineError::WorkerPanicked { payload, .. } => {
-                    assert!(payload.contains(sites::POOL_CHUNK), "payload {payload:?}");
-                }
-                other => panic!("expected WorkerPanicked, got {other:?}"),
+    // The pointwise oracle: retries must reproduce it bit for bit.
+    let base = pointwise_costs(&tape, &pts);
+    let base_grad = pointwise_grads(&tape, &pts);
+    for threads in [1usize, 4] {
+        let ev = || BatchEvaluator::new(&tape, threads);
+        faultinject::arm(sites::POOL_CHUNK, Trigger::Prob { p: 1.0, seed: 0 });
+        match ev().try_costs(&pts, None).unwrap_err() {
+            EngineError::WorkerPanicked { payload, .. } => {
+                assert!(payload.contains(sites::POOL_CHUNK), "payload {payload:?}");
             }
-            faultinject::disarm(sites::POOL_CHUNK);
-            faultinject::arm(sites::GRAD_CHUNK, Trigger::Nth(1));
-            assert!(matches!(
-                ev().try_eval_grad_batch(&pts, None).unwrap_err(),
-                EngineError::WorkerPanicked { .. }
-            ));
-            faultinject::disarm(sites::GRAD_CHUNK);
-            // Nothing poisoned: retries are bit-identical across the
-            // whole matrix.
-            assert_eq!(
-                bits(&ev().try_costs(&pts, None).unwrap()),
-                bits(&base),
-                "{backend:?}/{threads}"
-            );
-            let (v, g) = ev().try_eval_grad_batch(&pts, None).unwrap();
-            assert_eq!(bits(&v), bits(&base_grad.0), "{backend:?}/{threads}");
-            assert_eq!(bits(&g), bits(&base_grad.1), "{backend:?}/{threads}");
-            // The infallible wrappers still work after the faults.
-            assert_eq!(bits(&ev().costs(&pts)), bits(&base));
+            other => panic!("expected WorkerPanicked, got {other:?}"),
         }
+        faultinject::disarm(sites::POOL_CHUNK);
+        faultinject::arm(sites::GRAD_CHUNK, Trigger::Nth(1));
+        assert!(matches!(
+            ev().try_eval_grad_batch(&pts, None).unwrap_err(),
+            EngineError::WorkerPanicked { .. }
+        ));
+        faultinject::disarm(sites::GRAD_CHUNK);
+        // Nothing poisoned: retries are bit-identical across the
+        // whole matrix.
+        assert_eq!(
+            bits(&ev().try_costs(&pts, None).unwrap()),
+            bits(&base),
+            "{threads} threads"
+        );
+        let (v, g) = ev().try_eval_grad_batch(&pts, None).unwrap();
+        assert_eq!(bits(&v), bits(&base_grad.0), "{threads} threads");
+        assert_eq!(bits(&g), bits(&base_grad.1), "{threads} threads");
+        // The infallible wrappers still work after the faults.
+        assert_eq!(bits(&ev().costs(&pts)), bits(&base));
     }
 }
 

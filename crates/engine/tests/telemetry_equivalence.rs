@@ -1,7 +1,8 @@
 //! Telemetry is observation-only, adversarially: forcing every
-//! `SAFETY_OPT_TELEMETRY` mode over every execution backend and thread
-//! count must leave each result **bit-identical** (0 ULP) to the
-//! untelemetered scalar reference — including the opaque-closure scalar
+//! `SAFETY_OPT_TELEMETRY` mode over the batch sweeps, the pointwise
+//! sweeps and every thread count must leave each result
+//! **bit-identical** (0 ULP) to the untelemetered pointwise reference —
+//! including the opaque-closure scalar
 //! fallback inside SoA blocks, NaN-poisoned closures, fleet masked
 //! sweeps, and the adjoint gradient path.
 //!
@@ -12,9 +13,12 @@
 
 mod common;
 
-use common::{bits, compile_family, random_points, FactorSpec, FamilySpec};
+use common::{
+    bits, compile_family, pointwise_all, pointwise_costs, pointwise_grads, pointwise_model,
+    pointwise_outputs, random_points, FactorSpec, FamilySpec,
+};
 use safety_opt_engine::fleet::FleetEvaluator;
-use safety_opt_engine::{BatchEvaluator, ExecBackend};
+use safety_opt_engine::BatchEvaluator;
 use safety_opt_telemetry as telemetry;
 
 /// A fixed family exercising every op kind the sweeps dispatch on —
@@ -110,27 +114,15 @@ fn telemetry_modes_never_change_results() {
     let (fleet, tapes) = compile_family(&spec());
     let points = random_points(61, 0x5AFE_7E1E);
 
-    // References: telemetry off, scalar backend, one thread.
+    // References: telemetry off, pointwise sweeps.
     telemetry::set_mode(telemetry::TelemetryMode::Off);
     let tape = &tapes[0];
-    let ref_costs = BatchEvaluator::new(tape, 1)
-        .backend(ExecBackend::Scalar)
-        .costs(&points);
-    let (ref_c, ref_o) = BatchEvaluator::new(tape, 1)
-        .backend(ExecBackend::Scalar)
-        .costs_and_outputs(&points);
-    let (ref_gc, ref_g) = BatchEvaluator::new(tape, 1)
-        .backend(ExecBackend::Scalar)
-        .eval_grad_batch(&points);
-    let ref_all = FleetEvaluator::new(&fleet, 1)
-        .backend(ExecBackend::Scalar)
-        .costs_all(&points);
+    let ref_costs = pointwise_costs(tape, &points);
+    let (ref_c, ref_o) = pointwise_outputs(tape, &points);
+    let (ref_gc, ref_g) = pointwise_grads(tape, &points);
+    let ref_all = pointwise_all(&fleet, &points).0;
     let ref_models: Vec<Vec<f64>> = (0..fleet.n_models())
-        .map(|k| {
-            FleetEvaluator::new(&fleet, 1)
-                .backend(ExecBackend::Scalar)
-                .model_costs(k, &points)
-        })
+        .map(|k| pointwise_model(&fleet, k, &points))
         .collect();
     assert_eq!(bits(&ref_costs), bits(&ref_c));
 
@@ -141,27 +133,40 @@ fn telemetry_modes_never_change_results() {
     ] {
         telemetry::set_mode(mode);
         telemetry::reset();
-        for backend in [ExecBackend::Scalar, ExecBackend::Soa] {
-            for threads in [1usize, 4] {
-                let ctx = format!("mode {}, {backend:?}, {threads} threads", mode.name());
-                let ev = BatchEvaluator::new(tape, threads).backend(backend);
-                assert_eq!(bits(&ev.costs(&points)), bits(&ref_costs), "costs, {ctx}");
-                let (c, o) = ev.costs_and_outputs(&points);
-                assert_eq!(bits(&c), bits(&ref_c), "batch costs, {ctx}");
-                assert_eq!(bits(&o), bits(&ref_o), "output rows, {ctx}");
-                let (gc, g) = ev.eval_grad_batch(&points);
-                assert_eq!(bits(&gc), bits(&ref_gc), "gradient costs, {ctx}");
-                assert_eq!(bits(&g), bits(&ref_g), "gradients, {ctx}");
+        // The pointwise sweeps themselves, observed.
+        let ctx = format!("mode {}, pointwise", mode.name());
+        assert_eq!(
+            bits(&pointwise_costs(tape, &points)),
+            bits(&ref_costs),
+            "{ctx}"
+        );
+        let (gc, g) = pointwise_grads(tape, &points);
+        assert_eq!(bits(&gc), bits(&ref_gc), "gradient costs, {ctx}");
+        assert_eq!(bits(&g), bits(&ref_g), "gradients, {ctx}");
+        assert_eq!(
+            bits(&pointwise_all(&fleet, &points).0),
+            bits(&ref_all),
+            "fleet, {ctx}"
+        );
+        for threads in [1usize, 4] {
+            let ctx = format!("mode {}, {threads} threads", mode.name());
+            let ev = BatchEvaluator::new(tape, threads);
+            assert_eq!(bits(&ev.costs(&points)), bits(&ref_costs), "costs, {ctx}");
+            let (c, o) = ev.costs_and_outputs(&points);
+            assert_eq!(bits(&c), bits(&ref_c), "batch costs, {ctx}");
+            assert_eq!(bits(&o), bits(&ref_o), "output rows, {ctx}");
+            let (gc, g) = ev.eval_grad_batch(&points);
+            assert_eq!(bits(&gc), bits(&ref_gc), "gradient costs, {ctx}");
+            assert_eq!(bits(&g), bits(&ref_g), "gradients, {ctx}");
 
-                let fe = FleetEvaluator::new(&fleet, threads).backend(backend);
-                assert_eq!(bits(&fe.costs_all(&points)), bits(&ref_all), "fleet, {ctx}");
-                for (k, reference) in ref_models.iter().enumerate() {
-                    assert_eq!(
-                        bits(&fe.model_costs(k, &points)),
-                        bits(reference),
-                        "model {k}, {ctx}"
-                    );
-                }
+            let fe = FleetEvaluator::new(&fleet, threads);
+            assert_eq!(bits(&fe.costs_all(&points)), bits(&ref_all), "fleet, {ctx}");
+            for (k, reference) in ref_models.iter().enumerate() {
+                assert_eq!(
+                    bits(&fe.model_costs(k, &points)),
+                    bits(reference),
+                    "model {k}, {ctx}"
+                );
             }
         }
         // The sweeps above really were observed (not just harmless):

@@ -1,8 +1,9 @@
 //! Structured tracing is observation-only, adversarially: forcing
 //! every `SAFETY_OPT_TRACE` mode (with full telemetry stacked on top,
-//! the most instrumented configuration) over every execution backend
-//! and thread count must leave each result **bit-identical** (0 ULP)
-//! to the untraced scalar reference — including the per-op tape
+//! the most instrumented configuration) over the batch sweeps, the
+//! pointwise sweeps and every thread count must leave each result
+//! **bit-identical** (0 ULP) to the untraced pointwise reference —
+//! including the per-op tape
 //! profiler armed by `full`, scoped attribution under an active
 //! `TraceScope`, and the span events emitted from worker threads.
 //!
@@ -13,9 +14,12 @@
 
 mod common;
 
-use common::{bits, compile_family, random_points, FactorSpec, FamilySpec};
+use common::{
+    bits, compile_family, pointwise_all, pointwise_costs, pointwise_grads, random_points,
+    FactorSpec, FamilySpec,
+};
 use safety_opt_engine::fleet::FleetEvaluator;
-use safety_opt_engine::{BatchEvaluator, ExecBackend};
+use safety_opt_engine::BatchEvaluator;
 use safety_opt_telemetry as telemetry;
 
 /// A family exercising every op kind the sweeps dispatch on, including
@@ -112,19 +116,13 @@ fn trace_modes_never_change_results() {
     let (fleet, tapes) = compile_family(&spec());
     let points = random_points(61, 0x5AFE_7ACE);
 
-    // References: telemetry off, tracing off, scalar backend, 1 thread.
+    // References: telemetry off, tracing off, pointwise sweeps.
     telemetry::set_mode(telemetry::TelemetryMode::Off);
     telemetry::set_trace_mode(telemetry::TraceMode::Off);
     let tape = &tapes[0];
-    let ref_costs = BatchEvaluator::new(tape, 1)
-        .backend(ExecBackend::Scalar)
-        .costs(&points);
-    let (ref_gc, ref_g) = BatchEvaluator::new(tape, 1)
-        .backend(ExecBackend::Scalar)
-        .eval_grad_batch(&points);
-    let ref_all = FleetEvaluator::new(&fleet, 1)
-        .backend(ExecBackend::Scalar)
-        .costs_all(&points);
+    let ref_costs = pointwise_costs(tape, &points);
+    let (ref_gc, ref_g) = pointwise_grads(tape, &points);
+    let ref_all = pointwise_all(&fleet, &points).0;
 
     for trace in [
         telemetry::TraceMode::Off,
@@ -135,17 +133,30 @@ fn trace_modes_never_change_results() {
         telemetry::set_trace_mode(trace);
         telemetry::trace::clear_events();
         let _scope = telemetry::TraceScope::enter("equivalence");
-        for backend in [ExecBackend::Scalar, ExecBackend::Soa] {
-            for threads in [1usize, 4] {
-                let ctx = format!("trace {}, {backend:?}, {threads} threads", trace.name());
-                let ev = BatchEvaluator::new(tape, threads).backend(backend);
-                assert_eq!(bits(&ev.costs(&points)), bits(&ref_costs), "costs, {ctx}");
-                let (gc, g) = ev.eval_grad_batch(&points);
-                assert_eq!(bits(&gc), bits(&ref_gc), "gradient costs, {ctx}");
-                assert_eq!(bits(&g), bits(&ref_g), "gradients, {ctx}");
-                let fe = FleetEvaluator::new(&fleet, threads).backend(backend);
-                assert_eq!(bits(&fe.costs_all(&points)), bits(&ref_all), "fleet, {ctx}");
-            }
+        // The pointwise sweeps themselves, observed.
+        let ctx = format!("trace {}, pointwise", trace.name());
+        assert_eq!(
+            bits(&pointwise_costs(tape, &points)),
+            bits(&ref_costs),
+            "{ctx}"
+        );
+        let (gc, g) = pointwise_grads(tape, &points);
+        assert_eq!(bits(&gc), bits(&ref_gc), "gradient costs, {ctx}");
+        assert_eq!(bits(&g), bits(&ref_g), "gradients, {ctx}");
+        assert_eq!(
+            bits(&pointwise_all(&fleet, &points).0),
+            bits(&ref_all),
+            "fleet, {ctx}"
+        );
+        for threads in [1usize, 4] {
+            let ctx = format!("trace {}, {threads} threads", trace.name());
+            let ev = BatchEvaluator::new(tape, threads);
+            assert_eq!(bits(&ev.costs(&points)), bits(&ref_costs), "costs, {ctx}");
+            let (gc, g) = ev.eval_grad_batch(&points);
+            assert_eq!(bits(&gc), bits(&ref_gc), "gradient costs, {ctx}");
+            assert_eq!(bits(&g), bits(&ref_g), "gradients, {ctx}");
+            let fe = FleetEvaluator::new(&fleet, threads);
+            assert_eq!(bits(&fe.costs_all(&points)), bits(&ref_all), "fleet, {ctx}");
         }
         drop(_scope);
 

@@ -61,7 +61,7 @@ static PRE_MODULES: telemetry::Counter = telemetry::Counter::new("fta.preprocess
 /// the preprocessing pipeline. `SAFETY_OPT_PREPROCESS=off` disables it
 /// (the escape hatch CI uses to pin the equivalence contract);
 /// `on`/unset enables. Read **once per process**, mirroring
-/// `SAFETY_OPT_BACKEND`/`SAFETY_OPT_THREADS`/`SAFETY_OPT_QUANT`.
+/// `SAFETY_OPT_THREADS`/`SAFETY_OPT_QUANT`.
 ///
 /// # Panics
 ///

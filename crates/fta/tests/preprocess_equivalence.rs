@@ -9,11 +9,11 @@
 //!    leaves, and random trees with leaves forced to exact constants.
 //! 2. **Modular composition** — the per-module [`ModularPlan`] agrees
 //!    with the monolithic BDD of the same tree, both through the scalar
-//!    fold and through the compiled op-tape; and the compiled tape is
-//!    **bit-identical** across execution backends (scalar/SoA) and
-//!    thread counts (1/4).
+//!    fold and through the compiled op-tape; and the compiled tape's
+//!    lane-blocked batch sweep is **bit-identical** to its pointwise
+//!    sweep at thread counts 1 and 4.
 
-use safety_opt_engine::{BatchEvaluator, ExecBackend};
+use safety_opt_engine::BatchEvaluator;
 use safety_opt_fta::bdd::TreeBdd;
 use safety_opt_fta::modular::ModularPlan;
 use safety_opt_fta::preprocess::{preprocess, PreprocessOutcome};
@@ -54,7 +54,8 @@ fn assert_preprocess_exact(ft: &FaultTree, tag: &str) {
 }
 
 /// Modular-vs-monolithic agreement: scalar fold, compiled tape, and
-/// bit-identity of the tape across backends and thread counts.
+/// bit-identity of the batch sweep with the pointwise sweep across
+/// thread counts.
 fn assert_modular_exact(ft: &FaultTree, tag: &str) {
     let pre = preprocess(ft).unwrap();
     let t = match &pre.outcome {
@@ -88,8 +89,8 @@ fn assert_modular_exact(ft: &FaultTree, tag: &str) {
         "{tag}: scalar fold must replay the tape bitwise"
     );
 
-    // Bit-identity across backends × thread counts on a batch of
-    // perturbed points.
+    // Bit-identity of the batch sweep with the pointwise sweep, across
+    // thread counts, on a batch of perturbed points.
     let points: Vec<Vec<f64>> = (0..37)
         .map(|k| {
             probs
@@ -99,21 +100,20 @@ fn assert_modular_exact(ft: &FaultTree, tag: &str) {
                 .collect()
         })
         .collect();
-    let reference = BatchEvaluator::new(&tape, 1)
-        .backend(ExecBackend::Scalar)
-        .costs(&points);
-    for backend in [ExecBackend::Scalar, ExecBackend::Soa] {
-        for threads in [1usize, 4] {
-            let got = BatchEvaluator::new(&tape, threads)
-                .backend(backend)
-                .costs(&points);
-            for (k, (a, b)) in reference.iter().zip(&got).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{tag}: point {k} differs under {backend:?}/{threads} threads"
-                );
-            }
+    let mut scratch = Vec::new();
+    let mut out = vec![0.0; tape.n_outputs()];
+    let reference: Vec<f64> = points
+        .iter()
+        .map(|p| tape.eval_into(p, &mut scratch, &mut out))
+        .collect();
+    for threads in [1usize, 4] {
+        let got = BatchEvaluator::new(&tape, threads).costs(&points);
+        for (k, (a, b)) in reference.iter().zip(&got).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{tag}: point {k} differs under {threads} threads"
+            );
         }
     }
 }

@@ -27,7 +27,7 @@ use crate::pprob::{ExprStructure, ProbExpr};
 use crate::{Result, SafeOptError};
 use safety_opt_engine::{
     faultinject, BatchEvaluator, CacheStats, CompileBudget, CompileStats, DegradeMode, EngineError,
-    EvalDeadline, ExecBackend, GradWorkspace, QuantizedCache, Tape, TapeBuilder, Value,
+    EvalDeadline, GradWorkspace, QuantizedCache, Tape, TapeBuilder, Value,
 };
 use safety_opt_fta::bdd::ShannonRef;
 use safety_opt_fta::modular::PlanInput;
@@ -60,15 +60,13 @@ fn warn_degrade_fallback_once(hazard: &str, nodes: usize, limit: usize) {
 ///
 /// Cheap to clone (the tape is shared). Thread-safe: batch methods shard
 /// across a scoped worker pool sized by `threads` and sweep each chunk
-/// on the configured execution backend (the `SAFETY_OPT_BACKEND` env
-/// default, or [`with_backend`](Self::with_backend)); results are
-/// bit-identical for every thread count and backend.
+/// lane-blocked; results are bit-identical for every thread count and
+/// to the pointwise [`cost`](Self::cost).
 #[derive(Debug, Clone)]
 pub struct CompiledModel {
     tape: Arc<Tape>,
     space: Arc<ParameterSpace>,
     threads: usize,
-    backend: ExecBackend,
     quant: QuantMethod,
     /// The source hazards (names + exact BDD structures) — what the
     /// point-importance API ([`crate::importance`]) walks.
@@ -147,7 +145,6 @@ impl CompiledModel {
             tape: Arc::new(builder.build()),
             space,
             threads: threads.max(1),
-            backend: safety_opt_engine::default_backend(),
             quant,
             hazards: Arc::new(model.hazards().to_vec()),
         })
@@ -161,18 +158,6 @@ impl CompiledModel {
     /// The source hazards the tape was compiled from.
     pub(crate) fn hazards(&self) -> &[Hazard] {
         &self.hazards
-    }
-
-    /// Overrides the execution backend for every batch entry point
-    /// (results are bit-identical for every choice).
-    pub fn with_backend(mut self, backend: ExecBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Configured execution backend.
-    pub fn backend(&self) -> ExecBackend {
-        self.backend
     }
 
     /// The underlying tape.
@@ -366,7 +351,7 @@ impl CompiledModel {
 
     /// The batch evaluator every batch entry point routes through.
     fn evaluator(&self) -> BatchEvaluator<'_> {
-        BatchEvaluator::new(&self.tape, self.threads).backend(self.backend)
+        BatchEvaluator::new(&self.tape, self.threads)
     }
 
     /// The compiled cost as a scalar optimization objective with an
@@ -776,27 +761,26 @@ mod tests {
     #[test]
     fn soa_backend_matches_scalar_bitwise() {
         let model = elb_like_model();
-        let scalar = CompiledModel::compile_with_threads(&model, 1)
-            .unwrap()
-            .with_backend(ExecBackend::Scalar);
-        let soa = CompiledModel::compile_with_threads(&model, 2)
-            .unwrap()
-            .with_backend(ExecBackend::Soa);
-        assert_eq!(soa.backend(), ExecBackend::Soa);
+        let soa = CompiledModel::compile_with_threads(&model, 2).unwrap();
         let points: Vec<Vec<f64>> = (0..203)
             .map(|i| {
                 let t = 5.0 + (i as f64) * 25.0 / 202.0;
                 vec![t, 35.0 - t]
             })
             .collect();
-        let (sc, sh) = scalar.cost_and_hazards_batch(&points).unwrap();
+        // Pointwise oracle: one full tape sweep per point.
+        let tape = soa.tape();
+        let mut scratch = Vec::new();
+        let mut sh = vec![0.0; points.len() * tape.n_outputs()];
+        let sc: Vec<f64> = points
+            .iter()
+            .zip(sh.chunks_mut(tape.n_outputs()))
+            .map(|(p, out)| tape.eval_into(p, &mut scratch, out))
+            .collect();
         let (fc, fh) = soa.cost_and_hazards_batch(&points).unwrap();
         assert_eq!(sc, fc);
         assert_eq!(sh, fh);
-        assert_eq!(
-            scalar.cost_batch(&points).unwrap(),
-            soa.cost_batch(&points).unwrap()
-        );
+        assert_eq!(sc, soa.cost_batch(&points).unwrap());
     }
 
     #[test]

@@ -44,8 +44,8 @@ use crate::model::SafetyModel;
 use crate::{Result, SafeOptError};
 use safety_opt_engine::fleet::{Fleet, FleetBuilder, FleetEvaluator, FleetScratch};
 use safety_opt_engine::{
-    faultinject, CacheStats, CompileBudget, CompileStats, EngineError, EvalDeadline, ExecBackend,
-    GradWorkspace, QuantizedCache, Value,
+    faultinject, CacheStats, CompileBudget, CompileStats, EngineError, EvalDeadline, GradWorkspace,
+    QuantizedCache, Value,
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -56,15 +56,12 @@ use std::sync::Arc;
 ///
 /// Cheap to clone (the fleet is shared). The models must agree on
 /// parameter-space dimension; their hazard counts may differ. Batch
-/// entry points sweep each chunk on the configured execution backend
-/// (the `SAFETY_OPT_BACKEND` env default, or
-/// [`with_backend`](Self::with_backend)); results are bit-identical for
-/// every thread count and backend.
+/// entry points sweep each chunk lane-blocked; results are
+/// bit-identical for every thread count.
 #[derive(Debug, Clone)]
 pub struct CompiledFleet {
     fleet: Arc<Fleet>,
     threads: usize,
-    backend: ExecBackend,
 }
 
 impl CompiledFleet {
@@ -105,7 +102,6 @@ impl CompiledFleet {
         Ok(Self {
             fleet: Arc::new(builder.build()),
             threads: threads.max(1),
-            backend: safety_opt_engine::default_backend(),
         })
     }
 
@@ -142,21 +138,8 @@ impl CompiledFleet {
         let fleet = Self {
             fleet: Arc::new(builder.build()),
             threads: threads.max(1),
-            backend: safety_opt_engine::default_backend(),
         };
         (Some(fleet), slots)
-    }
-
-    /// Overrides the execution backend for every batch entry point
-    /// (results are bit-identical for every choice).
-    pub fn with_backend(mut self, backend: ExecBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Configured execution backend.
-    pub fn backend(&self) -> ExecBackend {
-        self.backend
     }
 
     /// The underlying engine fleet.
@@ -260,11 +243,10 @@ impl CompiledFleet {
 
     /// Costs **and** analytic cost gradients of **one model** at every
     /// point via the masked reverse-mode adjoint sweep, sharded across
-    /// the deterministic chunked pool on the configured execution
-    /// backend (`grads` is row-major, `points.len() × dim`) —
-    /// bit-identical to that model's standalone
+    /// the deterministic chunked pool (`grads` is row-major,
+    /// `points.len() × dim`) — bit-identical to that model's standalone
     /// [`crate::compile::CompiledModel::gradient_batch`] for every
-    /// thread count, backend, and lane width.
+    /// thread count and lane width.
     ///
     /// # Errors
     ///
@@ -359,7 +341,7 @@ impl CompiledFleet {
 
     /// The fleet evaluator every batch entry point routes through.
     fn evaluator(&self) -> FleetEvaluator<'_> {
-        FleetEvaluator::new(&self.fleet, self.threads).backend(self.backend)
+        FleetEvaluator::new(&self.fleet, self.threads)
     }
 
     /// This fleet with every batch evaluated inline on the calling
@@ -370,7 +352,6 @@ impl CompiledFleet {
         Self {
             fleet: Arc::clone(&self.fleet),
             threads: 1,
-            backend: self.backend,
         }
     }
 
@@ -395,7 +376,6 @@ impl CompiledFleet {
             fleet: Arc::clone(&self.fleet),
             model,
             threads: self.threads,
-            backend: self.backend,
             scratch: FleetScratch::new(),
         }
     }
@@ -530,15 +510,12 @@ pub struct FleetModelBatchObjective {
     fleet: Arc<Fleet>,
     model: usize,
     threads: usize,
-    backend: ExecBackend,
     scratch: FleetScratch,
 }
 
 impl FleetModelBatchObjective {
     fn evaluator(&self) -> FleetEvaluator<'_> {
-        FleetEvaluator::new(&self.fleet, self.threads)
-            .backend(self.backend)
-            .reuse_scratch(&self.scratch)
+        FleetEvaluator::new(&self.fleet, self.threads).reuse_scratch(&self.scratch)
     }
 }
 
@@ -692,29 +669,34 @@ mod tests {
     #[test]
     fn soa_backend_matches_scalar_bitwise() {
         let models = family(4);
-        let scalar = CompiledFleet::compile_with_threads(&models, 1)
-            .unwrap()
-            .with_backend(ExecBackend::Scalar);
-        let soa = CompiledFleet::compile_with_threads(&models, 2)
-            .unwrap()
-            .with_backend(ExecBackend::Soa);
-        assert_eq!(soa.backend(), ExecBackend::Soa);
+        let soa = CompiledFleet::compile_with_threads(&models, 2).unwrap();
         let points = grid_points();
-        let (sc, sh) = scalar.cost_and_hazards_all(&points).unwrap();
+        // Pointwise oracle: one arena sweep per point.
+        let arena = soa.fleet();
+        let (n_models, width) = (arena.n_models(), arena.total_outputs());
+        let mut scratch = Vec::new();
+        let mut sc = vec![0.0; points.len() * n_models];
+        let mut sh = vec![0.0; points.len() * width];
+        for ((p, c), h) in points
+            .iter()
+            .zip(sc.chunks_mut(n_models))
+            .zip(sh.chunks_mut(width))
+        {
+            arena.eval_all_into(p, &mut scratch, c, h);
+        }
         let (fc, fh) = soa.cost_and_hazards_all(&points).unwrap();
         assert_eq!(sc, fc);
         assert_eq!(sh, fh);
         for k in 0..4 {
+            let pointwise: Vec<f64> = (0..points.len()).map(|i| sc[i * n_models + k]).collect();
             assert_eq!(
-                scalar.model_cost_batch(k, &points).unwrap(),
+                pointwise,
                 soa.model_cost_batch(k, &points).unwrap(),
                 "model {k}"
             );
-            let mut a = Vec::new();
             let mut b = Vec::new();
-            scalar.model_batch_objective(k).eval_batch(&points, &mut a);
             soa.model_batch_objective(k).eval_batch(&points, &mut b);
-            assert_eq!(a, b, "batch objective, model {k}");
+            assert_eq!(pointwise, b, "batch objective, model {k}");
         }
     }
 
@@ -722,18 +704,14 @@ mod tests {
     fn fleet_gradients_match_per_model_compilation_bitwise() {
         let models = family(5);
         let points = grid_points();
-        for backend in [ExecBackend::Scalar, ExecBackend::Soa] {
-            let fleet = CompiledFleet::compile_with_threads(&models, 3)
-                .unwrap()
-                .with_backend(backend);
-            for (k, model) in models.iter().enumerate() {
-                let compiled = CompiledModel::compile_with_threads(model, 1).unwrap();
-                let (sv, sg) = compiled.gradient_batch(&points).unwrap();
-                let (fv, fg) = fleet.model_gradient_batch(k, &points).unwrap();
-                assert_eq!(sv, fv, "values, model {k}, {backend:?}");
-                for (a, b) in sg.iter().zip(&fg) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "grads, model {k}, {backend:?}");
-                }
+        let fleet = CompiledFleet::compile_with_threads(&models, 3).unwrap();
+        for (k, model) in models.iter().enumerate() {
+            let compiled = CompiledModel::compile_with_threads(model, 1).unwrap();
+            let (sv, sg) = compiled.gradient_batch(&points).unwrap();
+            let (fv, fg) = fleet.model_gradient_batch(k, &points).unwrap();
+            assert_eq!(sv, fv, "values, model {k}");
+            for (a, b) in sg.iter().zip(&fg) {
+                assert_eq!(a.to_bits(), b.to_bits(), "grads, model {k}");
             }
         }
     }
@@ -806,39 +784,35 @@ mod tests {
 
     #[test]
     fn batch_objective_reuses_scratch_bit_identically() {
-        // One objective, batch sizes alternating across the scalar tail
+        // One objective, batch sizes alternating across the ragged tail
         // (1, 3), one full SoA block (16), a block plus a ragged tail
         // (17) and the pooled path (300 > one chunk, two threads), with
         // value and gradient calls interleaved: every call must match a
         // fresh evaluator bit for bit.
         let models = family(4);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for backend in [ExecBackend::Scalar, ExecBackend::Soa] {
-            let fleet = CompiledFleet::compile_with_threads(&models, 2)
-                .unwrap()
-                .with_backend(backend);
-            let objective = fleet.model_batch_objective(2);
-            let fresh = || FleetEvaluator::new(fleet.fleet(), 2).backend(backend);
-            let mut offset = 0.0;
-            for round in 0..3 {
-                for n in [1, 3, 16, 17, 300, 17, 1] {
-                    offset += 0.61;
-                    let points: Vec<Vec<f64>> = (0..n)
-                        .map(|i| {
-                            let t = (i as f64 * 0.37 + offset) % 25.0;
-                            vec![5.0 + t, 30.0 - t]
-                        })
-                        .collect();
-                    let (mut values, mut grads) = (Vec::new(), Vec::new());
-                    objective.eval_grad_batch(&points, &mut values, &mut grads);
-                    let (fv, fg) = fresh().model_grads(2, &points);
-                    assert_eq!(bits(&values), bits(&fv), "{backend:?} round {round} n={n}");
-                    assert_eq!(bits(&grads), bits(&fg), "{backend:?} round {round} n={n}");
-                    let mut costs = Vec::new();
-                    objective.eval_batch(&points, &mut costs);
-                    let fc = fresh().model_costs(2, &points);
-                    assert_eq!(bits(&costs), bits(&fc), "{backend:?} round {round} n={n}");
-                }
+        let fleet = CompiledFleet::compile_with_threads(&models, 2).unwrap();
+        let objective = fleet.model_batch_objective(2);
+        let fresh = || FleetEvaluator::new(fleet.fleet(), 2);
+        let mut offset = 0.0;
+        for round in 0..3 {
+            for n in [1, 3, 16, 17, 300, 17, 1] {
+                offset += 0.61;
+                let points: Vec<Vec<f64>> = (0..n)
+                    .map(|i| {
+                        let t = (i as f64 * 0.37 + offset) % 25.0;
+                        vec![5.0 + t, 30.0 - t]
+                    })
+                    .collect();
+                let (mut values, mut grads) = (Vec::new(), Vec::new());
+                objective.eval_grad_batch(&points, &mut values, &mut grads);
+                let (fv, fg) = fresh().model_grads(2, &points);
+                assert_eq!(bits(&values), bits(&fv), "round {round} n={n}");
+                assert_eq!(bits(&grads), bits(&fg), "round {round} n={n}");
+                let mut costs = Vec::new();
+                objective.eval_batch(&points, &mut costs);
+                let fc = fresh().model_costs(2, &points);
+                assert_eq!(bits(&costs), bits(&fc), "round {round} n={n}");
             }
         }
     }

@@ -152,7 +152,8 @@ fn hazard_importance(
     // `ExactHazard` (telemetry: `core.importance.leaf_tape_cache_hit`),
     // so repeated importance sweeps stop paying a recompilation per
     // call; the gradient itself routes through the batch evaluator —
-    // the same `ExecBackend` seam every other gradient consumer uses.
+    // the same lane-blocked adjoint path every other gradient consumer
+    // uses.
     let tape = exact.leaf_tape();
     let (p, grads) = safety_opt_engine::BatchEvaluator::new(tape, 1).eval_grad_batch(&[&q[..]]);
     let (p_top, birnbaum) = (p[0], grads);

@@ -92,14 +92,9 @@ pub mod uncertainty;
 
 pub use error::SafeOptError;
 // The quantification selector of `SafetyModel::with_quant_method`,
-// re-exported at the root next to `ExecBackend` — the two knobs that
-// choose *what* is computed (rare-event vs BDD-exact) and *how* (scalar
-// vs SoA sweeps).
+// re-exported at the root: the knob that chooses *what* is computed
+// (rare-event vs BDD-exact).
 pub use model::{default_quant_method, QuantMethod};
-// The backend selector of `CompiledModel::with_backend` /
-// `CompiledFleet::with_backend`, re-exported so facade users can name
-// it without depending on the engine crate directly.
-pub use safety_opt_engine::ExecBackend;
 
 /// Convenience result alias for fallible safety-optimization operations.
 pub type Result<T> = std::result::Result<T, SafeOptError>;

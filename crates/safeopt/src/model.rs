@@ -57,7 +57,7 @@ pub enum QuantMethod {
 /// environment variable when set (`"rare-event"` or `"bdd-exact"`,
 /// case-insensitive, `_` accepted for `-`),
 /// [`QuantMethod::RareEvent`] otherwise. Read **once per process**,
-/// mirroring `SAFETY_OPT_BACKEND`/`SAFETY_OPT_THREADS`: the override
+/// mirroring `SAFETY_OPT_THREADS`: the override
 /// exists so CI can force the whole suite through the exact
 /// quantification path without touching call sites.
 ///

@@ -240,7 +240,7 @@ impl<'m> SafetyOptimizer<'m> {
             (None, Some(batch), _) => {
                 // Gradient-capable batch hook: multi-start gradient
                 // descent in lockstep, one analytic-gradient batch per
-                // round through the SoA adjoint backend.
+                // round through the lane-blocked SoA adjoint sweep.
                 let mut ms = MultiStart::new(GradientDescent::default(), self.starts);
                 if let Some(hook) = &self.hook {
                     ms = ms.with_trace_hook(Arc::clone(hook));

@@ -223,11 +223,11 @@ pub fn local_gradient(model: &SafetyModel, x: &[f64], h: f64) -> Result<Vec<f64>
         });
     }
     let compiled = CompiledModel::compile(model)?;
-    // Routed through `gradient_batch` — the `ExecBackend`-dispatched
-    // batch seam — instead of the pointwise `value_grad`, so this entry
-    // point shares the SoA adjoint path with every other gradient
-    // consumer (a single point runs the scalar tail and stays
-    // bit-identical to `value_grad`).
+    // Routed through `gradient_batch` — the lane-blocked batch seam —
+    // instead of the pointwise `value_grad`, so this entry point shares
+    // the SoA adjoint path with every other gradient consumer (a single
+    // point runs the ragged tail and stays bit-identical to
+    // `value_grad`).
     let (values, grad) = compiled.gradient_batch(std::slice::from_ref(&x.to_vec()))?;
     let value = values[0];
     if value.is_finite() && grad.iter().all(|g| g.is_finite()) {

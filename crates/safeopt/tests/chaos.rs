@@ -1,9 +1,8 @@
 //! Adversarial chaos suite — the robustness contract, end to end.
 //!
 //! Every failpoint site fires in turn (`safety_opt_engine::faultinject`),
-//! across both execution backends, thread counts 1 and 4, and both the
-//! standalone and fleet compilation paths, and the suite asserts the
-//! three-part contract:
+//! across thread counts 1 and 4 and both the standalone and fleet
+//! compilation paths, and the suite asserts the three-part contract:
 //!
 //! 1. only **typed errors** escape the fallible entry points — worker
 //!    panics are isolated into [`EngineError::WorkerPanicked`],
@@ -26,9 +25,7 @@ use safety_opt_core::pprob::{complement, constant, exposure, overtime};
 use safety_opt_core::uncertainty::optimize_under_uncertainty;
 use safety_opt_core::{Result, SafeOptError};
 use safety_opt_engine::faultinject::{self, sites, Trigger};
-use safety_opt_engine::{
-    set_degrade_mode, CompileBudget, DegradeMode, EngineError, EvalDeadline, ExecBackend,
-};
+use safety_opt_engine::{set_degrade_mode, CompileBudget, DegradeMode, EngineError, EvalDeadline};
 use safety_opt_stats::dist::TruncatedNormal;
 use safety_opt_telemetry as telemetry;
 use std::sync::{Mutex, MutexGuard, Once, PoisonError};
@@ -143,58 +140,56 @@ fn evaluation_sites_fail_typed_across_backends_threads_and_paths() {
     let pts = points();
     let models = family(3);
 
-    for backend in [ExecBackend::Scalar, ExecBackend::Soa] {
-        for threads in [1usize, 4] {
-            let compiled = CompiledModel::compile_with_threads(&model(), threads)
-                .unwrap()
-                .with_backend(backend);
-            let fleet = CompiledFleet::compile_with_threads(&models, threads)
-                .unwrap()
-                .with_backend(backend);
-            let base_costs = compiled.try_cost_batch(&pts, None).unwrap();
-            let base_grads = compiled.try_gradient_batch(&pts, None).unwrap();
-            let base_all = fleet.try_costs_all(&pts, None).unwrap();
-            let base_mg = fleet.try_model_gradient_batch(1, &pts, None).unwrap();
-
-            // Forward pool chunks (standalone path).
-            faultinject::arm(sites::POOL_CHUNK, Trigger::Prob { p: 1.0, seed: 0 });
-            let err = compiled.try_cost_batch(&pts, None).unwrap_err();
-            assert_worker_panicked(&err, sites::POOL_CHUNK);
-            faultinject::disarm(sites::POOL_CHUNK);
-
-            // Adjoint-sweep chunks (standalone path).
-            faultinject::arm(sites::GRAD_CHUNK, Trigger::Prob { p: 1.0, seed: 0 });
-            let err = compiled.try_gradient_batch(&pts, None).unwrap_err();
-            assert_worker_panicked(&err, sites::GRAD_CHUNK);
-            faultinject::disarm(sites::GRAD_CHUNK);
-
-            // Fleet-evaluation chunks (forward and masked adjoint).
-            faultinject::arm(sites::FLEET_CHUNK, Trigger::Prob { p: 1.0, seed: 0 });
-            let err = fleet.try_costs_all(&pts, None).unwrap_err();
-            assert_worker_panicked(&err, sites::FLEET_CHUNK);
-            let err = fleet.try_model_gradient_batch(1, &pts, None).unwrap_err();
-            assert_worker_panicked(&err, sites::FLEET_CHUNK);
-            faultinject::disarm(sites::FLEET_CHUNK);
-
-            // Nothing was poisoned: the disarmed retry is bit-identical
-            // to the never-faulted baseline on every path, and the
-            // infallible entry points work too.
-            let retry = compiled.try_cost_batch(&pts, None).unwrap();
-            assert_eq!(bits(&retry), bits(&base_costs), "{backend:?}/{threads}");
-            let (rv, rg) = compiled.try_gradient_batch(&pts, None).unwrap();
-            assert_eq!(bits(&rv), bits(&base_grads.0), "{backend:?}/{threads}");
-            assert_eq!(bits(&rg), bits(&base_grads.1), "{backend:?}/{threads}");
-            let all = fleet.try_costs_all(&pts, None).unwrap();
-            assert_eq!(bits(&all), bits(&base_all), "{backend:?}/{threads}");
-            let (mv, mg) = fleet.try_model_gradient_batch(1, &pts, None).unwrap();
-            assert_eq!(bits(&mv), bits(&base_mg.0), "{backend:?}/{threads}");
-            assert_eq!(bits(&mg), bits(&base_mg.1), "{backend:?}/{threads}");
-            assert_eq!(
-                bits(&compiled.cost_batch(&pts).unwrap()),
-                bits(&base_costs),
-                "infallible path after faults, {backend:?}/{threads}"
-            );
+    for threads in [1usize, 4] {
+        let compiled = CompiledModel::compile_with_threads(&model(), threads).unwrap();
+        let fleet = CompiledFleet::compile_with_threads(&models, threads).unwrap();
+        let base_costs = compiled.try_cost_batch(&pts, None).unwrap();
+        // The never-faulted baseline is the pointwise sweep, bit for bit.
+        for (p, c) in pts.iter().zip(&base_costs) {
+            assert_eq!(compiled.tape().eval(p).to_bits(), c.to_bits());
         }
+        let base_grads = compiled.try_gradient_batch(&pts, None).unwrap();
+        let base_all = fleet.try_costs_all(&pts, None).unwrap();
+        let base_mg = fleet.try_model_gradient_batch(1, &pts, None).unwrap();
+
+        // Forward pool chunks (standalone path).
+        faultinject::arm(sites::POOL_CHUNK, Trigger::Prob { p: 1.0, seed: 0 });
+        let err = compiled.try_cost_batch(&pts, None).unwrap_err();
+        assert_worker_panicked(&err, sites::POOL_CHUNK);
+        faultinject::disarm(sites::POOL_CHUNK);
+
+        // Adjoint-sweep chunks (standalone path).
+        faultinject::arm(sites::GRAD_CHUNK, Trigger::Prob { p: 1.0, seed: 0 });
+        let err = compiled.try_gradient_batch(&pts, None).unwrap_err();
+        assert_worker_panicked(&err, sites::GRAD_CHUNK);
+        faultinject::disarm(sites::GRAD_CHUNK);
+
+        // Fleet-evaluation chunks (forward and masked adjoint).
+        faultinject::arm(sites::FLEET_CHUNK, Trigger::Prob { p: 1.0, seed: 0 });
+        let err = fleet.try_costs_all(&pts, None).unwrap_err();
+        assert_worker_panicked(&err, sites::FLEET_CHUNK);
+        let err = fleet.try_model_gradient_batch(1, &pts, None).unwrap_err();
+        assert_worker_panicked(&err, sites::FLEET_CHUNK);
+        faultinject::disarm(sites::FLEET_CHUNK);
+
+        // Nothing was poisoned: the disarmed retry is bit-identical
+        // to the never-faulted baseline on every path, and the
+        // infallible entry points work too.
+        let retry = compiled.try_cost_batch(&pts, None).unwrap();
+        assert_eq!(bits(&retry), bits(&base_costs), "{threads} threads");
+        let (rv, rg) = compiled.try_gradient_batch(&pts, None).unwrap();
+        assert_eq!(bits(&rv), bits(&base_grads.0), "{threads} threads");
+        assert_eq!(bits(&rg), bits(&base_grads.1), "{threads} threads");
+        let all = fleet.try_costs_all(&pts, None).unwrap();
+        assert_eq!(bits(&all), bits(&base_all), "{threads} threads");
+        let (mv, mg) = fleet.try_model_gradient_batch(1, &pts, None).unwrap();
+        assert_eq!(bits(&mv), bits(&base_mg.0), "{threads} threads");
+        assert_eq!(bits(&mg), bits(&base_mg.1), "{threads} threads");
+        assert_eq!(
+            bits(&compiled.cost_batch(&pts).unwrap()),
+            bits(&base_costs),
+            "infallible path after faults, {threads} threads"
+        );
     }
 }
 

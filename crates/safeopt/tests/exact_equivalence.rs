@@ -4,15 +4,14 @@
 //! relative on random synthetic trees — AND/OR/k-of-n structures from
 //! [`synth::random_tree`], INHIBIT wrappers, shared subtrees, opaque
 //! closures including NaN poisoning — at random parameter points; and
-//! the compiled tape must be **bit-identical** across thread counts
-//! (1/4) and execution backends (scalar/SoA).
+//! the compiled tape's lane-blocked batch sweep must be
+//! **bit-identical** to its pointwise sweep at thread counts 1 and 4.
 
 use proptest::prelude::*;
 use safety_opt_core::compile::CompiledModel;
 use safety_opt_core::model::{Hazard, QuantMethod, SafetyModel};
 use safety_opt_core::param::{ParamId, ParameterSpace};
 use safety_opt_core::pprob::{complement, constant, exposure, from_fn, overtime, ProbExpr};
-use safety_opt_core::ExecBackend;
 use safety_opt_fta::bdd::TreeBdd;
 use safety_opt_fta::modular::PlanInput;
 use safety_opt_fta::quant::ProbabilityMap;
@@ -230,7 +229,8 @@ proptest! {
         }
     }
 
-    // Thread counts and execution backends never change a single bit.
+    // Thread counts and the batch sweep never change a single bit of
+    // the pointwise sweep.
     #[test]
     fn exact_tape_is_bit_identical_across_threads_and_backends(
         spec in tree_spec_strategy(),
@@ -246,26 +246,21 @@ proptest! {
         };
         // Odd point count: every lane width leaves a ragged tail.
         let pts = points(pt_seed, 61);
-        let reference = CompiledModel::compile_with_threads(&make(), 1)
-            .unwrap()
-            .with_backend(ExecBackend::Scalar);
-        let (ref_c, ref_h) = reference.cost_and_hazards_batch(&pts).unwrap();
+        let reference = CompiledModel::compile_with_threads(&make(), 1).unwrap();
+        let tape = reference.tape();
+        let mut scratch = Vec::new();
+        let mut ref_h = vec![0.0; pts.len() * tape.n_outputs()];
+        let ref_c: Vec<f64> = pts
+            .iter()
+            .zip(ref_h.chunks_mut(tape.n_outputs()))
+            .map(|(p, out)| tape.eval_into(p, &mut scratch, out))
+            .collect();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for threads in [1usize, 4] {
-            for backend in [ExecBackend::Scalar, ExecBackend::Soa] {
-                let compiled = CompiledModel::compile_with_threads(&make(), threads)
-                    .unwrap()
-                    .with_backend(backend);
-                let (c, h) = compiled.cost_and_hazards_batch(&pts).unwrap();
-                prop_assert_eq!(
-                    bits(&c), bits(&ref_c),
-                    "costs, {} threads, {:?}", threads, backend
-                );
-                prop_assert_eq!(
-                    bits(&h), bits(&ref_h),
-                    "hazards, {} threads, {:?}", threads, backend
-                );
-            }
+            let compiled = CompiledModel::compile_with_threads(&make(), threads).unwrap();
+            let (c, h) = compiled.cost_and_hazards_batch(&pts).unwrap();
+            prop_assert_eq!(bits(&c), bits(&ref_c), "costs, {} threads", threads);
+            prop_assert_eq!(bits(&h), bits(&ref_h), "hazards, {} threads", threads);
         }
     }
 }

@@ -227,10 +227,6 @@ fn print_telemetry_summary(trace: &CollectingHook) {
     println!("  chunks swept      {:>10}", c("engine.batch.chunks"));
     println!("  soa points        {:>10}", c("engine.batch.soa_points"));
     println!(
-        "  scalar points     {:>10}",
-        c("engine.batch.scalar_points")
-    );
-    println!(
         "  adjoint sweeps    {:>10}",
         c("engine.grad.adjoint_sweeps")
     );

@@ -1,32 +1,28 @@
 //! E12 — telemetry overhead: points/sec of the compiled-tape batch path
-//! on the Elbtunnel cost function with telemetry `off`, `counters`, and
-//! `full`, plus the structured-trace modes (`events` and `full`, on top
-//! of full telemetry), against an `off` baseline measured first in the
-//! same process.
+//! on the Elbtunnel cost function at every level of the
+//! `SAFETY_OPT_TELEMETRY` ladder (`off < counters < events < profile`),
+//! against an `off` baseline measured first in the same process.
 //!
 //! The telemetry subsystem is contractually observation-only and
 //! near-free when disabled; this bench enforces the cost side of that
-//! contract (the equivalence suites enforce the bit-identity side):
+//! contract (the equivalence suite enforces the bit-identity side):
 //!
 //! * `off`: ≤ 1% slower than the baseline (same mode, re-measured —
-//!   the noise floor of the gate itself; tracing is also off, so this
-//!   doubles as the trace-off gate),
+//!   the noise floor of the gate itself),
 //! * `counters`: ≤ 3% slower than the baseline,
-//! * `full`: recorded but not gated (span clock reads are real work,
-//!   and the mode is a diagnostics opt-in),
-//! * `trace_events` (`SAFETY_OPT_TRACE=events` on `counters`
-//!   telemetry, the production pairing): ≤ 3% slower than the baseline
-//!   — the event ring buffer is a few relaxed atomics plus a
+//! * `events` (counters plus scoped attribution, the event ring and
+//!   span events — the production pairing): ≤ 3% slower than the
+//!   baseline — the event ring buffer is a few relaxed atomics plus a
 //!   sharded-mutex push per span/scope, far off the per-point hot
 //!   path, and scoped attribution buffers thread-locally,
-//! * `trace_full` (full telemetry + the per-op tape profiler): recorded
-//!   but not gated (a clock read per op is real, intentional work — the
-//!   mode is the deep-dive diagnostics opt-in).
+//! * `profile` (adds histograms, span durations and the per-op tape
+//!   profiler): recorded but not gated (a clock read per op is real,
+//!   intentional work — the level is the deep-dive diagnostics opt-in).
 //!
 //! Writes `BENCH_telemetry.json` at the workspace root in the shared
 //! [`safety_opt_bench::BenchReport`] schema, plus a sample telemetry
-//! snapshot (`results/telemetry_snapshot.json`, captured after the
-//! `full`-mode passes) so CI archives what the registry actually emits.
+//! snapshot (`results/telemetry_snapshot.json`, captured after a
+//! `profile` sweep) so CI archives what the registry actually emits.
 //!
 //! Run with: `cargo run --release -p safety_opt_bench --bin telemetry_overhead`
 //!
@@ -34,10 +30,9 @@
 //! gated: the best-of-passes measurement loop absorbs transient runner
 //! load, and the gated modes differ only in a few relaxed atomic adds.
 //!
-//! The modes are forced programmatically ([`telemetry::set_mode`] and
-//! [`telemetry::set_trace_mode`]) so one process measures every mode on
-//! identical warmed state; the `SAFETY_OPT_TELEMETRY` and
-//! `SAFETY_OPT_TRACE` env variables are ignored here.
+//! The modes are forced programmatically ([`telemetry::set_mode`]) so
+//! one process measures every level on identical warmed state; the
+//! `SAFETY_OPT_TELEMETRY` env variable is ignored here.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,9 +48,9 @@ const OFF_FLOOR: f64 = 0.99;
 /// Acceptance threshold: `counters` vs baseline throughput ratio
 /// (≤3% loss).
 const COUNTERS_FLOOR: f64 = 0.97;
-/// Acceptance threshold: `trace_events` vs baseline throughput ratio
+/// Acceptance threshold: `events` vs baseline throughput ratio
 /// (≤3% loss).
-const TRACE_EVENTS_FLOOR: f64 = 0.97;
+const EVENTS_FLOOR: f64 = 0.97;
 /// Interleaved measurement rounds per mode (best pass wins).
 const ROUNDS: usize = 4;
 
@@ -81,12 +76,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
 
-    let run_mode = |key: &'static str,
-                    label: &str,
-                    mode: telemetry::TelemetryMode,
-                    trace: telemetry::TraceMode| {
+    let run_mode = |key: &'static str, label: &str, mode: telemetry::TelemetryMode| {
         telemetry::set_mode(mode);
-        telemetry::set_trace_mode(trace);
         let m = measure(key, label, "points/sec", N_POINTS, || {
             let _scope = telemetry::TraceScope::enter("bench.sweep");
             compiled
@@ -94,29 +85,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .map(|v| v.iter().sum())
                 .unwrap_or(0.0)
         });
-        // Drain the ring between passes so every trace-mode pass fills
-        // it from empty instead of inheriting drop-oldest churn.
+        // Drain the ring between passes so every `events`-and-up pass
+        // fills it from empty instead of inheriting drop-oldest churn.
         telemetry::trace::clear_events();
         m
     };
 
-    // Bit-identity across modes is enforced by the equivalence suites;
+    // Bit-identity across modes is enforced by the equivalence suite;
     // assert the cheap end of it here too before timing anything: every
-    // telemetry and trace mode must leave the floats untouched.
+    // telemetry level must leave the floats untouched.
     telemetry::set_mode(telemetry::TelemetryMode::Off);
-    telemetry::set_trace_mode(telemetry::TraceMode::Off);
     let reference = compiled.cost_batch(&points)?;
-    for trace in [telemetry::TraceMode::Events, telemetry::TraceMode::Full] {
-        telemetry::set_mode(telemetry::TelemetryMode::Full);
-        telemetry::set_trace_mode(trace);
+    for mode in [
+        telemetry::TelemetryMode::Counters,
+        telemetry::TelemetryMode::Events,
+        telemetry::TelemetryMode::Profile,
+    ] {
+        telemetry::set_mode(mode);
         let instrumented = compiled.cost_batch(&points)?;
         assert_eq!(
-            reference, instrumented,
-            "telemetry and tracing must be observation-only (trace {trace:?})"
+            reference,
+            instrumented,
+            "telemetry must be observation-only (mode {})",
+            mode.name()
         );
     }
     telemetry::set_mode(telemetry::TelemetryMode::Off);
-    telemetry::set_trace_mode(telemetry::TraceMode::Off);
     telemetry::trace::clear_events();
 
     // Interleave the modes across several rounds and keep each mode's
@@ -128,44 +122,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "baseline_off",
             "baseline (off)",
             telemetry::TelemetryMode::Off,
-            telemetry::TraceMode::Off,
         ),
-        (
-            "off",
-            "off (re-measured)",
-            telemetry::TelemetryMode::Off,
-            telemetry::TraceMode::Off,
-        ),
-        (
-            "counters",
-            "counters",
-            telemetry::TelemetryMode::Counters,
-            telemetry::TraceMode::Off,
-        ),
-        (
-            "full",
-            "full",
-            telemetry::TelemetryMode::Full,
-            telemetry::TraceMode::Off,
-        ),
-        (
-            "trace_events",
-            "trace events (counters telemetry)",
-            telemetry::TelemetryMode::Counters,
-            telemetry::TraceMode::Events,
-        ),
-        (
-            "trace_full",
-            "trace full (full telemetry, profiler)",
-            telemetry::TelemetryMode::Full,
-            telemetry::TraceMode::Full,
-        ),
+        ("off", "off (re-measured)", telemetry::TelemetryMode::Off),
+        ("counters", "counters", telemetry::TelemetryMode::Counters),
+        ("events", "events", telemetry::TelemetryMode::Events),
+        ("profile", "profile", telemetry::TelemetryMode::Profile),
     ];
     let mut best: Vec<Option<safety_opt_bench::Measurement>> = vec![None; mode_plan.len()];
     for round in 0..ROUNDS {
         println!("-- round {} of {ROUNDS} --", round + 1);
-        for (slot, &(key, label, mode, trace)) in mode_plan.iter().enumerate() {
-            let m = run_mode(key, label, mode, trace);
+        for (slot, &(key, label, mode)) in mode_plan.iter().enumerate() {
+            let m = run_mode(key, label, mode);
             match &mut best[slot] {
                 Some(b) => {
                     b.points_per_sec = b.points_per_sec.max(m.points_per_sec);
@@ -177,48 +144,43 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let mut it = best.into_iter().map(|m| m.expect("every mode measured"));
-    let (baseline, off, counters, full, trace_events, trace_full) = (
-        it.next().unwrap(),
+    let (baseline, off, counters, events, profile) = (
         it.next().unwrap(),
         it.next().unwrap(),
         it.next().unwrap(),
         it.next().unwrap(),
         it.next().unwrap(),
     );
-    // Re-run full mode last so the archived snapshot reflects a
-    // full-mode sweep (spans included).
-    telemetry::set_mode(telemetry::TelemetryMode::Full);
-    telemetry::set_trace_mode(telemetry::TraceMode::Off);
+    // Re-run the top level last so the archived snapshot reflects a
+    // `profile` sweep (spans included).
+    telemetry::set_mode(telemetry::TelemetryMode::Profile);
     let _ = compiled.cost_batch(&points)?;
+    telemetry::trace::clear_events();
 
-    // Archive what the registry saw during the full-mode passes.
+    // Archive what the registry saw, ending with the `profile` sweep.
     let snapshot = telemetry::snapshot();
     write_artifact("telemetry_snapshot.json", &snapshot.to_json());
 
     let ratio_off = off.points_per_sec / baseline.points_per_sec;
     let ratio_counters = counters.points_per_sec / baseline.points_per_sec;
-    let ratio_full = full.points_per_sec / baseline.points_per_sec;
-    let ratio_trace_events = trace_events.points_per_sec / baseline.points_per_sec;
-    let ratio_trace_full = trace_full.points_per_sec / baseline.points_per_sec;
-    let off_ok = ratio_off >= OFF_FLOOR;
-    let counters_ok = ratio_counters >= COUNTERS_FLOOR;
-    let trace_events_ok = ratio_trace_events >= TRACE_EVENTS_FLOOR;
-    let pass = off_ok && counters_ok && trace_events_ok;
+    let ratio_events = events.points_per_sec / baseline.points_per_sec;
+    let ratio_profile = profile.points_per_sec / baseline.points_per_sec;
+    let pass =
+        ratio_off >= OFF_FLOOR && ratio_counters >= COUNTERS_FLOOR && ratio_events >= EVENTS_FLOOR;
 
     println!();
-    println!("off vs baseline          : {ratio_off:.4}  (floor {OFF_FLOOR})");
-    println!("counters vs baseline     : {ratio_counters:.4}  (floor {COUNTERS_FLOOR})");
-    println!("full vs baseline         : {ratio_full:.4}  (not gated)");
-    println!("trace events vs baseline : {ratio_trace_events:.4}  (floor {TRACE_EVENTS_FLOOR})");
-    println!("trace full vs baseline   : {ratio_trace_full:.4}  (not gated)");
-    println!("threads                  : {threads}");
+    println!("off vs baseline      : {ratio_off:.4}  (floor {OFF_FLOOR})");
+    println!("counters vs baseline : {ratio_counters:.4}  (floor {COUNTERS_FLOOR})");
+    println!("events vs baseline   : {ratio_events:.4}  (floor {EVENTS_FLOOR})");
+    println!("profile vs baseline  : {ratio_profile:.4}  (not gated)");
+    println!("threads              : {threads}");
     println!(
-        "verdict                  : {}",
+        "verdict              : {}",
         if pass { "PASS" } else { "FAIL" }
     );
 
     let timestamp = bench_timestamp();
-    let modes = [baseline, off, counters, full, trace_events, trace_full];
+    let modes = [baseline, off, counters, events, profile];
     BenchReport {
         name: "telemetry_overhead",
         workload: "elbtunnel_paper",
@@ -227,15 +189,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         extras: vec![
             ("n_points", N_POINTS.to_string()),
             ("counters_floor", COUNTERS_FLOOR.to_string()),
-            ("trace_events_floor", TRACE_EVENTS_FLOOR.to_string()),
+            ("events_floor", EVENTS_FLOOR.to_string()),
         ],
         modes: &modes,
         speedups: vec![
             ("off_vs_baseline", ratio_off),
             ("counters_vs_baseline", ratio_counters),
-            ("full_vs_baseline", ratio_full),
-            ("trace_events_vs_baseline", ratio_trace_events),
-            ("trace_full_vs_baseline", ratio_trace_full),
+            ("events_vs_baseline", ratio_events),
+            ("profile_vs_baseline", ratio_profile),
         ],
         target: Some(("off_vs_baseline", OFF_FLOOR)),
         pass,

@@ -1,5 +1,5 @@
-//! `telemetry_report` — runs a representative Elbtunnel workload with
-//! full telemetry *and* full structured tracing, then renders what the
+//! `telemetry_report` — runs a representative Elbtunnel workload at the
+//! top `profile` telemetry level, then renders what the
 //! observability stack saw as a human-readable report:
 //!
 //! * the global counter aggregates (tape compilation, memo cache,
@@ -13,9 +13,9 @@
 //!
 //! Run with: `cargo run --release -p safety_opt_bench --bin telemetry_report`
 //!
-//! The modes are forced programmatically (`telemetry full`, trace
-//! `full`) — the `SAFETY_OPT_TELEMETRY` / `SAFETY_OPT_TRACE` env
-//! variables are ignored so the report is self-contained.
+//! The mode is forced programmatically (`profile`) — the
+//! `SAFETY_OPT_TELEMETRY` env variable is ignored so the report is
+//! self-contained.
 
 use safety_opt_core::compile::CompiledModel;
 use safety_opt_core::optimize::SafetyOptimizer;
@@ -27,10 +27,9 @@ use std::collections::{BTreeMap, BTreeSet};
 const GRID: usize = 60;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    telemetry::set_mode(telemetry::TelemetryMode::Full);
-    telemetry::set_trace_mode(telemetry::TraceMode::Full);
+    telemetry::set_mode(telemetry::TelemetryMode::Profile);
 
-    println!("# Telemetry report — Elbtunnel study under telemetry=full, trace=full\n");
+    println!("# Telemetry report — Elbtunnel study under telemetry=profile\n");
 
     // The representative workload: the study's own optimizer run (the
     // sequential multi-start path, so the trace carries `compile` and
@@ -74,21 +73,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for scope in &snap.scopes {
         for h in &scope.histograms {
-            // Only `*_nanos` histograms carry time; the rest (lane
-            // widths, ...) render as raw bucket bounds.
-            let fmt: fn(u64) -> String = if h.name.ends_with("_nanos") {
-                fmt_nanos
-            } else {
-                |v| v.to_string()
-            };
             println!(
                 "  {:<20} {:<28} {:>8} {:>10} {:>10} {:>10}",
                 scope.name,
                 h.name,
                 h.count,
-                fmt(h.p50),
-                fmt(h.p90),
-                fmt(h.p99),
+                fmt_nanos(h.p50),
+                fmt_nanos(h.p90),
+                fmt_nanos(h.p99),
             );
         }
         for (name, value) in &scope.counters {

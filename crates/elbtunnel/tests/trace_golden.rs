@@ -1,5 +1,5 @@
 //! Golden structured-trace shape on the Elbtunnel workload: the event
-//! stream the default optimizer emits under `SAFETY_OPT_TRACE=events`
+//! stream the default optimizer emits under `SAFETY_OPT_TELEMETRY=events`
 //! is **pinned** — one `compile` scope followed by the eight
 //! sequential multi-start `restart.k` scopes, each properly
 //! begin/end-paired, nothing dropped, and no stray failpoint /
@@ -9,7 +9,7 @@
 //! means the optimizer's control flow changed — a deliberate, reviewed
 //! event.
 //!
-//! One `#[test]` fn only: the trace mode and the event ring are
+//! One `#[test]` fn only: the telemetry mode and the event ring are
 //! process-global, so this sweep must not share a binary with any
 //! other test that observes them.
 
@@ -22,13 +22,13 @@ use std::collections::BTreeMap;
 #[test]
 fn default_optimizer_event_stream_shape_is_pinned() {
     // Force the quant method so the shape holds under every
-    // `SAFETY_OPT_QUANT` CI leg, and the trace mode so it holds under
-    // every `SAFETY_OPT_TRACE` leg.
+    // `SAFETY_OPT_QUANT` CI leg, and the telemetry mode so it holds
+    // under every `SAFETY_OPT_TELEMETRY` leg.
     let model = ElbtunnelModel::paper()
         .build()
         .unwrap()
         .with_quant_method(QuantMethod::RareEvent);
-    telemetry::set_trace_mode(telemetry::TraceMode::Events);
+    telemetry::set_mode(telemetry::TelemetryMode::Events);
     telemetry::trace::clear_events();
 
     let optimum = SafetyOptimizer::new(&model).run().unwrap();
@@ -75,5 +75,5 @@ fn default_optimizer_event_stream_shape_is_pinned() {
         .all(|e| e.scope.as_deref() == Some(e.name.as_str())));
     assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
 
-    telemetry::set_trace_mode(telemetry::TraceMode::Off);
+    telemetry::set_mode(telemetry::TelemetryMode::Off);
 }

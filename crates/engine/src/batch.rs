@@ -35,10 +35,8 @@ static SOA_POINTS: telemetry::Counter = telemetry::Counter::new("engine.batch.so
 static TAIL_POINTS: telemetry::Counter = telemetry::Counter::new("engine.batch.tail_points");
 /// Work chunks executed by tape/grad runners (sequential or pooled).
 static CHUNKS: telemetry::Counter = telemetry::Counter::new("engine.batch.chunks");
-/// Wall-clock nanoseconds per evaluated chunk (`full` mode only).
+/// Wall-clock nanoseconds per evaluated chunk (`profile` mode only).
 static CHUNK_NANOS: telemetry::Histogram = telemetry::Histogram::new("engine.batch.chunk_nanos");
-/// Lane-block width used by each SoA chunk sweep (`full` mode only).
-static LANE_WIDTH: telemetry::Histogram = telemetry::Histogram::new("engine.batch.lane_width");
 
 /// Default number of points per work unit.
 const DEFAULT_CHUNK: usize = 256;
@@ -263,7 +261,6 @@ impl<'t> GradRunner<'t> {
         let _chunk_span = telemetry::span(&CHUNK_NANOS);
         CHUNKS.add(1);
         let dim = self.tape.n_inputs();
-        LANE_WIDTH.observe(self.lanes as u64);
         let start = dispatch_lanes!(self.lanes, L => self.run_blocks::<L, P>(pts, costs, grads));
         SOA_POINTS.add(start as u64);
         TAIL_POINTS.add((pts.len() - start) as u64);
@@ -344,7 +341,6 @@ impl<'t> TapeRunner<'t> {
         let _chunk_span = telemetry::span(&CHUNK_NANOS);
         CHUNKS.add(1);
         let n_out = self.tape.n_outputs();
-        LANE_WIDTH.observe(self.lanes as u64);
         let start = dispatch_lanes!(self.lanes, L => {
             self.run_blocks::<L, P>(pts, costs, rows.as_deref_mut())
         });

@@ -26,12 +26,12 @@ use safety_opt_telemetry as telemetry;
 
 /// Points an SoA block sweep pushed through the scalar `Closure`
 /// fallback (the op is opaque, so the lane block degrades to a per-point
-/// loop — see the one-time warning in `full` mode).
+/// loop — see the one-time warning at the `profile` level).
 static CLOSURE_SOA_FALLBACK: telemetry::Counter =
     telemetry::Counter::new("engine.exec.closure_soa_fallback");
 
 /// Warns once per process that an SoA sweep hit an opaque `Closure` op.
-/// Only in `full` telemetry mode: the degradation is correct (the
+/// Only at the `profile` telemetry level: the degradation is correct (the
 /// fallback is the point-at-a-time sweep's exact code path), it just
 /// costs the lane-block speedup for that op, which users chasing SoA
 /// throughput deserve to hear about exactly once.
@@ -39,9 +39,8 @@ fn warn_closure_fallback_once(lanes: usize) {
     static WARN: std::sync::Once = std::sync::Once::new();
     static TRACE_WARN: std::sync::Once = std::sync::Once::new();
     // Machine-visible twin of the stderr diagnostic (its own latch, so
-    // it fires under `SAFETY_OPT_TRACE=events` even when the telemetry
-    // mode keeps stderr quiet; stderr behavior is unchanged).
-    if telemetry::trace_events_enabled() {
+    // it fires at the `events` level, where stderr stays quiet).
+    if telemetry::events_enabled() {
         TRACE_WARN.call_once(|| {
             telemetry::trace::trace_instant(
                 telemetry::EventKind::Warning,
@@ -50,7 +49,7 @@ fn warn_closure_fallback_once(lanes: usize) {
             );
         });
     }
-    if telemetry::full_enabled() {
+    if telemetry::profile_enabled() {
         WARN.call_once(|| {
             eprintln!(
                 "safety-opt telemetry: SoA sweep hit an opaque Closure op; \

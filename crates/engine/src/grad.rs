@@ -70,22 +70,21 @@ static CLOSURE_FD_PROBES: telemetry::Counter =
 /// Live lanes an SoA adjoint sweep pushed through the scalar `Closure`
 /// central-difference fallback (the backward twin of
 /// `engine.exec.closure_soa_fallback` — see the one-time warning in
-/// `full` mode).
+/// `profile` mode).
 static ADJOINT_CLOSURE_FALLBACK: telemetry::Counter =
     telemetry::Counter::new("engine.grad.closure_soa_fallback");
 
 /// Warns once per process that an SoA **adjoint** sweep hit an opaque
 /// `Closure` op — the mirror of the forward sweep's one-time warning.
-/// Only in `full` telemetry mode: the degradation is correct (the
+/// Only at the `profile` telemetry level: the degradation is correct (the
 /// fallback replays the scalar backward pass's exact probe sequence),
 /// it just costs the lane-block speedup for that op.
 fn warn_adjoint_closure_fallback_once(lanes: usize) {
     static WARN: std::sync::Once = std::sync::Once::new();
     static TRACE_WARN: std::sync::Once = std::sync::Once::new();
     // Machine-visible twin of the stderr diagnostic (its own latch, so
-    // it fires under `SAFETY_OPT_TRACE=events` even when the telemetry
-    // mode keeps stderr quiet; stderr behavior is unchanged).
-    if telemetry::trace_events_enabled() {
+    // it fires at the `events` level, where stderr stays quiet).
+    if telemetry::events_enabled() {
         TRACE_WARN.call_once(|| {
             telemetry::trace::trace_instant(
                 telemetry::EventKind::Warning,
@@ -94,7 +93,7 @@ fn warn_adjoint_closure_fallback_once(lanes: usize) {
             );
         });
     }
-    if telemetry::full_enabled() {
+    if telemetry::profile_enabled() {
         WARN.call_once(|| {
             eprintln!(
                 "safety-opt telemetry: SoA adjoint sweep hit an opaque Closure \

@@ -4,8 +4,8 @@
 //! Every [`Tape`](crate::Tape) carries a shared [`TapeProfiler`]
 //! (`Arc`-cloned with the tape, so a `CompiledModel`, its evaluators,
 //! and every worker thread accumulate into one set of cells). The
-//! profiler is **inert unless `SAFETY_OPT_TRACE=full`**
-//! ([`telemetry::trace_profiling_enabled`]): the sweep loops carry an
+//! profiler is **inert unless `SAFETY_OPT_TELEMETRY=profile`**
+//! ([`telemetry::profile_enabled`]): the sweep loops carry an
 //! [`OpTimer`] whose per-op cost in every other mode is a single
 //! `Option` branch — no clock reads, no atomics — so the 0-ULP
 //! observation-only contract and the overhead gates are untouched.
@@ -156,7 +156,7 @@ impl ProfileReport {
     /// reports render a one-line explanation instead of an empty table.
     pub fn render_table(&self) -> String {
         if self.rows.is_empty() {
-            return "  (no profiled ops — run with SAFETY_OPT_TRACE=full)\n".to_string();
+            return "  (no profiled ops — run with SAFETY_OPT_TELEMETRY=profile)\n".to_string();
         }
         let total = self.total_nanos().max(1);
         let mut out = String::new();
@@ -190,11 +190,11 @@ pub(crate) struct OpTimer {
 }
 
 impl OpTimer {
-    /// Starts the clock iff `SAFETY_OPT_TRACE=full`.
+    /// Starts the clock iff the telemetry mode is `profile`.
     #[inline]
     pub(crate) fn new() -> Self {
         Self {
-            last: telemetry::trace_profiling_enabled().then(Instant::now),
+            last: telemetry::profile_enabled().then(Instant::now),
         }
     }
 
@@ -246,13 +246,13 @@ mod tests {
 
     #[test]
     fn timer_is_inert_when_profiling_is_off() {
-        // The suite runs with tracing off unless a leg forces it; in
+        // The suite runs with telemetry off unless a leg forces it; in
         // either case the timer's laps must agree with the mode.
         let prof = TapeProfiler::new();
         let mut timer = OpTimer::new();
         timer.lap(&prof, 0, PATH_SCALAR, SWEEP_FORWARD, 1);
         let rows = prof.report().rows.len();
-        if safety_opt_telemetry::trace_profiling_enabled() {
+        if safety_opt_telemetry::profile_enabled() {
             assert_eq!(rows, 1);
         } else {
             assert_eq!(rows, 0);

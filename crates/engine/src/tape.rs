@@ -389,7 +389,7 @@ pub struct Tape {
     pub(crate) stats: CompileStats,
     /// Per-op sweep profiler, shared across clones (evaluators and
     /// worker threads accumulate into the same cells). Inert unless
-    /// `SAFETY_OPT_TRACE=full`.
+    /// `SAFETY_OPT_TELEMETRY=profile`.
     pub(crate) profiler: Arc<crate::profile::TapeProfiler>,
 }
 
@@ -417,7 +417,7 @@ impl Tape {
     }
 
     /// Per-op sweep-time attribution accumulated so far (populated only
-    /// under `SAFETY_OPT_TRACE=full`; see [`crate::profile`]). Clones
+    /// under `SAFETY_OPT_TELEMETRY=profile`; see [`crate::profile`]). Clones
     /// of this tape share the cells, so one report covers every
     /// evaluator and worker thread sweeping it.
     pub fn profile_report(&self) -> crate::profile::ProfileReport {

@@ -1,10 +1,12 @@
-//! Telemetry is observation-only, adversarially: forcing every
-//! `SAFETY_OPT_TELEMETRY` mode over the batch sweeps, the pointwise
-//! sweeps and every thread count must leave each result
-//! **bit-identical** (0 ULP) to the untelemetered pointwise reference —
-//! including the opaque-closure scalar
+//! Observation is observation-only, adversarially: forcing every
+//! level of the `SAFETY_OPT_TELEMETRY` ladder (`off < counters < events
+//! < profile`) over the batch sweeps, the pointwise sweeps and every
+//! thread count must leave each result **bit-identical** (0 ULP) to the
+//! unobserved pointwise reference — including the opaque-closure scalar
 //! fallback inside SoA blocks, NaN-poisoned closures, fleet masked
-//! sweeps, and the adjoint gradient path.
+//! sweeps, the adjoint gradient path, scoped attribution under an
+//! active `TraceScope`, span events emitted from worker threads, and
+//! the per-op tape profiler armed by `profile`.
 //!
 //! Everything lives in ONE `#[test]` fn: the telemetry mode is
 //! process-global state and the libtest harness runs `#[test]` fns on
@@ -111,11 +113,13 @@ fn spec() -> FamilySpec {
 
 #[test]
 fn telemetry_modes_never_change_results() {
+    use telemetry::TelemetryMode;
+
     let (fleet, tapes) = compile_family(&spec());
     let points = random_points(61, 0x5AFE_7E1E);
 
     // References: telemetry off, pointwise sweeps.
-    telemetry::set_mode(telemetry::TelemetryMode::Off);
+    telemetry::set_mode(TelemetryMode::Off);
     let tape = &tapes[0];
     let ref_costs = pointwise_costs(tape, &points);
     let (ref_c, ref_o) = pointwise_outputs(tape, &points);
@@ -127,12 +131,16 @@ fn telemetry_modes_never_change_results() {
     assert_eq!(bits(&ref_costs), bits(&ref_c));
 
     for mode in [
-        telemetry::TelemetryMode::Off,
-        telemetry::TelemetryMode::Counters,
-        telemetry::TelemetryMode::Full,
+        TelemetryMode::Off,
+        TelemetryMode::Counters,
+        TelemetryMode::Events,
+        TelemetryMode::Profile,
     ] {
         telemetry::set_mode(mode);
         telemetry::reset();
+        telemetry::trace::clear_events();
+        tape.reset_profile();
+        let scope = telemetry::TraceScope::enter("equivalence");
         // The pointwise sweeps themselves, observed.
         let ctx = format!("mode {}, pointwise", mode.name());
         assert_eq!(
@@ -169,23 +177,53 @@ fn telemetry_modes_never_change_results() {
                 );
             }
         }
+        drop(scope);
+
         // The sweeps above really were observed (not just harmless):
-        // chunk and closure-fallback counters move in counting modes.
+        // each instrument fills exactly from the level that arms it.
         let snap = telemetry::snapshot();
         let chunks = snap.counter("engine.batch.chunks").unwrap_or(0);
         let fallback = snap
             .counter("engine.exec.closure_soa_fallback")
             .unwrap_or(0);
-        if telemetry::counters_enabled() {
+        if mode >= TelemetryMode::Counters {
             assert!(chunks > 0, "counters enabled but no chunks recorded");
             assert!(fallback > 0, "SoA sweeps above hit the closure fallback");
         } else {
             assert_eq!(chunks, 0, "mode off must record nothing");
             assert_eq!(fallback, 0, "mode off must record nothing");
         }
+        let events = telemetry::trace::take_events();
+        if mode >= TelemetryMode::Events {
+            assert!(
+                events.iter().any(|e| e.kind == telemetry::EventKind::Span),
+                "mode {} recorded no span events",
+                mode.name()
+            );
+            assert!(
+                events
+                    .iter()
+                    .all(|e| e.scope.as_deref() != Some("") && !e.name.is_empty()),
+                "events must carry resolved names"
+            );
+        } else {
+            assert!(
+                events.is_empty(),
+                "mode {} must record no events",
+                mode.name()
+            );
+        }
+        let profiled = tape.profile_report().total_nanos();
+        if mode == TelemetryMode::Profile {
+            assert!(profiled > 0, "mode profile must arm the tape profiler");
+        } else {
+            assert_eq!(profiled, 0, "mode {} must not profile", mode.name());
+        }
+        tape.reset_profile();
     }
 
     // Leave the process-global mode where the environment default would
     // have put it for any test binary spawned after this one.
-    telemetry::set_mode(telemetry::TelemetryMode::Off);
+    telemetry::set_mode(TelemetryMode::Off);
+    telemetry::trace::clear_events();
 }

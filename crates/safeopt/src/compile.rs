@@ -173,7 +173,7 @@ impl CompiledModel {
     }
 
     /// Per-op sweep-time attribution for this model's tape, populated
-    /// only under `SAFETY_OPT_TRACE=full` (every evaluator and worker
+    /// only under `SAFETY_OPT_TELEMETRY=profile` (every evaluator and worker
     /// thread sweeping this model accumulates into the same cells).
     pub fn profile_report(&self) -> safety_opt_engine::ProfileReport {
         self.tape.profile_report()

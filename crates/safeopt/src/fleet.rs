@@ -148,7 +148,7 @@ impl CompiledFleet {
     }
 
     /// Per-op sweep-time attribution for the fleet's shared arena tape,
-    /// populated only under `SAFETY_OPT_TRACE=full` (every evaluator
+    /// populated only under `SAFETY_OPT_TELEMETRY=profile` (every evaluator
     /// and worker thread sweeping this fleet accumulates into the same
     /// cells).
     pub fn profile_report(&self) -> safety_opt_engine::ProfileReport {

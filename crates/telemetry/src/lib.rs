@@ -1,21 +1,25 @@
 //! Runtime telemetry for the safety-optimization workspace: atomic
-//! counters, power-of-two-bucketed histograms, and monotonic-clock spans
-//! behind a process-global registry — with **zero dependencies** and
-//! near-zero cost when disabled.
+//! counters, power-of-two-bucketed histograms, monotonic-clock spans and
+//! a structured event stream behind a process-global registry — with
+//! **zero dependencies** and near-zero cost when disabled.
 //!
 //! # Modes
 //!
-//! Telemetry has three levels, selected once per process by the
+//! Observability is one ordered ladder, selected once per process by the
 //! `SAFETY_OPT_TELEMETRY` environment variable (`off` — the default —
-//! `counters`, or `full`; anything else panics loudly, mirroring the
-//! other `SAFETY_OPT_*` knobs) or programmatically via [`set_mode`]:
+//! `counters`, `events`, or `profile`; matching trims and ignores case,
+//! and anything else panics loudly, mirroring the other `SAFETY_OPT_*`
+//! knobs) or programmatically via [`set_mode`]. Each level records
+//! everything the levels below it record:
 //!
 //! * [`TelemetryMode::Off`] — every instrumentation site reduces to one
 //!   relaxed atomic load and a predictable branch.
-//! * [`TelemetryMode::Counters`] — [`Counter`]s record; histograms and
-//!   spans stay disabled (no clock reads on hot paths).
-//! * [`TelemetryMode::Full`] — counters, [`Histogram`]s, and [`span`]
-//!   timings all record, and subsystems may emit one-time diagnostics.
+//! * [`TelemetryMode::Counters`] — [`Counter`]s record; no clock reads,
+//!   no events.
+//! * [`TelemetryMode::Events`] — adds [`TraceScope`] attribution, the
+//!   event ring and [`span`] completion events (the production pairing).
+//! * [`TelemetryMode::Profile`] — adds [`Histogram`]s, span durations,
+//!   one-time stderr diagnostics and the engine's per-op tape profiler.
 //!
 //! # Instrumentation model
 //!
@@ -40,29 +44,24 @@
 //!
 //! Instrumentation is **observation-only** by contract: enabling any
 //! mode must never change a computed result (the engine's 0-ULP
-//! equivalence suites run with telemetry forced on to enforce this).
+//! equivalence suite sweeps every level to enforce this).
 //!
 //! # Tracing
 //!
-//! The [`trace`] module layers *structured* observability on top of
-//! the registry: named [`TraceScope`]s attribute counters and spans to
-//! a request / model / restart instead of only the process globals, a
-//! fixed-capacity event ring buffer records scope begins/ends, span
-//! completions, failpoint firings, degradation fallbacks, deadline
-//! expiries, and cache evictions, and [`trace::export_jsonl`] /
-//! [`trace::export_chrome_trace`] render the stream for machines and
-//! for Perfetto. It has its own knob (`SAFETY_OPT_TRACE`), orthogonal
-//! to the telemetry mode.
+//! The [`trace`] module holds the `events` layer: named
+//! [`TraceScope`]s attribute counters and spans to a request / model /
+//! restart instead of only the process globals, a fixed-capacity event
+//! ring buffer records scope begins/ends, span completions, failpoint
+//! firings, degradation fallbacks, deadline expiries, and cache
+//! evictions, and [`trace::export_jsonl`] / [`trace::export_chrome_trace`]
+//! render the stream for machines and for Perfetto.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod trace;
 
-pub use trace::{
-    set_trace_mode, trace_events_enabled, trace_mode, trace_profiling_enabled, EventKind,
-    ScopeHandle, ScopeSnapshot, TraceMode, TraceScope,
-};
+pub use trace::{EventKind, ScopeHandle, ScopeSnapshot, TraceScope};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
@@ -75,20 +74,25 @@ use std::time::Instant;
 pub enum TelemetryMode {
     /// Nothing records; every site costs one atomic load + branch.
     Off = 0,
-    /// Counters record; histograms, spans, and diagnostics stay off.
+    /// Counters record; no clock reads, no events.
     Counters = 1,
-    /// Everything records, including span timings (clock reads) and
-    /// one-time diagnostics.
-    Full = 2,
+    /// Counters plus scoped attribution, the event ring and span
+    /// completion events.
+    Events = 2,
+    /// Everything: histograms, span durations, one-time diagnostics and
+    /// the per-op tape profiler.
+    Profile = 3,
 }
 
 impl TelemetryMode {
-    /// The mode's canonical lowercase name (`off`/`counters`/`full`).
+    /// The mode's canonical lowercase name
+    /// (`off`/`counters`/`events`/`profile`).
     pub fn name(self) -> &'static str {
         match self {
             TelemetryMode::Off => "off",
             TelemetryMode::Counters => "counters",
-            TelemetryMode::Full => "full",
+            TelemetryMode::Events => "events",
+            TelemetryMode::Profile => "profile",
         }
     }
 }
@@ -98,26 +102,28 @@ const MODE_UNSET: u8 = u8::MAX;
 
 static MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
 
-/// Parses a `SAFETY_OPT_TELEMETRY` override. `None` or an empty/blank
-/// string means "not set" (the default, [`TelemetryMode::Off`],
-/// applies).
+/// Parses a `SAFETY_OPT_TELEMETRY` override, trimmed and
+/// case-insensitive. `None` or an empty/blank string means "not set"
+/// (the default, [`TelemetryMode::Off`], applies).
 ///
 /// # Panics
 ///
-/// Panics on any other unrecognized value — a typo silently disabling
-/// telemetry would be worse than a crash at startup.
+/// Panics on any other value, in the uniform `SAFETY_OPT_*` knob message
+/// format — a typo silently disabling telemetry would be worse than a
+/// crash at startup.
 pub fn parse_mode_override(raw: Option<&str>) -> Option<TelemetryMode> {
     let raw = raw?.trim();
     if raw.is_empty() {
         return None;
     }
-    match raw {
+    match raw.to_ascii_lowercase().as_str() {
         "off" => Some(TelemetryMode::Off),
         "counters" => Some(TelemetryMode::Counters),
-        "full" => Some(TelemetryMode::Full),
-        other => panic!(
-            "SAFETY_OPT_TELEMETRY must be one of off, counters, full \
-             (got {other:?})"
+        "events" => Some(TelemetryMode::Events),
+        "profile" => Some(TelemetryMode::Profile),
+        _ => panic!(
+            "SAFETY_OPT_TELEMETRY must be \"off\" or \"counters\" or \"events\" \
+             or \"profile\", got {raw:?} (unset it to disable telemetry)"
         ),
     }
 }
@@ -139,13 +145,14 @@ pub fn mode() -> TelemetryMode {
     match MODE.load(Ordering::Relaxed) {
         0 => TelemetryMode::Off,
         1 => TelemetryMode::Counters,
-        2 => TelemetryMode::Full,
+        2 => TelemetryMode::Events,
+        3 => TelemetryMode::Profile,
         _ => init_mode(),
     }
 }
 
 /// Overrides the telemetry mode for the whole process — the in-process
-/// switch the equivalence suites and the overhead bench drive.
+/// switch the equivalence suite and the overhead bench drive.
 pub fn set_mode(mode: TelemetryMode) {
     MODE.store(mode as u8, Ordering::Relaxed);
 }
@@ -156,11 +163,18 @@ pub fn counters_enabled() -> bool {
     mode() >= TelemetryMode::Counters
 }
 
-/// `true` when histograms, spans, and diagnostics record
-/// ([`TelemetryMode::Full`]).
+/// `true` when scoped attribution and the event ring record
+/// ([`TelemetryMode::Events`] or above).
 #[inline]
-pub fn full_enabled() -> bool {
-    mode() == TelemetryMode::Full
+pub fn events_enabled() -> bool {
+    mode() >= TelemetryMode::Events
+}
+
+/// `true` when histograms, span durations, diagnostics and the per-op
+/// tape profiler record ([`TelemetryMode::Profile`]).
+#[inline]
+pub fn profile_enabled() -> bool {
+    mode() == TelemetryMode::Profile
 }
 
 /// A named monotonic event counter (one relaxed `fetch_add` per
@@ -193,20 +207,21 @@ impl Counter {
     /// otherwise.
     #[inline]
     pub fn add(&'static self, n: u64) {
-        if counters_enabled() {
-            self.record(n);
+        let mode = mode();
+        if mode >= TelemetryMode::Counters {
+            self.record(n, mode >= TelemetryMode::Events);
         }
     }
 
     /// Adds `n` unconditionally (mode already checked by the caller).
-    /// The global aggregate updates first; when tracing is on and a
-    /// [`TraceScope`] is active, the add is *also* attributed to the
-    /// scope (never instead — scoped attribution leaves the process
-    /// globals bit-for-bit untouched).
-    fn record(&'static self, n: u64) {
+    /// The global aggregate updates first; when `scoped` (the
+    /// [`TelemetryMode::Events`] level) and a [`TraceScope`] is active,
+    /// the add is *also* attributed to the scope (never instead — scoped
+    /// attribution leaves the process globals bit-for-bit untouched).
+    fn record(&'static self, n: u64, scoped: bool) {
         self.ensure_registered();
         self.value.fetch_add(n, Ordering::Relaxed);
-        if trace::trace_events_enabled() {
+        if scoped {
             trace::scoped_counter_add(self.name, n);
         }
     }
@@ -228,7 +243,7 @@ impl Counter {
 const BUCKETS: usize = 65;
 
 /// A named histogram over `u64` samples with power-of-two buckets plus
-/// exact count and sum. Records only in [`TelemetryMode::Full`] (every
+/// exact count and sum. Records only in [`TelemetryMode::Profile`] (every
 /// observation is ~3 relaxed `fetch_add`s). Declare as a `static`; it
 /// registers itself with the global [`Registry`] on first use.
 #[derive(Debug)]
@@ -276,10 +291,10 @@ impl Histogram {
         }
     }
 
-    /// Records `value` when [`full_enabled`]; a no-op otherwise.
+    /// Records `value` when [`profile_enabled`]; a no-op otherwise.
     #[inline]
     pub fn observe(&'static self, value: u64) {
-        if full_enabled() {
+        if profile_enabled() {
             self.record(value);
         }
     }
@@ -287,15 +302,14 @@ impl Histogram {
     /// Records `value` unconditionally (mode already checked by the
     /// caller, e.g. at [`span`] creation). Like [`Counter`] adds, the
     /// sample is additionally attributed to the active [`TraceScope`]
-    /// (if any) when tracing is on — the global aggregate is untouched.
+    /// (if any) — `profile` includes the scoped attribution of `events`,
+    /// and the global aggregate is untouched.
     fn record(&'static self, value: u64) {
         self.ensure_registered();
         self.buckets[Self::bucket_of(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
-        if trace::trace_events_enabled() {
-            trace::scoped_hist_record(self.name, value);
-        }
+        trace::scoped_hist_record(self.name, value);
     }
 
     /// Number of recorded samples.
@@ -329,64 +343,47 @@ impl Histogram {
     }
 }
 
-/// An in-flight [`span`] timing. Dropping it records the elapsed
-/// monotonic nanoseconds into its histogram — only if telemetry was in
-/// [`TelemetryMode::Full`] when the span started — and emits a
-/// [`trace::EventKind::Span`] event if tracing was in
-/// [`TraceMode::Events`] or above when it started. With both off, the
-/// span never reads the clock.
+/// An in-flight [`span`] timing. If the mode was
+/// [`TelemetryMode::Events`] or above when the span started, dropping it
+/// emits a [`trace::EventKind::Span`] event; at
+/// [`TelemetryMode::Profile`] it also records the elapsed monotonic
+/// nanoseconds into its histogram. Below `events` the span never reads
+/// the clock.
 #[derive(Debug)]
 #[must_use = "a span records on drop; binding it to _ drops it immediately"]
 pub struct Span {
     hist: &'static Histogram,
-    start: Option<Instant>,
-    /// Record into the histogram on drop (telemetry full at start).
+    /// Start instant and its trace-epoch nanos (`None` below `events`).
+    start: Option<(Instant, u64)>,
+    /// Record into the histogram on drop (`profile` at start).
     record: bool,
-    /// Emit a trace event on drop (tracing on at start).
-    emit: bool,
-    /// Start timestamp in trace-epoch nanos (0 unless `emit`).
-    start_ts: u64,
 }
 
 /// Starts timing a region against `hist`. Reads the monotonic clock
-/// only when [`TelemetryMode::Full`] or a tracing mode is active.
+/// only at [`TelemetryMode::Events`] or above.
 #[inline]
 pub fn span(hist: &'static Histogram) -> Span {
-    let record = full_enabled();
-    let emit = trace::trace_events_enabled();
-    let (start, start_ts) = if record || emit {
+    let mode = mode();
+    let start = (mode >= TelemetryMode::Events).then(|| {
         let now = Instant::now();
-        (
-            Some(now),
-            if emit {
-                trace::nanos_since_epoch(now)
-            } else {
-                0
-            },
-        )
-    } else {
-        (None, 0)
-    };
+        (now, trace::nanos_since_epoch(now))
+    });
     Span {
         hist,
         start,
-        record,
-        emit,
-        start_ts,
+        record: mode == TelemetryMode::Profile,
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(start) = self.start {
+        if let Some((start, start_ts)) = self.start {
             let nanos = start.elapsed().as_nanos();
             let nanos = u64::try_from(nanos).unwrap_or(u64::MAX);
             if self.record {
                 self.hist.record(nanos);
             }
-            if self.emit {
-                trace::record_span_event(self.hist.name, self.start_ts, nanos);
-            }
+            trace::record_span_event(self.hist.name, start_ts, nanos);
         }
     }
 }
@@ -398,7 +395,7 @@ impl Drop for Span {
 /// dynamically named subsystems — can still record through the same
 /// pipeline. Name-based recording respects the mode exactly like the
 /// static instruments: `add` requires [`TelemetryMode::Counters`],
-/// `observe` requires [`TelemetryMode::Full`].
+/// `observe` requires [`TelemetryMode::Profile`].
 pub trait TelemetrySink {
     /// Adds `n` to the counter named `name`.
     fn add(&self, name: &str, n: u64);
@@ -458,7 +455,7 @@ impl TelemetrySink for Registry {
     }
 
     fn observe(&self, name: &str, value: u64) {
-        if !full_enabled() {
+        if !profile_enabled() {
             return;
         }
         let inner = lock_registry();
@@ -594,7 +591,8 @@ pub struct Snapshot {
     pub counters: Vec<(String, u64)>,
     /// Every registered histogram, sorted by name.
     pub histograms: Vec<HistogramSnapshot>,
-    /// Per-[`TraceScope`] attribution (empty unless tracing was on),
+    /// Per-[`TraceScope`] attribution (empty unless the mode reached
+    /// [`TelemetryMode::Events`]),
     /// sorted by scope name.
     pub scopes: Vec<ScopeSnapshot>,
 }
@@ -755,39 +753,55 @@ pub fn snapshot() -> Snapshot {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Serializes every unit test that sets the process-global mode or
+    /// touches the event ring: the libtest harness runs tests on
+    /// concurrent threads, and one test's mode switch would otherwise
+    /// flip the instruments another test is asserting on.
+    pub(crate) fn mode_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     /// The whole suite shares one process-global mode + registry, so a
     /// single test exercises every stateful path sequentially.
     #[test]
     fn modes_gate_instruments_and_snapshots_export() {
+        let _lock = mode_lock();
         static HITS: Counter = Counter::new("test.hits");
         static NANOS: Histogram = Histogram::new("test.nanos");
 
         // Off: everything is a no-op.
         set_mode(TelemetryMode::Off);
-        assert!(!counters_enabled() && !full_enabled());
+        assert!(!counters_enabled() && !events_enabled() && !profile_enabled());
         HITS.add(5);
         NANOS.observe(100);
         drop(span(&NANOS));
         assert_eq!(HITS.get(), 0);
         assert_eq!(NANOS.count(), 0);
 
-        // Counters: counters record, histograms stay off.
-        set_mode(TelemetryMode::Counters);
-        HITS.add(2);
-        HITS.add(3);
-        NANOS.observe(100);
-        drop(span(&NANOS));
-        assert_eq!(HITS.get(), 5);
-        assert_eq!(NANOS.count(), 0);
+        // Counters and events: counters record, histograms stay off.
+        for mode in [TelemetryMode::Counters, TelemetryMode::Events] {
+            set_mode(mode);
+            HITS.add(2);
+            NANOS.observe(100);
+            drop(span(&NANOS));
+            assert_eq!(NANOS.count(), 0, "{}", mode.name());
+        }
+        assert_eq!(HITS.get(), 4);
+        assert!(events_enabled() && !profile_enabled());
+        trace::clear_events();
 
-        // Full: everything records; spans land in their histogram.
-        set_mode(TelemetryMode::Full);
+        // Profile: everything records; spans land in their histogram.
+        set_mode(TelemetryMode::Profile);
+        HITS.add(1);
         NANOS.observe(0);
         NANOS.observe(7);
         drop(span(&NANOS));
+        assert_eq!(HITS.get(), 5);
         assert_eq!(NANOS.count(), 3);
         assert!(NANOS.sum() >= 7);
 
@@ -801,7 +815,7 @@ mod tests {
         assert_eq!(NANOS.count(), 4);
 
         let snap = snapshot();
-        assert_eq!(snap.mode, TelemetryMode::Full);
+        assert_eq!(snap.mode, TelemetryMode::Profile);
         assert_eq!(snap.counter("test.hits"), Some(15));
         assert_eq!(snap.counter("test.dynamic"), Some(8));
         assert_eq!(snap.counter("test.unknown"), None);
@@ -814,10 +828,11 @@ mod tests {
         sorted.sort();
         assert_eq!(names, sorted);
 
-        // JSON export: stable schema header + instruments present.
+        // JSON export: stable schema header, the ladder's level name,
+        // and the instruments.
         let json = snap.to_json();
         assert!(json.contains("\"schema\": \"safety-opt-telemetry-v1\""));
-        assert!(json.contains("\"mode\": \"full\""));
+        assert!(json.contains("\n  \"mode\": \"profile\",\n"));
         assert!(json.contains("\"test.hits\": 15"));
         assert!(json.contains("\"name\": \"test.nanos\""));
 
@@ -830,6 +845,7 @@ mod tests {
         assert_eq!(snap.counter("test.dynamic"), None);
 
         set_mode(TelemetryMode::Off);
+        trace::clear_events();
     }
 
     #[test]
@@ -855,42 +871,50 @@ mod tests {
 
     #[test]
     fn parse_override_accepts_known_modes() {
-        assert_eq!(parse_mode_override(None), None);
-        assert_eq!(parse_mode_override(Some("")), None);
-        assert_eq!(parse_mode_override(Some("  ")), None);
-        assert_eq!(parse_mode_override(Some("off")), Some(TelemetryMode::Off));
-        assert_eq!(
-            parse_mode_override(Some("counters")),
-            Some(TelemetryMode::Counters)
-        );
-        assert_eq!(parse_mode_override(Some("full")), Some(TelemetryMode::Full));
-        assert_eq!(
-            parse_mode_override(Some(" full ")),
-            Some(TelemetryMode::Full)
-        );
+        // Blank means "not set": the caller applies the default.
+        for raw in [None, Some(""), Some("  ")] {
+            assert_eq!(parse_mode_override(raw), None);
+        }
+        // Names are trimmed and matched in any case.
+        for (raw, m) in [
+            (" OFF ", TelemetryMode::Off),
+            ("Counters", TelemetryMode::Counters),
+            (" events", TelemetryMode::Events),
+            ("PROFILE ", TelemetryMode::Profile),
+        ] {
+            assert_eq!(parse_mode_override(Some(raw)), Some(m));
+        }
     }
 
-    #[test]
-    #[should_panic(expected = "SAFETY_OPT_TELEMETRY must be one of off, counters, full")]
-    fn parse_override_rejects_typos() {
-        parse_mode_override(Some("verbose"));
-    }
-
+    /// Every level's name parses back to it, and the ladder is ordered
+    /// lowest first.
     #[test]
     fn mode_names_round_trip() {
-        for m in [
+        let ladder = [
             TelemetryMode::Off,
             TelemetryMode::Counters,
-            TelemetryMode::Full,
-        ] {
+            TelemetryMode::Events,
+            TelemetryMode::Profile,
+        ];
+        for m in ladder {
             assert_eq!(parse_mode_override(Some(m.name())), Some(m));
         }
-        assert!(TelemetryMode::Off < TelemetryMode::Counters);
-        assert!(TelemetryMode::Counters < TelemetryMode::Full);
+        assert!(ladder.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// Anything but a level name (`full` is not one) panics with the
+    /// uniform knob message.
+    #[test]
+    #[should_panic(expected = "SAFETY_OPT_TELEMETRY must be \"off\" or \"counters\" or \
+                               \"events\" or \"profile\", got \"full\" \
+                               (unset it to disable telemetry)")]
+    fn parse_override_rejects_typos() {
+        parse_mode_override(Some("full"));
     }
 
     #[test]
     fn percentiles_on_known_distributions() {
+        let _lock = mode_lock();
         // Dense bucket math, independent of the global mode: 100
         // samples of the values 1..=100 land in buckets 1..=7
         // ([1], [2,3], [4,7], [8,15], [16,31], [32,63], [64,100]).
@@ -934,7 +958,7 @@ mod tests {
 
         // The live accessor agrees with the dense math.
         static PCT: Histogram = Histogram::new("test.pct");
-        set_mode(TelemetryMode::Full);
+        set_mode(TelemetryMode::Profile);
         for v in 1u64..=100 {
             PCT.observe(v);
         }

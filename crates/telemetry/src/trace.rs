@@ -1,28 +1,27 @@
 //! Structured tracing on top of the telemetry registry: scoped
 //! contexts, a timestamped event ring buffer, and JSONL / Chrome
-//! trace-event exporters — all behind the `SAFETY_OPT_TRACE` knob.
+//! trace-event exporters — the `events` level of the
+//! `SAFETY_OPT_TELEMETRY` ladder.
 //!
 //! # Modes
 //!
-//! `SAFETY_OPT_TRACE` follows the same contract as every other
-//! `SAFETY_OPT_*` knob (read once per process, typos panic loudly,
-//! [`set_trace_mode`] is the programmatic override):
+//! Tracing follows the one telemetry mode ([`crate::mode`]):
 //!
-//! * [`TraceMode::Off`] — the default; every trace site reduces to one
-//!   relaxed atomic load and a branch, and scope guards are inert.
-//! * [`TraceMode::Events`] — scope begin/end, span completions,
+//! * below [`TelemetryMode::Events`] every trace site reduces to one
+//!   relaxed atomic load and a branch, and scope guards are inert;
+//! * at [`TelemetryMode::Events`] scope begin/end, span completions,
 //!   failpoint firings, degradation fallbacks, deadline expiries, and
 //!   cache evictions land in the event ring buffer, and counter /
 //!   histogram recordings made under an active [`TraceScope`] are
-//!   additionally attributed to that scope.
-//! * [`TraceMode::Full`] — everything above, plus the engine's per-op
-//!   tape profiler arms itself (sweep loops time each op).
+//!   additionally attributed to that scope;
+//! * at [`TelemetryMode::Profile`] the engine's per-op tape profiler
+//!   arms itself as well (sweep loops time each op).
 //!
 //! # Scopes
 //!
 //! A [`TraceScope`] names a region of work — a request, a model index,
 //! an optimizer restart — on the current thread. While a scope is
-//! active, every [`Counter`](crate::Counter) add and full-mode span /
+//! active, every [`Counter`](crate::Counter) add and profile-level span /
 //! histogram recording is *additionally* accumulated under the scope
 //! (the process-global aggregates are untouched, bit for bit). Worker
 //! threads inherit the spawning thread's scope through a cloned
@@ -31,7 +30,7 @@
 //! ```
 //! use safety_opt_telemetry as telemetry;
 //!
-//! telemetry::set_trace_mode(telemetry::TraceMode::Events);
+//! telemetry::set_mode(telemetry::TelemetryMode::Events);
 //! let scope = telemetry::TraceScope::enter("request.42");
 //! let handle = telemetry::ScopeHandle::current();
 //! std::thread::scope(|s| {
@@ -41,7 +40,7 @@
 //!     });
 //! });
 //! drop(scope);
-//! telemetry::set_trace_mode(telemetry::TraceMode::Off);
+//! telemetry::set_mode(telemetry::TelemetryMode::Off);
 //! ```
 //!
 //! # Events
@@ -55,104 +54,13 @@
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::{json_escape, HistogramSnapshot, BUCKETS};
-
-/// How much the process traces. Ordered: each level includes the
-/// previous one's recordings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
-pub enum TraceMode {
-    /// Nothing traces; scope guards are inert, no clock reads.
-    Off = 0,
-    /// Scoped attribution and the event ring buffer record.
-    Events = 1,
-    /// Events plus the engine's per-op tape profiler.
-    Full = 2,
-}
-
-impl TraceMode {
-    /// The mode's canonical lowercase name (`off`/`events`/`full`).
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceMode::Off => "off",
-            TraceMode::Events => "events",
-            TraceMode::Full => "full",
-        }
-    }
-}
-
-/// Sentinel: the env var has not been consulted yet.
-const TRACE_UNSET: u8 = u8::MAX;
-
-static TRACE: AtomicU8 = AtomicU8::new(TRACE_UNSET);
-
-/// Parses a `SAFETY_OPT_TRACE` override. `None` or an empty/blank
-/// string means "not set" (the default, [`TraceMode::Off`], applies).
-///
-/// # Panics
-///
-/// Panics on any other value, in the uniform knob message format — a
-/// typo silently disabling tracing would be undetectable.
-pub fn parse_trace_override(raw: Option<&str>) -> Option<TraceMode> {
-    let raw = raw?.trim();
-    if raw.is_empty() {
-        return None;
-    }
-    match raw.to_ascii_lowercase().as_str() {
-        "off" => Some(TraceMode::Off),
-        "events" => Some(TraceMode::Events),
-        "full" => Some(TraceMode::Full),
-        _ => panic!(
-            "SAFETY_OPT_TRACE must be \"off\" or \"events\" or \"full\", \
-             got {raw:?} (unset it to disable tracing)"
-        ),
-    }
-}
-
-#[cold]
-fn init_trace_mode() -> TraceMode {
-    let env = std::env::var("SAFETY_OPT_TRACE").ok();
-    let mode = parse_trace_override(env.as_deref()).unwrap_or(TraceMode::Off);
-    // A racing initializer computes the same value; last store wins.
-    TRACE.store(mode as u8, Ordering::Relaxed);
-    mode
-}
-
-/// The process-wide trace mode: the `SAFETY_OPT_TRACE` environment
-/// override, read once on first query, unless [`set_trace_mode`]
-/// replaced it.
-#[inline]
-pub fn trace_mode() -> TraceMode {
-    match TRACE.load(Ordering::Relaxed) {
-        0 => TraceMode::Off,
-        1 => TraceMode::Events,
-        2 => TraceMode::Full,
-        _ => init_trace_mode(),
-    }
-}
-
-/// Overrides the trace mode for the whole process — the in-process
-/// switch the equivalence suites and the overhead bench drive.
-pub fn set_trace_mode(mode: TraceMode) {
-    TRACE.store(mode as u8, Ordering::Relaxed);
-}
-
-/// `true` when the event ring buffer and scoped attribution record
-/// ([`TraceMode::Events`] or above).
-#[inline]
-pub fn trace_events_enabled() -> bool {
-    trace_mode() >= TraceMode::Events
-}
-
-/// `true` when the per-op tape profiler is armed ([`TraceMode::Full`]).
-#[inline]
-pub fn trace_profiling_enabled() -> bool {
-    trace_mode() == TraceMode::Full
-}
+#[cfg(doc)]
+use crate::TelemetryMode;
+use crate::{events_enabled, json_escape, HistogramSnapshot, BUCKETS};
 
 // ---------------------------------------------------------------------
 // Scopes
@@ -222,10 +130,10 @@ thread_local! {
 }
 
 /// The innermost active scope on the current thread, or `None` when no
-/// scope is active or tracing is off.
+/// scope is active or the mode is below [`TelemetryMode::Events`].
 #[inline]
 pub fn current_scope() -> Option<ScopeId> {
-    if !trace_events_enabled() {
+    if !events_enabled() {
         return None;
     }
     SCOPE_STACK.with(|s| s.borrow().last().map(|f| f.id))
@@ -291,8 +199,8 @@ fn flush_scope_frame(frame: ScopeFrame) {
 /// RAII guard for a named scope on the current thread. Entering pushes
 /// the scope onto the thread-local stack and records a
 /// [`EventKind::ScopeBegin`] event; dropping pops it and records
-/// [`EventKind::ScopeEnd`]. Inert (no interning, no events) when
-/// tracing is [`TraceMode::Off`].
+/// [`EventKind::ScopeEnd`]. Inert (no interning, no events) below
+/// [`TelemetryMode::Events`].
 #[derive(Debug)]
 #[must_use = "a scope ends on drop; binding it to _ drops it immediately"]
 pub struct TraceScope {
@@ -302,7 +210,7 @@ pub struct TraceScope {
 impl TraceScope {
     /// Enters the scope named `name` on the current thread.
     pub fn enter(name: &str) -> Self {
-        if !trace_events_enabled() {
+        if !events_enabled() {
             return Self { id: None };
         }
         let id = intern_scope(name);
@@ -320,7 +228,8 @@ impl TraceScope {
         Self { id: Some(id) }
     }
 
-    /// The scope's interned id (`None` when tracing was off at entry).
+    /// The scope's interned id (`None` when the mode was below `events`
+    /// at entry).
     pub fn id(&self) -> Option<ScopeId> {
         self.id
     }
@@ -349,8 +258,8 @@ impl Drop for TraceScope {
 /// A cloneable, `Send` handle to the current thread's innermost scope,
 /// for carrying scope attribution into worker threads: capture with
 /// [`ScopeHandle::current`] before spawning, [`attach`](Self::attach)
-/// inside the worker. A handle captured with no active scope (or with
-/// tracing off) attaches as a no-op.
+/// inside the worker. A handle captured with no active scope (or below
+/// [`TelemetryMode::Events`]) attaches as a no-op.
 #[derive(Debug, Clone, Copy)]
 pub struct ScopeHandle(Option<ScopeId>);
 
@@ -370,7 +279,7 @@ impl ScopeHandle {
     /// by its owning [`TraceScope`]; workers only borrow attribution.
     pub fn attach(&self) -> ScopeAttachGuard {
         match self.0 {
-            Some(id) if trace_events_enabled() => {
+            Some(id) if events_enabled() => {
                 push_scope_frame(id);
                 ScopeAttachGuard { id: Some(id) }
             }
@@ -424,15 +333,13 @@ fn lock_scoped() -> std::sync::MutexGuard<'static, ScopedStats> {
 }
 
 /// Attributes a counter add to the current scope's thread-local frame,
-/// if any. Called from [`Counter::add`](crate::Counter::add) *after*
-/// the global add — the process-global aggregate is never touched by
-/// this path. A frame touches few distinct instruments, so a linear
-/// scan beats hashing under a global lock.
+/// if any. Called from [`Counter::add`](crate::Counter::add) at
+/// [`TelemetryMode::Events`] and above, *after* the global add — the
+/// process-global aggregate is never touched by this path. A frame
+/// touches few distinct instruments, so a linear scan beats hashing
+/// under a global lock.
 #[inline]
 pub(crate) fn scoped_counter_add(name: &'static str, n: u64) {
-    if !trace_events_enabled() {
-        return;
-    }
     SCOPE_STACK.with(|s| {
         let mut stack = s.borrow_mut();
         let Some(frame) = stack.last_mut() else {
@@ -446,12 +353,10 @@ pub(crate) fn scoped_counter_add(name: &'static str, n: u64) {
 }
 
 /// Attributes a histogram sample to the current scope's thread-local
-/// frame, exactly like [`scoped_counter_add`].
+/// frame, exactly like [`scoped_counter_add`] (histograms record only
+/// at [`TelemetryMode::Profile`], which includes `events`).
 #[inline]
 pub(crate) fn scoped_hist_record(name: &'static str, value: u64) {
-    if !trace_events_enabled() {
-        return;
-    }
     SCOPE_STACK.with(|s| {
         let mut stack = s.borrow_mut();
         let Some(frame) = stack.last_mut() else {
@@ -690,11 +595,11 @@ fn record_event(mut event: RingEvent) {
     shard.push_back(event);
 }
 
-/// Records an instant event (no duration) when tracing is enabled; a
-/// no-op (one load + branch) otherwise.
+/// Records an instant event (no duration) at [`TelemetryMode::Events`]
+/// and above; a no-op (one load + branch) otherwise.
 #[inline]
 pub fn trace_instant(kind: EventKind, name: &str, value: u64) {
-    if !trace_events_enabled() {
+    if !events_enabled() {
         return;
     }
     record_event(RingEvent {
@@ -853,36 +758,31 @@ pub fn export_chrome_trace(events: &[Event]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes the tests that touch the process-global event ring:
-    /// one drains it while the other fills a shard, so running them
-    /// concurrently makes each see the other's events.
-    fn ring_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
+    use crate::tests::mode_lock;
+    use crate::{set_mode, TelemetryMode};
 
     /// The whole module shares process-global mode + ring + scope
     /// state, so one test exercises the stateful paths sequentially
     /// (mirroring the lib-level mode test).
     #[test]
     fn scopes_events_and_exports_work_end_to_end() {
-        let _ring = ring_lock();
-        set_trace_mode(TraceMode::Off);
+        let _lock = mode_lock();
         clear_events();
 
-        // Off: scope guards are inert, events vanish.
-        {
-            let s = TraceScope::enter("off.scope");
-            assert!(s.id().is_none());
-            trace_instant(EventKind::CacheEviction, "x", 1);
+        // Below `events`: scope guards are inert, events vanish.
+        for mode in [TelemetryMode::Off, TelemetryMode::Counters] {
+            set_mode(mode);
+            {
+                let s = TraceScope::enter("off.scope");
+                assert!(s.id().is_none());
+                trace_instant(EventKind::CacheEviction, "x", 1);
+            }
+            assert!(take_events().is_empty(), "{}", mode.name());
+            assert!(current_scope().is_none());
         }
-        assert!(take_events().is_empty());
-        assert!(current_scope().is_none());
 
         // Events: scopes nest, events land in order, handles attach.
-        set_trace_mode(TraceMode::Events);
+        set_mode(TelemetryMode::Events);
         {
             let outer = TraceScope::enter("outer");
             assert!(outer.id().is_some());
@@ -930,13 +830,13 @@ mod tests {
         assert!(chrome.contains("\"ph\": \"E\""));
         assert!(chrome.contains("\"ph\": \"i\""));
 
-        set_trace_mode(TraceMode::Off);
+        set_mode(TelemetryMode::Off);
         clear_events();
     }
 
     #[test]
     fn ring_drops_oldest_and_counts() {
-        let _ring = ring_lock();
+        let _lock = mode_lock();
         // Private-API test: fill one shard directly past capacity.
         let before = dropped_events();
         for i in 0..(SHARD_CAP + 10) {
@@ -960,29 +860,5 @@ mod tests {
         assert_eq!(dropped_events() - before, 10);
         lock_shard(SHARDS - 1).clear();
         DROPPED.store(before, Ordering::Relaxed);
-    }
-
-    #[test]
-    fn parse_trace_override_accepts_known_modes() {
-        assert_eq!(parse_trace_override(None), None);
-        assert_eq!(parse_trace_override(Some("")), None);
-        assert_eq!(parse_trace_override(Some("  ")), None);
-        assert_eq!(parse_trace_override(Some("off")), Some(TraceMode::Off));
-        assert_eq!(
-            parse_trace_override(Some("events")),
-            Some(TraceMode::Events)
-        );
-        assert_eq!(parse_trace_override(Some(" Full ")), Some(TraceMode::Full));
-        for m in [TraceMode::Off, TraceMode::Events, TraceMode::Full] {
-            assert_eq!(parse_trace_override(Some(m.name())), Some(m));
-        }
-        assert!(TraceMode::Off < TraceMode::Events);
-        assert!(TraceMode::Events < TraceMode::Full);
-    }
-
-    #[test]
-    #[should_panic(expected = "SAFETY_OPT_TRACE must be \"off\" or \"events\" or \"full\"")]
-    fn parse_trace_override_rejects_typos() {
-        parse_trace_override(Some("everything"));
     }
 }

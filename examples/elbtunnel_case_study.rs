@@ -12,12 +12,13 @@
 //!
 //! Run with: `cargo run --release --example elbtunnel_case_study`
 //!
-//! With `--telemetry`, forces the `full` telemetry mode, attaches a
-//! convergence-trace observer to the optimizer, and appends a
+//! With `--telemetry`, forces the `counters` telemetry level, attaches
+//! a convergence-trace observer to the optimizer, and appends a
 //! human-readable telemetry summary (tape compile statistics, memo
 //! cache hit rate, per-restart convergence) after the study.
 //!
-//! With `--trace`, additionally forces `SAFETY_OPT_TRACE=full`: the
+//! With `--trace`, forces the top `profile` level instead (which
+//! includes `counters`, so the summary still prints): the
 //! study records a structured event stream (scopes, spans, warnings)
 //! and per-op sweep profiles, writes the events as Chrome trace-event
 //! JSON (`results/elbtunnel_trace.json`, loadable in Perfetto or
@@ -39,11 +40,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().collect();
     let with_trace = args.iter().any(|a| a == "--trace");
     let with_telemetry = args.iter().any(|a| a == "--telemetry") || with_trace;
-    if with_telemetry {
-        telemetry::set_mode(telemetry::TelemetryMode::Full);
-    }
     if with_trace {
-        telemetry::set_trace_mode(telemetry::TraceMode::Full);
+        telemetry::set_mode(telemetry::TelemetryMode::Profile);
+    } else if with_telemetry {
+        telemetry::set_mode(telemetry::TelemetryMode::Counters);
     }
     let trace = Arc::new(CollectingHook::default());
     println!("== 1. Fault tree analysis (Sect. IV-B) ==");

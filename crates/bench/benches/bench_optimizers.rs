@@ -12,11 +12,17 @@ use safety_opt_optim::grid::GridSearch;
 use safety_opt_optim::hooke_jeeves::HookeJeeves;
 use safety_opt_optim::multistart::MultiStart;
 use safety_opt_optim::nelder_mead::NelderMead;
+use safety_opt_optim::quasi_newton::QuasiNewton;
 use safety_opt_optim::Minimizer;
 
 fn bench_optimizers_on_elbtunnel(c: &mut Criterion) {
     let model = ElbtunnelModel::paper().build().unwrap();
     let algorithms: Vec<(&str, Box<dyn Minimizer>)> = vec![
+        ("quasi_newton", Box::new(QuasiNewton::default())),
+        (
+            "multistart_qn_4",
+            Box::new(MultiStart::new(QuasiNewton::default(), 4)),
+        ),
         ("nelder_mead", Box::new(NelderMead::default())),
         (
             "multistart_nm_8",

@@ -17,6 +17,7 @@ use safety_opt_optim::grid::GridSearch;
 use safety_opt_optim::hooke_jeeves::HookeJeeves;
 use safety_opt_optim::multistart::MultiStart;
 use safety_opt_optim::nelder_mead::NelderMead;
+use safety_opt_optim::quasi_newton::QuasiNewton;
 use safety_opt_optim::Minimizer;
 use std::fmt::Write as _;
 
@@ -25,14 +26,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let paper = ElbtunnelModel::paper();
     let model = paper.build()?;
 
-    let algorithms: Vec<Box<dyn Minimizer>> = vec![
-        Box::new(MultiStart::new(NelderMead::default(), 8)),
-        Box::new(NelderMead::default()),
-        Box::new(HookeJeeves::default()),
-        Box::new(GradientDescent::default()),
-        Box::new(GridSearch::new(501)),
-        Box::new(SimulatedAnnealing::default().seed(2004)),
-        Box::new(DifferentialEvolution::default().seed(2004)),
+    // The first row is the default strategy, run restart by restart
+    // (bit-identical to its lockstep run).
+    let algorithms: Vec<(&str, Box<dyn Minimizer>)> = vec![
+        (
+            "multi-start QN x4",
+            Box::new(MultiStart::new(QuasiNewton::default(), 4)),
+        ),
+        ("quasi-newton", Box::new(QuasiNewton::default())),
+        (
+            "multi-start NM x8",
+            Box::new(MultiStart::new(NelderMead::default(), 8)),
+        ),
+        ("nelder-mead", Box::new(NelderMead::default())),
+        ("hooke-jeeves", Box::new(HookeJeeves::default())),
+        ("gradient-descent", Box::new(GradientDescent::default())),
+        ("grid", Box::new(GridSearch::new(501))),
+        (
+            "simulated-annealing",
+            Box::new(SimulatedAnnealing::default().seed(2004)),
+        ),
+        (
+            "differential-evolution",
+            Box::new(DifferentialEvolution::default().seed(2004)),
+        ),
     ];
 
     let widths = [24usize, 9, 9, 13, 11];
@@ -50,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
     );
     let mut csv = String::from("algorithm,t1,t2,cost,evaluations\n");
-    for algo in &algorithms {
+    for (name, algo) in &algorithms {
         let optimum = SafetyOptimizer::new(&model)
             .with_minimizer(algo.as_ref())
             .run()?;
@@ -60,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{}",
             row(
                 &[
-                    algo.name().into(),
+                    (*name).into(),
                     format!("{t1:.2}"),
                     format!("{t2:.2}"),
                     format!("{:.6e}", optimum.cost()),
@@ -71,8 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         let _ = writeln!(
             csv,
-            "{},{t1},{t2},{},{}",
-            algo.name(),
+            "{name},{t1},{t2},{},{}",
             optimum.cost(),
             optimum.outcome().evaluations
         );

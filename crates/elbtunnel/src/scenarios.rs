@@ -69,9 +69,9 @@ pub struct ScenarioOutcome {
 /// All scenario models compile into **one**
 /// [`safety_opt_core::fleet::CompiledFleet`] (they share everything but
 /// the scaled intensities, so most ops hash-cons across scenarios), and
-/// each scenario's multi-start restarts run in lockstep against its
-/// masked fleet objective — results are identical to optimizing every
-/// scenario's standalone compilation.
+/// each scenario's default quasi-Newton restarts run in lockstep on its
+/// masked fleet adjoint batches — results are identical to optimizing
+/// every scenario's standalone compilation.
 ///
 /// # Errors
 ///
@@ -92,7 +92,7 @@ pub fn scaling_study(
     for (k, (scenario, scaled, model)) in scaled_models.iter().enumerate() {
         let objective = fleet.model_batch_objective(k);
         let optimum = SafetyOptimizer::new(model)
-            .with_batch_objective(&objective)
+            .with_batch_differentiable_objective(&objective)
             .run()?;
         let t1 = optimum.point().value("timer1").expect("timer1 exists");
         let t2 = optimum.point().value("timer2").expect("timer2 exists");

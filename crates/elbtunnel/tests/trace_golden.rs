@@ -1,13 +1,13 @@
 //! Golden structured-trace shape on the Elbtunnel workload: the event
 //! stream the default optimizer emits under `SAFETY_OPT_TELEMETRY=events`
-//! is **pinned** — one `compile` scope followed by the eight
-//! sequential multi-start `restart.k` scopes, each properly
-//! begin/end-paired, nothing dropped, and no stray failpoint /
-//! degradation / deadline / warning events. Timestamps are ignored
-//! (they are wall-clock); the *shape* is a deterministic artifact of
-//! the compile pipeline and the multi-start strategy, so a change here
-//! means the optimizer's control flow changed — a deliberate, reviewed
-//! event.
+//! is **pinned** — one `compile` scope followed by one
+//! `restarts.lockstep` scope holding one batch-chunk span per lockstep
+//! round, each scope properly begin/end-paired, nothing dropped, and no
+//! stray failpoint / degradation / deadline / warning events.
+//! Timestamps are ignored (they are wall-clock); the *shape* is a
+//! deterministic artifact of the compile pipeline and the multi-start
+//! strategy, so a change here means the optimizer's control flow
+//! changed — a deliberate, reviewed event.
 //!
 //! One `#[test]` fn only: the telemetry mode and the event ring are
 //! process-global, so this sweep must not share a binary with any
@@ -37,41 +37,47 @@ fn default_optimizer_event_stream_shape_is_pinned() {
     let events = telemetry::trace::take_events();
     assert_eq!(telemetry::trace::dropped_events(), 0, "nothing dropped");
 
-    // Kind counts: one compile scope + eight restarts, begin/end
-    // paired, and nothing else on this path (the sequential strategy
-    // evaluates point-by-point through the memo cache — no chunked
-    // sweeps, so no span events; no failpoints, fallbacks, deadlines,
-    // or warnings fire on the paper model).
+    // Kind counts: one compile scope and one lockstep scope, begin/end
+    // paired, plus one chunk span per lockstep round: the quasi-Newton
+    // restarts' value + gradient batch fits one pool chunk, which runs
+    // inline at every thread count. No failpoints, fallbacks,
+    // deadlines, or warnings fire on the paper model.
+    let rounds = 71;
     let mut kinds: BTreeMap<&'static str, usize> = BTreeMap::new();
     for e in &events {
         *kinds.entry(e.kind.name()).or_default() += 1;
     }
     let expected: BTreeMap<&'static str, usize> =
-        [("scope_begin", 9), ("scope_end", 9)].into_iter().collect();
+        [("scope_begin", 2), ("scope_end", 2), ("span", rounds)]
+            .into_iter()
+            .collect();
     assert_eq!(kinds, expected, "event kind counts are pinned");
 
-    // The scope sequence is pinned exactly: compile first, then the
-    // restarts in index order, strictly nested (sequential strategy,
-    // one thread — no interleaving).
+    // The sequence is pinned exactly: compile first, then the lockstep
+    // scope wrapping every round's span.
     let shape: Vec<(&'static str, &str)> = events
         .iter()
         .map(|e| (e.kind.name(), e.name.as_str()))
         .collect();
-    let mut want: Vec<(&'static str, String)> = vec![
-        ("scope_begin", "compile".to_owned()),
-        ("scope_end", "compile".to_owned()),
+    let mut want = vec![
+        ("scope_begin", "compile"),
+        ("scope_end", "compile"),
+        ("scope_begin", "restarts.lockstep"),
     ];
-    for k in 0..8 {
-        want.push(("scope_begin", format!("restart.{k}")));
-        want.push(("scope_end", format!("restart.{k}")));
-    }
-    let want: Vec<(&'static str, &str)> = want.iter().map(|(k, n)| (*k, n.as_str())).collect();
-    assert_eq!(shape, want, "scope event sequence is pinned");
+    want.extend(std::iter::repeat(("span", "engine.batch.chunk_nanos")).take(rounds));
+    want.push(("scope_end", "restarts.lockstep"));
+    assert_eq!(shape, want, "event sequence is pinned");
 
-    // Every event carries its own scope attribution and the global
-    // sequence numbers are strictly increasing (the drain order).
+    // Spans are attributed to the scope they ran in.
     assert!(events
         .iter()
+        .filter(|e| e.kind.name() == "span")
+        .all(|e| e.scope.as_deref() == Some("restarts.lockstep")));
+    // Every scope event carries its own scope attribution and the
+    // global sequence numbers are strictly increasing (the drain order).
+    assert!(events
+        .iter()
+        .filter(|e| e.kind.name() != "span")
         .all(|e| e.scope.as_deref() == Some(e.name.as_str())));
     assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
 

@@ -17,6 +17,9 @@
 //! * [`hooke_jeeves`] — pattern search.
 //! * [`gradient`] — projected gradient descent with numerical gradients and
 //!   Armijo backtracking: the paper's "most simple" method.
+//! * [`quasi_newton`] — projected BFGS with an active set on analytic
+//!   value + gradient pairs: the gradient method that converges on flat
+//!   valleys.
 //! * [`anneal`] / [`de`] — stochastic global search (simulated annealing,
 //!   differential evolution) for non-smooth or multimodal cost functions.
 //! * [`multistart`] — restart wrapper that upgrades any local
@@ -61,6 +64,7 @@ pub mod multistart;
 pub mod nelder_mead;
 mod objective;
 mod outcome;
+pub mod quasi_newton;
 pub mod testfns;
 pub mod trace;
 
@@ -109,8 +113,9 @@ pub trait Minimizer: std::fmt::Debug {
     /// implementation ignores the gradient capability and delegates to
     /// [`minimize`](Self::minimize), so derivative-free algorithms are
     /// unaffected; gradient-based algorithms override it —
-    /// [`gradient::GradientDescent`] consumes one analytic gradient per
-    /// iteration instead of `2·dim` finite-difference evaluations.
+    /// [`quasi_newton::QuasiNewton`] and [`gradient::GradientDescent`]
+    /// consume one analytic gradient per request instead of `2·dim`
+    /// finite-difference evaluations.
     /// Front-ends (like the safety optimizer) call this entry point, so
     /// a gradient-capable minimizer picks up analytic gradients through
     /// `&dyn Minimizer` dispatch too.

@@ -9,12 +9,18 @@
 use crate::domain::BoxDomain;
 use crate::gradient::{GdState, GradientDescent};
 use crate::nelder_mead::{NelderMead, NmState};
+use crate::quasi_newton::{QnState, QuasiNewton};
 use crate::trace::HookHandle;
 use crate::{
     BatchDifferentiableObjective, BatchObjective, DifferentiableObjective, Minimizer, Objective,
     OptimError, OptimizationOutcome, Result, TerminationReason,
 };
 use safety_opt_telemetry as telemetry;
+
+/// Restarts folded by every multi-start driver.
+static RESTARTS: telemetry::Counter = telemetry::Counter::new("optim.restarts");
+/// Restarts that stopped at their iteration cap instead of converging.
+static CAPPED: telemetry::Counter = telemetry::Counter::new("optim.capped");
 
 /// Multi-start wrapper around an inner [`Minimizer`].
 ///
@@ -97,6 +103,30 @@ impl<M> MultiStart<M> {
                 .collect()
         }
     }
+
+    /// `Err(InvalidConfig)` for zero restarts.
+    fn check_starts(&self) -> Result<()> {
+        if self.starts == 0 {
+            return Err(OptimError::InvalidConfig {
+                option: "starts",
+                requirement: "must be >= 1",
+            });
+        }
+        Ok(())
+    }
+}
+
+impl<M: StartablePoint + Clone> MultiStart<M> {
+    /// The inner minimizer configured for restart `k`: its start point,
+    /// and the wrapper's hook tagged with `k` (shared by every driver).
+    fn restart(&self, k: usize, domain: &BoxDomain) -> M {
+        let inner = self.inner.clone().with_start(Self::start_point(k, domain));
+        if self.hook.is_set() {
+            inner.with_restart_hook(self.hook.with_restart(k as u64))
+        } else {
+            inner
+        }
+    }
 }
 
 impl MultiStart<NelderMead> {
@@ -122,25 +152,14 @@ impl MultiStart<NelderMead> {
         objective: &dyn BatchObjective,
         domain: &BoxDomain,
     ) -> Result<OptimizationOutcome> {
-        if self.starts == 0 {
-            return Err(OptimError::InvalidConfig {
-                option: "starts",
-                requirement: "must be >= 1",
-            });
-        }
+        self.check_starts()?;
         // One scope for the whole lockstep drive: rounds interleave
         // every restart's probes into shared batches, so per-restart
         // attribution is impossible here by construction.
         let _scope = telemetry::TraceScope::enter("restarts.lockstep");
-        let mut states = Vec::with_capacity(self.starts);
-        for k in 0..self.starts {
-            let x0 = Self::start_point(k, domain);
-            let mut cfg = self.inner.clone().start(x0);
-            if self.hook.is_set() {
-                cfg = cfg.hook_handle(self.hook.with_restart(k as u64));
-            }
-            states.push(NmState::new(&cfg, domain)?);
-        }
+        let mut states = (0..self.starts)
+            .map(|k| NmState::new(&self.restart(k, domain), domain))
+            .collect::<Result<Vec<_>>>()?;
         let mut batch: Vec<Vec<f64>> = Vec::new();
         let mut values: Vec<f64> = Vec::new();
         let mut spans: Vec<(usize, usize)> = Vec::new();
@@ -198,26 +217,15 @@ impl MultiStart<GradientDescent> {
         objective: &dyn BatchDifferentiableObjective,
         domain: &BoxDomain,
     ) -> Result<OptimizationOutcome> {
-        if self.starts == 0 {
-            return Err(OptimError::InvalidConfig {
-                option: "starts",
-                requirement: "must be >= 1",
-            });
-        }
+        self.check_starts()?;
         // One scope for the whole lockstep drive (see the Nelder–Mead
         // twin above): rounds interleave restarts, so per-restart
         // attribution is impossible here by construction.
         let _scope = telemetry::TraceScope::enter("restarts.lockstep");
         let dim = domain.dim();
-        let mut states = Vec::with_capacity(self.starts);
-        for k in 0..self.starts {
-            let x0 = Self::start_point(k, domain);
-            let mut cfg = self.inner.clone().start(x0);
-            if self.hook.is_set() {
-                cfg = cfg.hook_handle(self.hook.with_restart(k as u64));
-            }
-            states.push(GdState::new(&cfg, domain)?);
-        }
+        let mut states = (0..self.starts)
+            .map(|k| GdState::new(&self.restart(k, domain), domain))
+            .collect::<Result<Vec<_>>>()?;
         let mut vbatch: Vec<Vec<f64>> = Vec::new();
         let mut vvalues: Vec<f64> = Vec::new();
         let mut vspans: Vec<(usize, usize)> = Vec::new();
@@ -268,11 +276,70 @@ impl MultiStart<GradientDescent> {
     }
 }
 
+impl MultiStart<QuasiNewton> {
+    /// Runs all quasi-Newton restarts **in lockstep** against a
+    /// [`BatchDifferentiableObjective`]: every request of the method is
+    /// one value + gradient pair, so each round is exactly one
+    /// `eval_grad_batch` call holding every live restart's point (the
+    /// hook the engine's lane-blocked SoA adjoint sweep plugs into).
+    ///
+    /// Each restart runs the state machine of the sequential
+    /// [`minimize_differentiable`](Minimizer::minimize_differentiable)
+    /// path, so outcomes are bit-identical to running the restarts one
+    /// after another for pointwise-equal objectives; aggregation goes
+    /// through the same restart fold.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as the sequential path: configuration errors, and
+    /// [`OptimError::NoFiniteValue`] if every restart failed to see a
+    /// finite value.
+    pub fn minimize_batch(
+        &self,
+        objective: &dyn BatchDifferentiableObjective,
+        domain: &BoxDomain,
+    ) -> Result<OptimizationOutcome> {
+        self.check_starts()?;
+        // One scope for the whole lockstep drive (see the Nelder–Mead
+        // twin above).
+        let _scope = telemetry::TraceScope::enter("restarts.lockstep");
+        let dim = domain.dim();
+        let mut states = (0..self.starts)
+            .map(|k| QnState::new(&self.restart(k, domain), domain))
+            .collect::<Result<Vec<_>>>()?;
+        let mut batch = vec![vec![0.0; dim]; self.starts];
+        let mut live: Vec<usize> = Vec::with_capacity(self.starts);
+        let (mut values, mut grads) = (Vec::new(), Vec::new());
+        loop {
+            live.clear();
+            for (idx, state) in states.iter().enumerate() {
+                if let Some(x) = state.pending() {
+                    batch[live.len()].copy_from_slice(x);
+                    live.push(idx);
+                }
+            }
+            if live.is_empty() {
+                break;
+            }
+            objective.eval_grad_batch(&batch[..live.len()], &mut values, &mut grads);
+            for (j, &idx) in live.iter().enumerate() {
+                states[idx].advance(values[j], &grads[j * dim..(j + 1) * dim]);
+            }
+        }
+        let mut fold = RestartFold::default();
+        for state in states {
+            fold.observe(state.into_outcome())?;
+        }
+        fold.finish()
+    }
+}
+
 /// Shared restart aggregation: best-of selection (strict `<`, earliest
 /// restart wins ties), evaluation/iteration totals including
 /// finite-value-starved restarts, and the merged termination reason.
 /// Both the sequential and the lockstep driver fold through this, so
-/// their aggregation semantics can never drift apart.
+/// their aggregation semantics — and the `optim.restarts` /
+/// `optim.capped` telemetry counters — can never drift apart.
 #[derive(Debug, Default)]
 struct RestartFold {
     best: Option<OptimizationOutcome>,
@@ -285,6 +352,7 @@ impl RestartFold {
     /// Folds one restart's result. `Err(NoFiniteValue)` is tolerated
     /// (its evaluations still count); any other error aborts the fold.
     fn observe(&mut self, run: Result<OptimizationOutcome>) -> Result<()> {
+        RESTARTS.add(1);
         let run = match run {
             Ok(r) => r,
             Err(OptimError::NoFiniteValue { evaluations }) => {
@@ -296,6 +364,9 @@ impl RestartFold {
         self.total_evals += run.evaluations;
         self.total_iters += run.iterations;
         self.any_converged |= run.converged();
+        if run.termination == TerminationReason::MaxIterations {
+            CAPPED.add(1);
+        }
         if self
             .best
             .as_ref()
@@ -359,22 +430,11 @@ impl<M: Minimizer + Clone + StartablePoint> Minimizer for MultiStart<M> {
         objective: &dyn Objective,
         domain: &BoxDomain,
     ) -> Result<OptimizationOutcome> {
-        if self.starts == 0 {
-            return Err(OptimError::InvalidConfig {
-                option: "starts",
-                requirement: "must be >= 1",
-            });
-        }
+        self.check_starts()?;
         let mut fold = RestartFold::default();
         for k in 0..self.starts {
             let _scope = telemetry::TraceScope::enter(&format!("restart.{k}"));
-            let x0 = MultiStart::<M>::start_point(k, domain);
-            let mut inner = self.inner.clone().with_start(x0);
-            if self.hook.is_set() {
-                inner = inner.with_restart_hook(self.hook.with_restart(k as u64));
-            }
-            let run = inner.minimize(objective, domain);
-            fold.observe(run)?;
+            fold.observe(self.restart(k, domain).minimize(objective, domain))?;
         }
         fold.finish()
     }
@@ -390,22 +450,14 @@ impl<M: Minimizer + Clone + StartablePoint> Minimizer for MultiStart<M> {
         objective: &dyn DifferentiableObjective,
         domain: &BoxDomain,
     ) -> Result<OptimizationOutcome> {
-        if self.starts == 0 {
-            return Err(OptimError::InvalidConfig {
-                option: "starts",
-                requirement: "must be >= 1",
-            });
-        }
+        self.check_starts()?;
         let mut fold = RestartFold::default();
         for k in 0..self.starts {
             let _scope = telemetry::TraceScope::enter(&format!("restart.{k}"));
-            let x0 = MultiStart::<M>::start_point(k, domain);
-            let mut inner = self.inner.clone().with_start(x0);
-            if self.hook.is_set() {
-                inner = inner.with_restart_hook(self.hook.with_restart(k as u64));
-            }
-            let run = inner.minimize_differentiable(objective, domain);
-            fold.observe(run)?;
+            fold.observe(
+                self.restart(k, domain)
+                    .minimize_differentiable(objective, domain),
+            )?;
         }
         fold.finish()
     }
@@ -454,6 +506,16 @@ impl StartablePoint for crate::hooke_jeeves::HookeJeeves {
 }
 
 impl StartablePoint for crate::gradient::GradientDescent {
+    fn with_start(self, x0: Vec<f64>) -> Self {
+        self.start(x0)
+    }
+
+    fn with_restart_hook(self, hook: HookHandle) -> Self {
+        self.hook_handle(hook)
+    }
+}
+
+impl StartablePoint for QuasiNewton {
     fn with_start(self, x0: Vec<f64>) -> Self {
         self.start(x0)
     }
@@ -664,6 +726,72 @@ mod tests {
             assert_eq!(seq.iterations, batch.iterations, "{starts} starts");
             assert_eq!(seq.termination, batch.termination, "{starts} starts");
         }
+    }
+
+    #[test]
+    fn qn_lockstep_batch_equals_sequential_differentiable_exactly() {
+        // Quadratic minima inside and outside the box, with a NaN region
+        // some trials step into: every restart's lockstep trajectory
+        // must match its sequential run bit for bit.
+        struct Bowl {
+            c: [f64; 2],
+        }
+        impl crate::Objective for Bowl {
+            fn eval(&self, x: &[f64]) -> f64 {
+                if x[0] > 4.5 {
+                    return f64::NAN;
+                }
+                (x[0] - self.c[0]).powi(2) + 3.0 * (x[1] - self.c[1]).powi(2) + x[0] * x[1]
+            }
+        }
+        impl crate::DifferentiableObjective for Bowl {
+            fn value_grad(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+                grad[0] = 2.0 * (x[0] - self.c[0]) + x[1];
+                grad[1] = 6.0 * (x[1] - self.c[1]) + x[0];
+                crate::Objective::eval(self, x)
+            }
+        }
+        impl crate::BatchObjective for Bowl {
+            fn eval_batch(&self, points: &[Vec<f64>], out: &mut Vec<f64>) {
+                out.clear();
+                out.extend(points.iter().map(|p| crate::Objective::eval(self, p)));
+            }
+        }
+        impl crate::BatchDifferentiableObjective for Bowl {
+            fn eval_grad_batch(
+                &self,
+                points: &[Vec<f64>],
+                values: &mut Vec<f64>,
+                grads: &mut Vec<f64>,
+            ) {
+                values.clear();
+                grads.clear();
+                let mut g = [0.0; 2];
+                for p in points {
+                    values.push(crate::DifferentiableObjective::value_grad(self, p, &mut g));
+                    grads.extend_from_slice(&g);
+                }
+            }
+        }
+
+        let domain = BoxDomain::from_bounds(&[(-5.0, 5.0), (-5.0, 5.0)]).unwrap();
+        for c in [[1.0, -0.5], [9.0, 7.0]] {
+            let f = Bowl { c };
+            for starts in [1usize, 3, 8] {
+                let ms = MultiStart::new(QuasiNewton::default(), starts);
+                let seq = ms.minimize_differentiable(&f, &domain).unwrap();
+                let batch = ms.minimize_batch(&f, &domain).unwrap();
+                assert_eq!(seq.best_x, batch.best_x, "{starts} starts");
+                assert_eq!(seq.best_value.to_bits(), batch.best_value.to_bits());
+                assert_eq!(seq.evaluations, batch.evaluations, "{starts} starts");
+                assert_eq!(seq.iterations, batch.iterations, "{starts} starts");
+                assert_eq!(seq.termination, batch.termination, "{starts} starts");
+                assert!(batch.converged(), "{starts} starts");
+            }
+        }
+        assert!(MultiStart::new(QuasiNewton::default(), 0)
+            .minimize_batch(&Bowl { c: [0.0, 0.0] }, &domain)
+            .is_err());
     }
 
     #[test]

@@ -33,8 +33,9 @@ impl Objective for dyn Fn(&[f64]) -> f64 + '_ {
 
 /// An objective that can also produce its gradient analytically.
 ///
-/// Gradient-based methods ([`GradientDescent`]) interrogate this trait
-/// through their `minimize_differentiable` entry points: one
+/// Gradient-based methods ([`QuasiNewton`], [`GradientDescent`])
+/// interrogate this trait through their `minimize_differentiable` entry
+/// points: one
 /// `value_grad` call replaces the `2·dim` objective evaluations of a
 /// central-difference gradient — the hook the engine's reverse-mode
 /// adjoint tape sweep plugs into. The plain [`Minimizer`] entry points
@@ -45,6 +46,7 @@ impl Objective for dyn Fn(&[f64]) -> f64 + '_ {
 /// here"; callers fall back to finite differences or treat the point as
 /// infeasible, exactly as for [`Objective`].
 ///
+/// [`QuasiNewton`]: crate::quasi_newton::QuasiNewton
 /// [`GradientDescent`]: crate::gradient::GradientDescent
 /// [`Minimizer`]: crate::Minimizer
 pub trait DifferentiableObjective: Objective {
@@ -103,9 +105,9 @@ impl std::fmt::Debug for dyn BatchObjective + '_ {
 /// A batch objective that can also produce analytic gradients for a
 /// whole batch of points at once.
 ///
-/// The gradient-descent lockstep driver
-/// ([`MultiStart::minimize_batch`]) gathers every live restart's
-/// current iterate into one `eval_grad_batch` call — the hook the
+/// The lockstep gradient drivers ([`MultiStart::minimize_batch`] for
+/// quasi-Newton and gradient descent) gather every live restart's
+/// pending point into one `eval_grad_batch` call — the hook the
 /// engine's lane-blocked SoA adjoint sweep plugs into, so a fleet of
 /// restarts pays one batched forward + backward sweep per round instead
 /// of `starts` scattered `value_grad` calls.
@@ -113,8 +115,8 @@ impl std::fmt::Debug for dyn BatchObjective + '_ {
 /// Implementations must write exactly one value per point into `values`
 /// and `points.len() · dim` partials into `grads`, row-major in point
 /// order. Non-finite entries mean "no usable gradient here", exactly as
-/// for [`DifferentiableObjective`]; the caller falls back to finite
-/// differences at that point.
+/// for [`DifferentiableObjective`]: quasi-Newton backtracks from such a
+/// point, gradient descent falls back to finite differences there.
 ///
 /// [`MultiStart::minimize_batch`]: crate::multistart::MultiStart::minimize_batch
 pub trait BatchDifferentiableObjective: BatchObjective {

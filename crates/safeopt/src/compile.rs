@@ -416,9 +416,9 @@ impl safety_opt_optim::Objective for CompiledObjective {
     }
 }
 
-/// The analytic-gradient hook for
-/// [`safety_opt_optim::gradient::GradientDescent::minimize_differentiable`]:
-/// one reverse-mode adjoint sweep of the compiled tape per gradient.
+/// The analytic-gradient hook for gradient-based minimizers'
+/// `minimize_differentiable` entry points: one reverse-mode adjoint
+/// sweep of the compiled tape per gradient.
 /// Evaluation failures surface as an `∞` value (exactly like
 /// [`eval`](safety_opt_optim::Objective::eval)) alongside the poisoned
 /// gradient, which tells the optimizer to fall back to finite
@@ -448,6 +448,32 @@ impl safety_opt_optim::BatchObjective for CompiledModel {
     fn eval_batch(&self, points: &[Vec<f64>], out: &mut Vec<f64>) {
         *out = self.evaluator().costs(points);
         for v in out.iter_mut() {
+            if !v.is_finite() {
+                *v = f64::INFINITY;
+            }
+        }
+    }
+}
+
+/// The batched analytic-gradient hook of the default lockstep
+/// quasi-Newton strategy: one [`gradient_batch`](CompiledModel::gradient_batch)
+/// per round. Values map non-finite to `∞` and gradients stay
+/// poisoned, pointwise identical to [`CompiledObjective`]'s
+/// `value_grad`; a wrong-arity batch is infeasible (`∞` values, NaN
+/// gradients), not a panic.
+impl safety_opt_optim::BatchDifferentiableObjective for CompiledModel {
+    fn eval_grad_batch(&self, points: &[Vec<f64>], values: &mut Vec<f64>, grads: &mut Vec<f64>) {
+        match self.gradient_batch(points) {
+            Ok((v, g)) => {
+                *values = v;
+                *grads = g;
+            }
+            Err(_) => {
+                *values = vec![f64::NAN; points.len()];
+                *grads = vec![f64::NAN; points.len() * self.dim()];
+            }
+        }
+        for v in values.iter_mut() {
             if !v.is_finite() {
                 *v = f64::INFINITY;
             }
@@ -856,6 +882,30 @@ mod tests {
         let mut bad = [0.0; 1];
         assert_eq!(obj.value_grad(&[1.0], &mut bad), f64::INFINITY);
         assert!(bad[0].is_nan());
+    }
+
+    #[test]
+    fn batch_gradient_objective_matches_pointwise_value_grad() {
+        use safety_opt_optim::{BatchDifferentiableObjective as _, DifferentiableObjective as _};
+        let model = elb_like_model();
+        let compiled = CompiledModel::compile_with_threads(&model, 2).unwrap();
+        let obj = compiled.objective(false);
+        let points: Vec<Vec<f64>> = (0..19)
+            .map(|i| vec![5.0 + 1.3 * i as f64, 29.0 - 1.1 * i as f64])
+            .collect();
+        let (mut values, mut grads) = (Vec::new(), Vec::new());
+        compiled.eval_grad_batch(&points, &mut values, &mut grads);
+        let mut g = [0.0; 2];
+        for (i, p) in points.iter().enumerate() {
+            let v = obj.value_grad(p, &mut g);
+            assert_eq!(values[i].to_bits(), v.to_bits(), "value {i}");
+            assert_eq!(grads[2 * i].to_bits(), g[0].to_bits(), "grad {i}");
+            assert_eq!(grads[2 * i + 1].to_bits(), g[1].to_bits(), "grad {i}");
+        }
+        // Wrong arity is infeasible, not a panic.
+        compiled.eval_grad_batch(&[vec![1.0]], &mut values, &mut grads);
+        assert_eq!(values, vec![f64::INFINITY]);
+        assert!(grads.iter().all(|g| g.is_nan()));
     }
 
     #[test]

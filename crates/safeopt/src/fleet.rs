@@ -530,9 +530,10 @@ impl safety_opt_optim::BatchObjective for FleetModelBatchObjective {
     }
 }
 
-/// The batched analytic-gradient hook the gradient-descent lockstep
-/// driver ([`safety_opt_optim::multistart::MultiStart::minimize_batch`])
-/// plugs into: one parallel masked adjoint sweep per round — and within
+/// The batched analytic-gradient hook the lockstep gradient drivers
+/// (quasi-Newton and gradient descent,
+/// [`safety_opt_optim::multistart::MultiStart::minimize_batch`]) plug
+/// into: one parallel masked adjoint sweep per round — and within
 /// each worker, the engine's lane-blocked SoA adjoint path. Values map
 /// non-finite to `∞` and gradients stay poisoned, pointwise identical
 /// to [`FleetModelObjective`]'s sequential `value_grad`.
@@ -779,6 +780,35 @@ mod tests {
             assert_eq!(lockstep.evaluations, sequential.evaluations, "model {k}");
             assert_eq!(lockstep.iterations, sequential.iterations, "model {k}");
             assert_eq!(lockstep.termination, sequential.termination, "model {k}");
+        }
+    }
+
+    #[test]
+    fn qn_lockstep_on_the_fleet_equals_sequential_qn() {
+        use safety_opt_optim::multistart::MultiStart;
+        use safety_opt_optim::quasi_newton::QuasiNewton;
+        use safety_opt_optim::Minimizer;
+
+        let models = family(3);
+        let fleet = CompiledFleet::compile_with_threads(&models, 2).unwrap();
+        let domain = models[0].space().domain().unwrap();
+        for k in 0..models.len() {
+            let ms = MultiStart::new(QuasiNewton::default(), 4);
+            let lockstep = ms
+                .minimize_batch(&fleet.model_batch_objective(k), &domain)
+                .unwrap();
+            let sequential = ms
+                .minimize_differentiable(&fleet.model_objective(k, false), &domain)
+                .unwrap();
+            assert_eq!(lockstep.best_x, sequential.best_x, "model {k}");
+            assert_eq!(
+                lockstep.best_value.to_bits(),
+                sequential.best_value.to_bits(),
+                "model {k}"
+            );
+            assert_eq!(lockstep.evaluations, sequential.evaluations, "model {k}");
+            assert_eq!(lockstep.iterations, sequential.iterations, "model {k}");
+            assert!(lockstep.converged(), "model {k}");
         }
     }
 

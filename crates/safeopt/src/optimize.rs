@@ -1,11 +1,14 @@
 //! The safety-optimization front-end.
 //!
 //! [`SafetyOptimizer`] wires a [`SafetyModel`] to any
-//! [`safety_opt_optim::Minimizer`] (default: multi-start
-//! Nelder–Mead over a deterministic Halton scatter) and returns an
+//! [`safety_opt_optim::Minimizer`] and returns an
 //! [`OptimalConfiguration`]: the arg-min point, its cost, and the hazard
-//! probabilities there. [`ConfigurationComparison`] reports how the
-//! optimum improves on a baseline configuration — the paper's headline
+//! probabilities there. The default strategy is the paper's gradient
+//! method made to converge: multi-start projected quasi-Newton
+//! ([`QuasiNewton`]) over a deterministic Halton scatter, its restarts
+//! stepping in lockstep on batched analytic adjoint gradients.
+//! [`ConfigurationComparison`] reports how the optimum improves on a
+//! baseline configuration — the paper's headline
 //! numbers ("~10 % improvement in false alarm risk, < 0.1 % change in
 //! collision risk") are exactly such a comparison against the engineers'
 //! initial 30-minute guesses.
@@ -13,12 +16,9 @@
 use crate::model::SafetyModel;
 use crate::param::ParameterPoint;
 use crate::Result;
-use safety_opt_optim::gradient::GradientDescent;
 use safety_opt_optim::multistart::MultiStart;
-use safety_opt_optim::nelder_mead::NelderMead;
-use safety_opt_optim::{
-    BatchDifferentiableObjective, BatchObjective, Minimizer, OptimizationOutcome, TraceHook,
-};
+use safety_opt_optim::quasi_newton::QuasiNewton;
+use safety_opt_optim::{BatchDifferentiableObjective, Minimizer, OptimizationOutcome, TraceHook};
 use std::sync::Arc;
 
 /// The result of a safety optimization run.
@@ -95,7 +95,6 @@ impl std::fmt::Display for OptimalConfiguration {
 pub struct SafetyOptimizer<'m> {
     model: &'m SafetyModel,
     minimizer: Option<&'m dyn Minimizer>,
-    batch_objective: Option<&'m dyn BatchObjective>,
     batch_differentiable: Option<&'m dyn BatchDifferentiableObjective>,
     starts: usize,
     hook: Option<Arc<dyn TraceHook>>,
@@ -106,7 +105,6 @@ impl std::fmt::Debug for SafetyOptimizer<'_> {
         f.debug_struct("SafetyOptimizer")
             .field("model", &self.model)
             .field("custom_minimizer", &self.minimizer.is_some())
-            .field("batch_objective", &self.batch_objective.is_some())
             .field("batch_differentiable", &self.batch_differentiable.is_some())
             .field("starts", &self.starts)
             .field("hook", &self.hook.is_some())
@@ -115,15 +113,17 @@ impl std::fmt::Debug for SafetyOptimizer<'_> {
 }
 
 impl<'m> SafetyOptimizer<'m> {
-    /// Creates an optimizer with the default strategy (multi-start
-    /// Nelder–Mead with 8 scattered starts).
+    /// Creates an optimizer with the default strategy: multi-start
+    /// projected quasi-Newton ([`QuasiNewton`]) with 4 scattered starts,
+    /// run in lockstep on the compiled model's batched adjoint
+    /// gradients. Each start converges on its own, so the restarts only
+    /// guard against separate basins.
     pub fn new(model: &'m SafetyModel) -> Self {
         Self {
             model,
             minimizer: None,
-            batch_objective: None,
             batch_differentiable: None,
-            starts: 8,
+            starts: 4,
             hook: None,
         }
     }
@@ -140,45 +140,17 @@ impl<'m> SafetyOptimizer<'m> {
         self
     }
 
-    /// Supplies a precompiled batch objective (e.g. one model of a
-    /// [`crate::fleet::CompiledFleet`]) instead of compiling the model
-    /// internally. The default multi-start Nelder–Mead strategy then
-    /// runs its restarts **in lockstep**, submitting every restart's
-    /// probes as one batch per round
-    /// ([`MultiStart::minimize_batch`]); a custom
-    /// [`with_minimizer`](Self::with_minimizer) takes precedence and
-    /// ignores this hook.
-    ///
-    /// The supplied objective must be pointwise-equal to the model's
-    /// compiled cost; trajectories then match an **uncached** run of
-    /// the internal path exactly. (The internal path additionally
-    /// memoizes through a [`safety_opt_engine::QuantizedCache`] whose
-    /// 1e-9 quantization is far below every optimizer tolerance; it can
-    /// only diverge if two *distinct* probe points collide within that
-    /// grid — the pinned-seed golden tests assert the two paths agree
-    /// bit-for-bit on the shipped workloads.)
-    pub fn with_batch_objective(mut self, objective: &'m dyn BatchObjective) -> Self {
-        self.batch_objective = Some(objective);
-        self
-    }
-
     /// Supplies a precompiled **gradient-capable** batch objective (e.g.
     /// one model of a [`crate::fleet::CompiledFleet`] via
-    /// [`crate::fleet::CompiledFleet::model_batch_objective`]). The
-    /// default strategy then becomes multi-start gradient descent whose
-    /// restarts step **in lockstep**, submitting one analytic-adjoint
-    /// gradient batch per round
-    /// ([`MultiStart::minimize_batch`](MultiStart::<GradientDescent>::minimize_batch))
-    /// — every value+gradient the restarts need lands on the engine's
-    /// SoA adjoint sweep as a single `[points × dims]` batch instead of
-    /// `starts` separate tape walks. A custom
-    /// [`with_minimizer`](Self::with_minimizer) takes precedence;
-    /// this hook takes precedence over the derivative-free
-    /// [`with_batch_objective`](Self::with_batch_objective).
+    /// [`crate::fleet::CompiledFleet::model_batch_objective`]) for the
+    /// default strategy to run on instead of compiling the model
+    /// internally. A custom [`with_minimizer`](Self::with_minimizer)
+    /// takes precedence and ignores this hook.
     ///
-    /// Trajectories are pinned bit-identical to running the same
-    /// gradient-descent restarts sequentially against the per-model
-    /// scalar objective (see the fleet golden tests).
+    /// The supplied objective must be pointwise-equal to the model's
+    /// compiled cost and gradient; the optimum is then bit-identical to
+    /// the internal path's, and to running the same quasi-Newton
+    /// restarts sequentially (see the fleet golden tests).
     pub fn with_batch_differentiable_objective(
         mut self,
         objective: &'m dyn BatchDifferentiableObjective,
@@ -209,11 +181,14 @@ impl<'m> SafetyOptimizer<'m> {
     /// Runs the optimization.
     ///
     /// The cost function is compiled onto the evaluation engine first
-    /// (see [`crate::compile`]): the minimizer then drives an
-    /// allocation-free op-tape with a quantized memo cache instead of
-    /// re-walking the expression trees per evaluation. The reported
-    /// hazard probabilities at the optimum come from the scalar
-    /// reference path.
+    /// (see [`crate::compile`]) unless a batch objective was supplied.
+    /// The default strategy then runs its quasi-Newton restarts in
+    /// lockstep ([`MultiStart::minimize_batch`](MultiStart::<QuasiNewton>::minimize_batch)):
+    /// each round is one value + gradient batch of every live restart's
+    /// point on the engine's SoA adjoint sweep. A custom minimizer gets
+    /// the compiled tape (with its quantized memo cache) through
+    /// [`Minimizer::minimize_differentiable`]. The reported hazard
+    /// probabilities at the optimum come from the scalar reference path.
     ///
     /// # Errors
     ///
@@ -222,46 +197,29 @@ impl<'m> SafetyOptimizer<'m> {
         self.model.validate()?;
         let domain = self.model.space().domain()?;
 
-        let outcome = match (
-            self.minimizer,
-            self.batch_differentiable,
-            self.batch_objective,
-        ) {
-            (Some(m), _, _) => {
+        let outcome = match self.minimizer {
+            Some(m) => {
                 let compiled = crate::compile::CompiledModel::compile(self.model)?;
                 let f = compiled.objective(true);
                 // The differentiable entry point: gradient-based
-                // minimizers (GradientDescent) consume the compiled
-                // tape's analytic adjoint gradients; derivative-free
-                // algorithms fall through to plain `minimize` via the
-                // trait's default implementation.
+                // minimizers consume the compiled tape's analytic
+                // adjoint gradients; derivative-free algorithms fall
+                // through to plain `minimize` via the trait's default
+                // implementation.
                 m.minimize_differentiable(&f, &domain)?
             }
-            (None, Some(batch), _) => {
-                // Gradient-capable batch hook: multi-start gradient
-                // descent in lockstep, one analytic-gradient batch per
-                // round through the lane-blocked SoA adjoint sweep.
-                let mut ms = MultiStart::new(GradientDescent::default(), self.starts);
+            None => {
+                let mut ms = MultiStart::new(QuasiNewton::default(), self.starts);
                 if let Some(hook) = &self.hook {
                     ms = ms.with_trace_hook(Arc::clone(hook));
                 }
-                ms.minimize_batch(batch, &domain)?
-            }
-            (None, None, Some(batch)) => {
-                let mut ms = MultiStart::new(NelderMead::default(), self.starts);
-                if let Some(hook) = &self.hook {
-                    ms = ms.with_trace_hook(Arc::clone(hook));
+                match self.batch_differentiable {
+                    Some(batch) => ms.minimize_batch(batch, &domain)?,
+                    None => {
+                        let compiled = crate::compile::CompiledModel::compile(self.model)?;
+                        ms.minimize_batch(&compiled, &domain)?
+                    }
                 }
-                ms.minimize_batch(batch, &domain)?
-            }
-            (None, None, None) => {
-                let compiled = crate::compile::CompiledModel::compile(self.model)?;
-                let f = compiled.objective(true);
-                let mut ms = MultiStart::new(NelderMead::default(), self.starts);
-                if let Some(hook) = &self.hook {
-                    ms = ms.with_trace_hook(Arc::clone(hook));
-                }
-                ms.minimize(&f, &domain)?
             }
         };
 
@@ -415,7 +373,7 @@ mod tests {
         let by_default = SafetyOptimizer::new(&m).run().unwrap();
         let dt =
             (by_grid.point().value("t").unwrap() - by_default.point().value("t").unwrap()).abs();
-        assert!(dt < 0.1, "grid vs nelder-mead differ by {dt}");
+        assert!(dt < 0.1, "grid vs quasi-newton differ by {dt}");
     }
 
     #[test]
@@ -441,6 +399,23 @@ mod tests {
             optimum.outcome().evaluations,
             fd.evaluations
         );
+    }
+
+    #[test]
+    fn default_strategy_equals_sequential_quasi_newton_restarts() {
+        use safety_opt_optim::multistart::MultiStart;
+        use safety_opt_optim::quasi_newton::QuasiNewton;
+        let m = model();
+        let optimum = SafetyOptimizer::new(&m).run().unwrap();
+        let compiled = crate::compile::CompiledModel::compile(&m).unwrap();
+        let domain = m.space().domain().unwrap();
+        let sequential = MultiStart::new(QuasiNewton::default(), 4)
+            .minimize_differentiable(&compiled.objective(false), &domain)
+            .unwrap();
+        assert_eq!(optimum.point().values(), &sequential.best_x[..]);
+        assert_eq!(optimum.cost().to_bits(), sequential.best_value.to_bits());
+        assert_eq!(optimum.outcome().evaluations, sequential.evaluations);
+        assert!(optimum.outcome().converged());
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //!
 //! Both compile the whole Monte-Carlo batch into one shared fleet arena
 //! ([`crate::fleet`]). The optimum study then splits the work by model:
-//! each sampled model is an independent gradient-descent problem, so
-//! whole models run in parallel on the engine's worker count, and each
-//! model's small lockstep batches sweep inline on its worker through a
-//! batch objective that reuses its sweep buffers from call to call. The
+//! each sampled model is an independent problem for the default
+//! quasi-Newton strategy, so whole models run in parallel on the
+//! engine's worker count, and each model's small lockstep batches sweep
+//! inline on its worker through a batch objective that reuses its sweep
+//! buffers from call to call. The
 //! per-model optima are folded into the statistics in sample order, so
 //! the report is identical for every worker count.
 //!
@@ -194,7 +195,9 @@ impl OptimumDistribution {
 /// of the optimal configuration.
 ///
 /// The samples compile into one shared fleet arena. The models are then
-/// optimized in parallel, whole models at a time, on
+/// optimized with the default strategy (four lockstep quasi-Newton
+/// restarts on batched adjoint gradients) in parallel, whole models at a
+/// time, on
 /// [`safety_opt_engine::default_threads`] workers (the calling thread is
 /// one of them); each model's batches sweep inline on its worker. The
 /// per-model results are folded into the statistics in sample order, so
@@ -242,12 +245,12 @@ where
     // Fleet path: one shared-arena compilation for the whole batch
     // (samples that fail to compile are rolled back and counted as
     // failures, like every other per-sample fault); each sample's
-    // multi-start gradient-descent restarts then run in lockstep
-    // against its masked fleet objective, submitting every restart's
-    // value+gradient probes as one analytic-adjoint batch per round
+    // multi-start quasi-Newton restarts then run in lockstep against
+    // its masked fleet objective, submitting every restart's
+    // value+gradient request as one analytic-adjoint batch per round
     // (`MultiStart::minimize_batch` over the engine's SoA adjoint
     // sweep) — bit-identical to optimizing each sample sequentially
-    // with the same gradient-descent restarts.
+    // with the same quasi-Newton restarts.
     let models = sample_models(&mut sampler, runs, seed)?;
     let (fleet, slots) = CompiledFleet::compile_partial(&models, workers);
     let optima = match &fleet {
@@ -334,8 +337,8 @@ fn optimize_models(
     optima
 }
 
-/// Optimizes sample `sample` (fleet model `k`) with four lockstep
-/// gradient-descent restarts. A panic is caught here and becomes the
+/// Optimizes sample `sample` (fleet model `k`) with the default
+/// strategy's quasi-Newton restarts, four of them in lockstep. A panic is caught here and becomes the
 /// sample's typed error, so one faulted sample never aborts the study.
 fn optimize_sample(
     model: &SafetyModel,

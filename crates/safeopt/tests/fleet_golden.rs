@@ -6,10 +6,12 @@
 //! sequential path (sample → compile each model alone → evaluate one at
 //! a time) at the commit that introduced the fleet; the
 //! `optimize_under_uncertainty` literals were re-pinned when the
-//! per-sample optimizer switched from lockstep Nelder–Mead to lockstep
-//! **gradient descent over analytic adjoint batches**, and are asserted
-//! against a live sequential reference (compile each sampled model
-//! alone, run the same gradient-descent restarts one at a time). The
+//! per-sample optimizer became lockstep **projected quasi-Newton over
+//! analytic adjoint batches** (each re-pinned optimum is no farther from
+//! the closed-form per-sample minimum than the gradient-descent one it
+//! replaced), and are asserted against a live sequential reference
+//! (compile each sampled model alone, run the same quasi-Newton restarts
+//! one at a time). The
 //! fleet path — one shared-arena compilation per Monte-Carlo batch,
 //! lockstep multi-start restarts — must reproduce both bit for bit, and
 //! stay bit-identical for every engine thread count (CI runs this suite
@@ -99,15 +101,15 @@ fn propagate_reproduces_the_pre_fleet_sequential_path() {
 }
 
 #[test]
-fn optimize_under_uncertainty_reproduces_a_sequential_gradient_descent_reference() {
+fn optimize_under_uncertainty_reproduces_a_sequential_quasi_newton_reference() {
     // Live reference: the exact pre-fleet per-sample loop — compile
-    // each sampled model alone, run the same 4 gradient-descent
-    // restarts sequentially over the uncached scalar objective (the
-    // lockstep fleet path is also uncached), fold the same statistics.
+    // each sampled model alone, run the same 4 quasi-Newton restarts
+    // sequentially over the uncached scalar objective (the lockstep
+    // fleet path is also uncached), fold the same statistics.
     use rand::SeedableRng;
     use safety_opt_core::compile::CompiledModel;
-    use safety_opt_optim::gradient::GradientDescent;
     use safety_opt_optim::multistart::MultiStart;
+    use safety_opt_optim::quasi_newton::QuasiNewton;
     use safety_opt_optim::Minimizer;
 
     let (runs, seed) = (12, 9);
@@ -119,7 +121,7 @@ fn optimize_under_uncertainty_reproduces_a_sequential_gradient_descent_reference
         let compiled = CompiledModel::compile(&model).unwrap();
         let domain = model.space().domain().unwrap();
         let objective = compiled.objective(false);
-        let outcome = MultiStart::new(GradientDescent::default(), 4)
+        let outcome = MultiStart::new(QuasiNewton::default(), 4)
             .minimize_differentiable(&objective, &domain)
             .unwrap();
         arg_min.push(outcome.best_x[0]);
@@ -144,16 +146,16 @@ fn optimize_under_uncertainty_reproduces_a_sequential_gradient_descent_reference
     assert_stat(
         &dist.arg_min[0],
         12,
-        14.81464969579529,
-        0.0038705380142200346,
-        14.699265137314796,
-        14.93986576795578,
+        14.814649710878594,
+        0.003870539459316857,
+        14.699265149005988,
+        14.939865833955425,
     );
     assert_stat(
         &dist.min_cost,
         12,
-        0.4269711244262155,
-        0.003350047074130327,
+        0.42697112442621543,
+        0.003350047074130326,
         0.33881533445235756,
         0.5024796277095301,
     );

@@ -1,6 +1,6 @@
 //! E12 — industrial-scale BDD throughput: the SCRAM-style preprocessing
 //! pipeline plus module-wise BDD construction on a synthetic
-//! 1000+-gate fault tree ([`synth::modular_tree`]), vs. the monolithic
+//! 1000+-gate fault tree (`synth::modular_tree`), vs. the monolithic
 //! single-BDD baseline.
 //!
 //! Writes `BENCH_bdd.json` at the workspace root in the shared
@@ -116,6 +116,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         || {
             BatchEvaluator::new(&tape, 1)
                 .costs(&points)
+                .expect("tape batch")
                 .iter()
                 .sum::<f64>()
         },
@@ -128,6 +129,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         || {
             BatchEvaluator::new(&mono_tape, 1)
                 .costs(&points)
+                .expect("tape batch")
                 .iter()
                 .sum::<f64>()
         },

@@ -198,7 +198,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // scalar adjoint bit for bit before its throughput means anything.
     {
         let (sv, sg) = pointwise_grads(syn.tape(), &syn_points);
-        let (bv, bg) = BatchEvaluator::new(syn.tape(), 1).eval_grad_batch(&syn_points);
+        let (bv, bg) = BatchEvaluator::new(syn.tape(), 1)
+            .eval_grad_batch(&syn_points)
+            .expect("adjoint batch");
         assert!(
             sv.iter().zip(&bv).all(|(a, b)| a.to_bits() == b.to_bits())
                 && sg.iter().zip(&bg).all(|(a, b)| a.to_bits() == b.to_bits()),
@@ -261,7 +263,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "gradients/sec",
         SYN_POINTS,
         || {
-            let (_, g) = BatchEvaluator::new(syn.tape(), 1).eval_grad_batch(&syn_points);
+            let (_, g) = BatchEvaluator::new(syn.tape(), 1)
+                .eval_grad_batch(&syn_points)
+                .expect("adjoint batch");
             g.iter().sum()
         },
     );
@@ -283,8 +287,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     "gradients/sec",
                     SYN_POINTS,
                     || {
-                        let (_, g) =
-                            BatchEvaluator::new(syn.tape(), threads).eval_grad_batch(&syn_points);
+                        let (_, g) = BatchEvaluator::new(syn.tape(), threads)
+                            .eval_grad_batch(&syn_points)
+                            .expect("adjoint batch");
                         g.iter().sum()
                     },
                 );

@@ -85,7 +85,7 @@ pub struct Measurement {
 const MIN_SECONDS: f64 = 0.6;
 
 /// Measures `pass` (one full evaluation of `per_pass` units) until
-/// [`MIN_SECONDS`] of wall-clock accumulate, reporting the **best**
+/// `MIN_SECONDS` (0.6 s) of wall-clock accumulate, reporting the **best**
 /// pass — robust against transient background load (CI runners and the
 /// reference container share their core). A warm-up pass runs first
 /// (pages, caches, lazy init); `pass`'s checksum is asserted finite so

@@ -347,7 +347,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// Strategy produced by [`vec`].
+    /// Strategy produced by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

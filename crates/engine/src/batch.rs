@@ -9,6 +9,12 @@
 //! One crate-private driver, `run_pool`, owns that contract for every
 //! batch entry point of this module and of [`crate::fleet`].
 //!
+//! Every entry point is fallible: each chunk runs under
+//! [`std::panic::catch_unwind`], so a worker panic comes back as
+//! [`EngineError::WorkerPanicked`], and an optional cooperative
+//! [`EvalDeadline`] (set with [`BatchEvaluator::deadline`]) is checked
+//! before each chunk starts.
+//!
 //! Within a chunk, full lane blocks of points run through the
 //! op-at-a-time SoA sweeps (see [`crate::exec`]) and the ragged tail
 //! through the point-at-a-time [`Tape::eval_into`] /
@@ -42,12 +48,21 @@ static CHUNK_NANOS: telemetry::Histogram = telemetry::Histogram::new("engine.bat
 const DEFAULT_CHUNK: usize = 256;
 
 /// Batch evaluator: a tape plus a parallelism configuration.
+///
+/// On success every result is bit-identical for every thread count,
+/// chunk size and lane width. On error the evaluation is
+/// **all-or-nothing**: no partial results are returned, no shared state
+/// is poisoned (worker pools are per-call scopes), and an identical
+/// retry succeeds bit-identically once the fault is gone. When several
+/// chunks fail, the error from the lowest-indexed chunk wins, keeping
+/// the reported failure as deterministic as the results it replaces.
 #[derive(Debug, Clone)]
 pub struct BatchEvaluator<'t> {
     tape: &'t Tape,
     threads: usize,
     chunk: usize,
     lanes: usize,
+    deadline: Option<EvalDeadline>,
 }
 
 impl<'t> BatchEvaluator<'t> {
@@ -59,6 +74,7 @@ impl<'t> BatchEvaluator<'t> {
             threads: threads.max(1),
             chunk: DEFAULT_CHUNK,
             lanes: DEFAULT_LANES,
+            deadline: None,
         }
     }
 
@@ -83,6 +99,14 @@ impl<'t> BatchEvaluator<'t> {
         self
     }
 
+    /// Sets a cooperative deadline, checked before each chunk starts;
+    /// an expired one fails the call with
+    /// [`EngineError::DeadlineExceeded`].
+    pub fn deadline(mut self, deadline: EvalDeadline) -> Self {
+        self.deadline = Some(deadline);
+        self
+    }
+
     /// Configured worker count.
     pub fn threads(&self) -> usize {
         self.threads
@@ -90,38 +114,17 @@ impl<'t> BatchEvaluator<'t> {
 
     /// Evaluates the weighted cost at every point.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any point's arity mismatches the tape, resuming the
-    /// worker's own panic (see [`try_costs`](Self::try_costs) for the
-    /// isolating variant).
-    pub fn costs<P: AsRef<[f64]> + Sync>(&self, points: &[P]) -> Vec<f64> {
-        unwrap_engine(self.try_costs(points, None))
-    }
-
-    /// Fallible twin of [`costs`](Self::costs): every chunk runs under
-    /// [`std::panic::catch_unwind`], and `deadline` (when given) is
-    /// checked cooperatively before each chunk starts.
-    ///
-    /// On success the costs are bit-identical to [`costs`](Self::costs)
-    /// for every thread count. On error the evaluation is
-    /// **all-or-nothing**: no partial results are returned, no shared
-    /// state is poisoned (worker pools are per-call scopes), and an
-    /// identical retry succeeds bit-identically once the fault is gone.
-    /// When several chunks fail, the error from the lowest-indexed chunk
-    /// wins, keeping the reported failure as deterministic as the
-    /// results it replaces.
-    pub fn try_costs<P: AsRef<[f64]> + Sync>(
-        &self,
-        points: &[P],
-        deadline: Option<&EvalDeadline>,
-    ) -> Result<Vec<f64>, EngineError> {
+    /// [`EngineError::WorkerPanicked`] when a chunk panics (for example
+    /// on a point whose arity mismatches the tape), and
+    /// [`EngineError::DeadlineExceeded`] once the
+    /// [`deadline`](Self::deadline) has passed.
+    pub fn costs<P: AsRef<[f64]> + Sync>(&self, points: &[P]) -> Result<Vec<f64>, EngineError> {
         let mut costs = vec![0.0; points.len()];
         let units = points.chunks(self.chunk).zip(costs.chunks_mut(self.chunk));
         let runner = || TapeRunner::new(self.tape, self.lanes);
-        self.pool(deadline, units, runner, |r, (pts, out)| {
-            r.run(pts, out, None)
-        })?;
+        self.pool(units, runner, |r, (pts, out)| r.run(pts, out, None))?;
         Ok(costs)
     }
 
@@ -129,22 +132,12 @@ impl<'t> BatchEvaluator<'t> {
     /// Returns `(costs, outputs)` with `outputs` flattened row-major
     /// (`points.len() × tape.n_outputs()`).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any point's arity mismatches the tape (see
-    /// [`try_costs_and_outputs`](Self::try_costs_and_outputs) for the
-    /// isolating variant).
-    pub fn costs_and_outputs<P: AsRef<[f64]> + Sync>(&self, points: &[P]) -> (Vec<f64>, Vec<f64>) {
-        unwrap_engine(self.try_costs_and_outputs(points, None))
-    }
-
-    /// Fallible twin of [`costs_and_outputs`](Self::costs_and_outputs);
-    /// same panic-isolation, deadline, and all-or-nothing contract as
-    /// [`try_costs`](Self::try_costs).
-    pub fn try_costs_and_outputs<P: AsRef<[f64]> + Sync>(
+    /// Same conditions as [`costs`](Self::costs).
+    pub fn costs_and_outputs<P: AsRef<[f64]> + Sync>(
         &self,
         points: &[P],
-        deadline: Option<&EvalDeadline>,
     ) -> Result<(Vec<f64>, Vec<f64>), EngineError> {
         let n_out = self.tape.n_outputs();
         let mut costs = vec![0.0; points.len()];
@@ -154,7 +147,7 @@ impl<'t> BatchEvaluator<'t> {
             .zip(costs.chunks_mut(self.chunk))
             .zip(row_chunks(&mut outputs, points.len(), self.chunk, n_out));
         let runner = || TapeRunner::new(self.tape, self.lanes);
-        self.pool(deadline, units, runner, |r, ((pts, out), rows)| {
+        self.pool(units, runner, |r, ((pts, out), rows)| {
             r.run(pts, out, Some(rows))
         })?;
         Ok((costs, outputs))
@@ -170,26 +163,16 @@ impl<'t> BatchEvaluator<'t> {
     /// evaluation, so gradients are bit-identical for every thread
     /// count. Every full lane block runs the lane-blocked forward sweep
     /// **and** the lane-blocked adjoint sweep
-    /// ([`crate::grad::AdjointFile`]); the ragged tail runs the
+    /// (`grad::AdjointFile`); the ragged tail runs the
     /// point-at-a-time adjoint — 0-ULP bit-identical by the per-lane
     /// op-order contract.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any point's arity mismatches the tape (see
-    /// [`try_eval_grad_batch`](Self::try_eval_grad_batch) for the
-    /// isolating variant).
-    pub fn eval_grad_batch<P: AsRef<[f64]> + Sync>(&self, points: &[P]) -> (Vec<f64>, Vec<f64>) {
-        unwrap_engine(self.try_eval_grad_batch(points, None))
-    }
-
-    /// Fallible twin of [`eval_grad_batch`](Self::eval_grad_batch);
-    /// same panic-isolation, deadline, and all-or-nothing contract as
-    /// [`try_costs`](Self::try_costs).
-    pub fn try_eval_grad_batch<P: AsRef<[f64]> + Sync>(
+    /// Same conditions as [`costs`](Self::costs).
+    pub fn eval_grad_batch<P: AsRef<[f64]> + Sync>(
         &self,
         points: &[P],
-        deadline: Option<&EvalDeadline>,
     ) -> Result<(Vec<f64>, Vec<f64>), EngineError> {
         let dim = self.tape.n_inputs();
         let mut costs = vec![0.0; points.len()];
@@ -199,7 +182,7 @@ impl<'t> BatchEvaluator<'t> {
             .zip(costs.chunks_mut(self.chunk))
             .zip(row_chunks(&mut grads, points.len(), self.chunk, dim));
         let runner = || GradRunner::new(self.tape, self.lanes);
-        self.pool(deadline, units, runner, |r, ((pts, out), grads)| {
+        self.pool(units, runner, |r, ((pts, out), grads)| {
             r.run(pts, out, grads)
         })?;
         Ok((costs, grads))
@@ -209,11 +192,11 @@ impl<'t> BatchEvaluator<'t> {
     /// worker on a fresh runner.
     fn pool<U: Send, R>(
         &self,
-        deadline: Option<&EvalDeadline>,
         units: impl ExactSizeIterator<Item = U>,
         runner: impl Fn() -> R + Sync,
         run: impl Fn(&mut R, U) + Sync,
     ) -> Result<(), EngineError> {
+        let deadline = self.deadline.as_ref();
         run_pool(self.threads, deadline, units, &runner, &runner, run).map(drop)
     }
 }
@@ -392,7 +375,7 @@ impl<'t> TapeRunner<'t> {
     }
 }
 
-/// The chunked pool behind every `try_*` batch entry point of
+/// The chunked pool behind every batch entry point of
 /// [`BatchEvaluator`] and [`crate::fleet::FleetEvaluator`]: one unit per
 /// chunk of points, run by `run` on a per-worker runner.
 ///
@@ -475,7 +458,7 @@ fn round_robin<T>(threads: usize, units: impl Iterator<Item = T>) -> Vec<Vec<T>>
     assignments
 }
 
-/// Runs one work unit for a try-twin: checks the cooperative `deadline`
+/// Runs one work unit of [`run_pool`]: checks the cooperative `deadline`
 /// first, then isolates any panic behind
 /// [`EngineError::WorkerPanicked`]. Chunk indices are assigned before
 /// round-robin sharding, so `chunk` identifies the same points for
@@ -516,7 +499,7 @@ fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// First-error cell shared by a try-twin's workers: when several chunks
+/// First-error cell shared by one call's workers: when several chunks
 /// fail in one call, the error from the **lowest-indexed** chunk wins,
 /// so the reported failure is as deterministic as the results it
 /// replaces (it never depends on worker timing for deterministic
@@ -543,21 +526,6 @@ impl FirstError {
             Some((_, err)) => Err(err),
             None => Ok(ok),
         }
-    }
-}
-
-/// Unwraps a try-twin result for the infallible wrappers. A worker
-/// panic resumes unwinding with the captured payload text, preserving
-/// `#[should_panic]`-style observability; other errors cannot occur
-/// without a deadline or armed failpoints, and panic loudly if they
-/// ever do.
-pub(crate) fn unwrap_engine<T>(result: Result<T, EngineError>) -> T {
-    match result {
-        Ok(v) => v,
-        Err(EngineError::WorkerPanicked { payload, .. }) => {
-            std::panic::resume_unwind(Box::new(payload))
-        }
-        Err(e) => panic!("{e}"),
     }
 }
 
@@ -592,7 +560,10 @@ mod tests {
     fn batch_matches_sequential_eval() {
         let tape = demo_tape();
         let points = random_points(1000, 1);
-        let batch = BatchEvaluator::new(&tape, 4).chunk_size(64).costs(&points);
+        let batch = BatchEvaluator::new(&tape, 4)
+            .chunk_size(64)
+            .costs(&points)
+            .unwrap();
         for (p, &v) in points.iter().zip(&batch) {
             assert_eq!(tape.eval(p), v, "bitwise equality expected");
         }
@@ -602,11 +573,12 @@ mod tests {
     fn results_are_independent_of_thread_count() {
         let tape = demo_tape();
         let points = random_points(3000, 2);
-        let reference = BatchEvaluator::new(&tape, 1).costs(&points);
+        let reference = BatchEvaluator::new(&tape, 1).costs(&points).unwrap();
         for threads in [2, 3, 8] {
             let got = BatchEvaluator::new(&tape, threads)
                 .chunk_size(17)
-                .costs(&points);
+                .costs(&points)
+                .unwrap();
             assert_eq!(reference, got, "threads = {threads}");
         }
     }
@@ -615,10 +587,14 @@ mod tests {
     fn costs_and_outputs_agree_with_costs() {
         let tape = demo_tape();
         let points = random_points(500, 3);
-        let costs = BatchEvaluator::new(&tape, 2).chunk_size(32).costs(&points);
+        let costs = BatchEvaluator::new(&tape, 2)
+            .chunk_size(32)
+            .costs(&points)
+            .unwrap();
         let (costs2, outputs) = BatchEvaluator::new(&tape, 2)
             .chunk_size(32)
-            .costs_and_outputs(&points);
+            .costs_and_outputs(&points)
+            .unwrap();
         assert_eq!(costs, costs2);
         assert_eq!(outputs.len(), points.len() * tape.n_outputs());
         for (i, p) in points.iter().enumerate() {
@@ -645,11 +621,11 @@ mod tests {
                     .chunk_size(19)
                     .lanes(lanes);
                 assert_eq!(
-                    ev.costs(&points),
+                    ev.costs(&points).unwrap(),
                     scalar,
                     "lanes {lanes}, {threads} threads"
                 );
-                let (c, o) = ev.costs_and_outputs(&points);
+                let (c, o) = ev.costs_and_outputs(&points).unwrap();
                 assert_eq!(c, scalar);
                 assert_eq!(o, scalar_o);
             }
@@ -660,7 +636,9 @@ mod tests {
     fn grad_batch_matches_pointwise_adjoint_and_is_thread_independent() {
         let tape = demo_tape();
         let points = random_points(700, 5);
-        let (costs, grads) = BatchEvaluator::new(&tape, 1).eval_grad_batch(&points);
+        let (costs, grads) = BatchEvaluator::new(&tape, 1)
+            .eval_grad_batch(&points)
+            .unwrap();
         assert_eq!(grads.len(), points.len() * tape.n_inputs());
         for (i, p) in points.iter().enumerate() {
             let (cost, grad) = tape.eval_grad(p);
@@ -673,7 +651,8 @@ mod tests {
         for threads in [2, 4, 7] {
             let (c, g) = BatchEvaluator::new(&tape, threads)
                 .chunk_size(23)
-                .eval_grad_batch(&points);
+                .eval_grad_batch(&points)
+                .unwrap();
             assert_eq!(costs, c, "costs, {threads} threads");
             assert_eq!(grads, g, "grads, {threads} threads");
         }
@@ -692,25 +671,10 @@ mod tests {
         for threads in [1, 4] {
             let (costs, grads) = BatchEvaluator::new(&tape, threads)
                 .chunk_size(16)
-                .eval_grad_batch(&points);
+                .eval_grad_batch(&points)
+                .unwrap();
             assert!(grads.is_empty());
             assert!(costs.iter().all(|&c| c == 0.5), "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn try_twins_match_infallible_results_bitwise() {
-        let tape = demo_tape();
-        let points = random_points(700, 6);
-        for threads in [1, 4] {
-            let ev = BatchEvaluator::new(&tape, threads).chunk_size(64);
-            assert_eq!(ev.costs(&points), ev.try_costs(&points, None).unwrap());
-            let (c, o) = ev.costs_and_outputs(&points);
-            let (tc, to) = ev.try_costs_and_outputs(&points, None).unwrap();
-            assert_eq!((c, o), (tc, to));
-            let (gc, g) = ev.eval_grad_batch(&points);
-            let (tgc, tg) = ev.try_eval_grad_batch(&points, None).unwrap();
-            assert_eq!((gc, g), (tgc, tg));
         }
     }
 
@@ -721,20 +685,21 @@ mod tests {
         let expired = EvalDeadline::after(std::time::Duration::ZERO);
         for threads in [1, 4] {
             let ev = BatchEvaluator::new(&tape, threads).chunk_size(16);
-            match ev.try_costs(&points, Some(&expired)) {
+            let late = ev.clone().deadline(expired);
+            match late.costs(&points) {
                 Err(EngineError::DeadlineExceeded { .. }) => {}
                 other => panic!("expected DeadlineExceeded, got {other:?}"),
             }
-            match ev.try_eval_grad_batch(&points, Some(&expired)) {
+            match late.eval_grad_batch(&points) {
                 Err(EngineError::DeadlineExceeded { .. }) => {}
                 other => panic!("expected DeadlineExceeded, got {other:?}"),
             }
             // The pool is a per-call scope: nothing is poisoned and the
-            // same evaluator answers bit-identically afterwards.
+            // same tape answers bit-identically afterwards.
             let generous = EvalDeadline::after(std::time::Duration::from_secs(3600));
             assert_eq!(
-                ev.try_costs(&points, Some(&generous)).unwrap(),
-                ev.costs(&points)
+                ev.clone().deadline(generous).costs(&points).unwrap(),
+                ev.costs(&points).unwrap()
             );
         }
     }
@@ -743,13 +708,13 @@ mod tests {
     fn worker_panic_is_isolated_into_a_typed_error() {
         let tape = demo_tape();
         // One malformed (wrong-arity) point per chunk region makes the
-        // runner panic inside a worker; the try twin must surface it as
-        // a typed error instead of tearing the process down.
+        // runner panic inside a worker; the call must surface it as a
+        // typed error instead of tearing the process down.
         let mut points = random_points(200, 8);
         points[130] = vec![1.0]; // arity 1 into a 2-input tape
         for threads in [1, 4] {
             let ev = BatchEvaluator::new(&tape, threads).chunk_size(16);
-            match ev.try_costs(&points, None) {
+            match ev.costs(&points) {
                 Err(EngineError::WorkerPanicked { chunk, payload }) => {
                     assert_eq!(chunk, 130 / 16, "chunk index is deterministic");
                     assert!(
@@ -763,19 +728,23 @@ mod tests {
             // state was poisoned by the caught panic.
             let mut fixed = points.clone();
             fixed[130] = vec![1.0, 2.0];
-            let a = ev.try_costs(&fixed, None).unwrap();
-            let b = ev.try_costs(&fixed, None).unwrap();
+            let a = ev.costs(&fixed).unwrap();
+            let b = ev.costs(&fixed).unwrap();
             assert_eq!(a, b, "retry is bit-identical");
         }
     }
 
     #[test]
-    #[should_panic(expected = "input arity mismatch")]
-    fn infallible_wrapper_resumes_the_worker_panic() {
+    fn arity_mismatch_is_returned_as_the_worker_panic() {
         let tape = demo_tape();
         let mut points = random_points(40, 9);
         points[7] = vec![1.0, 2.0, 3.0];
-        BatchEvaluator::new(&tape, 1).costs(&points);
+        match BatchEvaluator::new(&tape, 1).costs(&points) {
+            Err(EngineError::WorkerPanicked { payload, .. }) => {
+                assert!(payload.contains("input arity mismatch"), "{payload:?}")
+            }
+            other => panic!("expected WorkerPanicked, got {other:?}"),
+        }
     }
 
     #[test]
@@ -794,9 +763,17 @@ mod tests {
     fn empty_batch_is_fine() {
         let tape = demo_tape();
         let points: Vec<Vec<f64>> = Vec::new();
-        assert!(BatchEvaluator::new(&tape, 4).costs(&points).is_empty());
-        let (c, o) = BatchEvaluator::new(&tape, 4).costs_and_outputs(&points);
+        assert!(BatchEvaluator::new(&tape, 4)
+            .costs(&points)
+            .unwrap()
+            .is_empty());
+        let (c, o) = BatchEvaluator::new(&tape, 4)
+            .costs_and_outputs(&points)
+            .unwrap();
         assert!(c.is_empty() && o.is_empty());
-        assert!(BatchEvaluator::new(&tape, 1).costs(&points).is_empty());
+        assert!(BatchEvaluator::new(&tape, 1)
+            .costs(&points)
+            .unwrap()
+            .is_empty());
     }
 }

@@ -1,20 +1,20 @@
 //! Typed engine errors, compile budgets, and evaluation deadlines.
 //!
-//! The engine's original API surface is infallible: arity mismatches
-//! panic, worker panics tear down the whole `std::thread::scope`, and
-//! nothing bounds how long a batch sweep may run. That contract is right
-//! for trusted in-process callers, but a long-running service ingesting
-//! untrusted models needs failures *typed, bounded, and recoverable*.
-//! This module is the vocabulary for that: [`EngineError`] is what the
-//! fallible `try_*` twins return, [`CompileBudget`] bounds how large a
-//! compiled artifact may get, and [`EvalDeadline`] bounds how long an
-//! evaluation may take (checked cooperatively at chunk granularity).
+//! Batch evaluation must fail *typed, bounded, and recoverable*: a
+//! wrong-arity point or an injected fault panics inside one worker
+//! chunk, and a sweep over an untrusted model must not run forever.
+//! This module is the vocabulary for that: [`EngineError`] is what
+//! every batch method of [`crate::batch::BatchEvaluator`] and
+//! [`crate::fleet::FleetEvaluator`] returns, [`CompileBudget`] bounds
+//! how large a compiled artifact may get, and [`EvalDeadline`] bounds
+//! how long an evaluation may take (checked cooperatively at chunk
+//! granularity).
 //!
-//! The contract everywhere is **all-or-nothing**: when a `try_*` call
-//! returns an error, the output buffers hold unspecified partial data,
-//! but no shared state (evaluator, tape, memo cache, thread pool) is
-//! left poisoned — an identical retry on the same evaluator succeeds
-//! and is bit-identical to a call that never failed.
+//! The contract everywhere is **all-or-nothing**: a call that returns an
+//! error returns no partial results, and no shared state (evaluator,
+//! tape, memo cache, thread pool) is left poisoned — an identical retry
+//! on the same evaluator succeeds and is bit-identical to a call that
+//! never failed.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -86,8 +86,8 @@ impl std::error::Error for EngineError {}
 
 /// Resource limits for one compilation (tape build, BDD lowering).
 /// Unset fields are unlimited; [`CompileBudget::default`] limits
-/// nothing, so `try_*` twins given the default behave exactly like
-/// their infallible originals.
+/// nothing, so a budgeted compile given the default behaves exactly like
+/// an unbudgeted one.
 ///
 /// Enforcement is **all-or-nothing**: a blown budget surfaces as
 /// [`EngineError::BudgetExceeded`] (or, with

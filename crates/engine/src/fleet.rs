@@ -44,14 +44,14 @@
 //!
 //! // One arena sweep per point evaluates every model; results are
 //! // bit-identical to each model's standalone tape for any thread count.
-//! let costs = FleetEvaluator::new(&fleet, 2).costs_all(&[[10.0], [20.0]]);
+//! let costs = FleetEvaluator::new(&fleet, 2).costs_all(&[[10.0], [20.0]]).unwrap();
 //! assert_eq!(costs.len(), 4); // 2 points x 2 models, point-major
 //! let mut standalone = TapeBuilder::new(1);
 //! lower(&mut standalone, 0.07);
 //! assert_eq!(costs[1], standalone.build().eval(&[10.0]));
 //! ```
 
-use crate::batch::{row_chunks, run_pool, unwrap_engine};
+use crate::batch::{row_chunks, run_pool};
 use crate::error::{EngineError, EvalDeadline};
 use crate::exec::{dispatch_lanes, supported_lanes, LaneFile, DEFAULT_LANES};
 use crate::faultinject;
@@ -438,6 +438,10 @@ const DEFAULT_CHUNK: usize = 256;
 /// count. Within a chunk, full lane blocks run lane-blocked op-at-a-time
 /// SoA sweeps (see [`crate::exec`]) and the ragged tail per-point arena
 /// sweeps — also bit-identical by construction.
+///
+/// Every entry point is fallible, with the same panic-isolation,
+/// deadline, all-or-nothing and lowest-chunk-wins contract as
+/// [`crate::batch::BatchEvaluator`].
 #[derive(Debug, Clone)]
 pub struct FleetEvaluator<'f> {
     fleet: &'f Fleet,
@@ -445,6 +449,7 @@ pub struct FleetEvaluator<'f> {
     chunk: usize,
     lanes: usize,
     scratch: Option<&'f FleetScratch>,
+    deadline: Option<EvalDeadline>,
 }
 
 impl<'f> FleetEvaluator<'f> {
@@ -457,6 +462,7 @@ impl<'f> FleetEvaluator<'f> {
             chunk: DEFAULT_CHUNK,
             lanes: DEFAULT_LANES,
             scratch: None,
+            deadline: None,
         }
     }
 
@@ -489,6 +495,14 @@ impl<'f> FleetEvaluator<'f> {
         self
     }
 
+    /// Sets a cooperative deadline, checked before each chunk starts;
+    /// an expired one fails the call with
+    /// [`EngineError::DeadlineExceeded`].
+    pub fn deadline(mut self, deadline: EvalDeadline) -> Self {
+        self.deadline = Some(deadline);
+        self
+    }
+
     /// Configured worker count.
     pub fn threads(&self) -> usize {
         self.threads
@@ -497,28 +511,14 @@ impl<'f> FleetEvaluator<'f> {
     /// Costs of **every model** at every point: point-major
     /// (`points.len() × n_models`), one arena sweep per point.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any point's arity mismatches the fleet (see
-    /// [`try_costs_all`](Self::try_costs_all) for the isolating
-    /// variant).
-    pub fn costs_all<P: AsRef<[f64]> + Sync>(&self, points: &[P]) -> Vec<f64> {
-        unwrap_engine(self.try_costs_all(points, None))
-    }
-
-    /// Fallible twin of [`costs_all`](Self::costs_all): chunks run
-    /// under `catch_unwind` and `deadline` is checked cooperatively
-    /// before each chunk. Same all-or-nothing, nothing-poisoned,
-    /// lowest-chunk-wins contract as
-    /// [`crate::batch::BatchEvaluator::try_costs`].
-    pub fn try_costs_all<P: AsRef<[f64]> + Sync>(
-        &self,
-        points: &[P],
-        deadline: Option<&EvalDeadline>,
-    ) -> Result<Vec<f64>, EngineError> {
-        Ok(self
-            .try_costs_and_outputs_all_impl(points, false, deadline)?
-            .0)
+    /// [`EngineError::WorkerPanicked`] when a chunk panics (for example
+    /// on a point whose arity mismatches the fleet), and
+    /// [`EngineError::DeadlineExceeded`] once the
+    /// [`deadline`](Self::deadline) has passed.
+    pub fn costs_all<P: AsRef<[f64]> + Sync>(&self, points: &[P]) -> Result<Vec<f64>, EngineError> {
+        Ok(self.sweep_all(points, false)?.0)
     }
 
     /// Costs **and** per-output values of every model at every point.
@@ -527,34 +527,20 @@ impl<'f> FleetEvaluator<'f> {
     /// (`points.len() × total_outputs`) with each model occupying its
     /// [`Fleet::output_range`] columns.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any point's arity mismatches the fleet (see
-    /// [`try_costs_and_outputs_all`](Self::try_costs_and_outputs_all)
-    /// for the isolating variant).
+    /// Same conditions as [`costs_all`](Self::costs_all).
     pub fn costs_and_outputs_all<P: AsRef<[f64]> + Sync>(
         &self,
         points: &[P],
-    ) -> (Vec<f64>, Vec<f64>) {
-        unwrap_engine(self.try_costs_and_outputs_all(points, None))
-    }
-
-    /// Fallible twin of
-    /// [`costs_and_outputs_all`](Self::costs_and_outputs_all); same
-    /// contract as [`try_costs_all`](Self::try_costs_all).
-    pub fn try_costs_and_outputs_all<P: AsRef<[f64]> + Sync>(
-        &self,
-        points: &[P],
-        deadline: Option<&EvalDeadline>,
     ) -> Result<(Vec<f64>, Vec<f64>), EngineError> {
-        self.try_costs_and_outputs_all_impl(points, true, deadline)
+        self.sweep_all(points, true)
     }
 
-    fn try_costs_and_outputs_all_impl<P: AsRef<[f64]> + Sync>(
+    fn sweep_all<P: AsRef<[f64]> + Sync>(
         &self,
         points: &[P],
         want_outputs: bool,
-        deadline: Option<&EvalDeadline>,
     ) -> Result<(Vec<f64>, Vec<f64>), EngineError> {
         let n = points.len();
         let n_models = self.fleet.n_models();
@@ -570,7 +556,7 @@ impl<'f> FleetEvaluator<'f> {
             .chunks(self.chunk)
             .zip(row_chunks(&mut costs, n, self.chunk, n_models))
             .zip(row_chunks(&mut outputs, n, self.chunk, width));
-        self.pool(deadline, units, |r, ((pts, c_rows), o_rows)| {
+        self.pool(units, |r, ((pts, c_rows), o_rows)| {
             r.run_all(pts, c_rows, want_outputs.then_some(o_rows))
         })?;
         Ok((costs, outputs))
@@ -580,28 +566,17 @@ impl<'f> FleetEvaluator<'f> {
     /// mask — bit-identical to that model's standalone
     /// [`crate::batch::BatchEvaluator`] for every thread count.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any point's arity mismatches the fleet (see
-    /// [`try_model_costs`](Self::try_model_costs) for the isolating
-    /// variant).
-    pub fn model_costs<P: AsRef<[f64]> + Sync>(&self, model: usize, points: &[P]) -> Vec<f64> {
-        unwrap_engine(self.try_model_costs(model, points, None))
-    }
-
-    /// Fallible twin of [`model_costs`](Self::model_costs); same
-    /// contract as [`try_costs_all`](Self::try_costs_all).
-    pub fn try_model_costs<P: AsRef<[f64]> + Sync>(
+    /// Same conditions as [`costs_all`](Self::costs_all).
+    pub fn model_costs<P: AsRef<[f64]> + Sync>(
         &self,
         model: usize,
         points: &[P],
-        deadline: Option<&EvalDeadline>,
     ) -> Result<Vec<f64>, EngineError> {
         let mut costs = vec![0.0; points.len()];
         let units = points.chunks(self.chunk).zip(costs.chunks_mut(self.chunk));
-        self.pool(deadline, units, |r, (pts, out)| {
-            r.run_model(model, pts, out)
-        })?;
+        self.pool(units, |r, (pts, out)| r.run_model(model, pts, out))?;
         Ok(costs)
     }
 
@@ -615,26 +590,13 @@ impl<'f> FleetEvaluator<'f> {
     /// adjoint accumulation-order caveat of
     /// [`Fleet::eval_model_grad_into`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any point's arity mismatches the fleet (see
-    /// [`try_model_grads`](Self::try_model_grads) for the isolating
-    /// variant).
+    /// Same conditions as [`costs_all`](Self::costs_all).
     pub fn model_grads<P: AsRef<[f64]> + Sync>(
         &self,
         model: usize,
         points: &[P],
-    ) -> (Vec<f64>, Vec<f64>) {
-        unwrap_engine(self.try_model_grads(model, points, None))
-    }
-
-    /// Fallible twin of [`model_grads`](Self::model_grads); same
-    /// contract as [`try_costs_all`](Self::try_costs_all).
-    pub fn try_model_grads<P: AsRef<[f64]> + Sync>(
-        &self,
-        model: usize,
-        points: &[P],
-        deadline: Option<&EvalDeadline>,
     ) -> Result<(Vec<f64>, Vec<f64>), EngineError> {
         let dim = self.fleet.n_inputs();
         let mut costs = vec![0.0; points.len()];
@@ -643,7 +605,7 @@ impl<'f> FleetEvaluator<'f> {
             .chunks(self.chunk)
             .zip(costs.chunks_mut(self.chunk))
             .zip(row_chunks(&mut grads, points.len(), self.chunk, dim));
-        self.pool(deadline, units, |r, ((pts, out), grad_rows)| {
+        self.pool(units, |r, ((pts, out), grad_rows)| {
             r.run_model_grad(model, pts, out, grad_rows)
         })?;
         Ok((costs, grads))
@@ -656,7 +618,6 @@ impl<'f> FleetEvaluator<'f> {
     /// workers use buffers of their own.
     fn pool<U: Send>(
         &self,
-        deadline: Option<&EvalDeadline>,
         units: impl ExactSizeIterator<Item = U>,
         run: impl Fn(&mut FleetRunner<'f>, U) + Sync,
     ) -> Result<(), EngineError> {
@@ -667,7 +628,7 @@ impl<'f> FleetEvaluator<'f> {
         let worker_runner = || FleetRunner::new(self.fleet, self.lanes, SweepBuffers::default());
         let inline = run_pool(
             self.threads,
-            deadline,
+            self.deadline.as_ref(),
             units,
             inline_runner,
             worker_runner,
@@ -1091,17 +1052,23 @@ mod tests {
     fn evaluator_is_thread_count_independent() {
         let (fleet, _) = family(3);
         let pts = points(700, 3);
-        let reference = FleetEvaluator::new(&fleet, 1).costs_all(&pts);
-        let (ref_costs, ref_outputs) = FleetEvaluator::new(&fleet, 1).costs_and_outputs_all(&pts);
+        let reference = FleetEvaluator::new(&fleet, 1).costs_all(&pts).unwrap();
+        let (ref_costs, ref_outputs) = FleetEvaluator::new(&fleet, 1)
+            .costs_and_outputs_all(&pts)
+            .unwrap();
         assert_eq!(reference, ref_costs);
         for threads in [2, 3, 8] {
             let ev = FleetEvaluator::new(&fleet, threads).chunk_size(13);
-            assert_eq!(ev.costs_all(&pts), reference, "threads = {threads}");
-            let (c, o) = ev.costs_and_outputs_all(&pts);
+            assert_eq!(
+                ev.costs_all(&pts).unwrap(),
+                reference,
+                "threads = {threads}"
+            );
+            let (c, o) = ev.costs_and_outputs_all(&pts).unwrap();
             assert_eq!(c, ref_costs);
             assert_eq!(o, ref_outputs);
             for model in 0..3 {
-                let mc = ev.model_costs(model, &pts);
+                let mc = ev.model_costs(model, &pts).unwrap();
                 for (i, &v) in mc.iter().enumerate() {
                     assert_eq!(v.to_bits(), reference[i * 3 + model].to_bits());
                 }
@@ -1128,12 +1095,12 @@ mod tests {
                 let ev = FleetEvaluator::new(&fleet, threads)
                     .chunk_size(23)
                     .lanes(lanes);
-                let (c, o) = ev.costs_and_outputs_all(&pts);
+                let (c, o) = ev.costs_and_outputs_all(&pts).unwrap();
                 assert_eq!(c, ref_c, "costs, lanes {lanes}, {threads} threads");
                 assert_eq!(o, ref_o, "outputs, lanes {lanes}, {threads} threads");
-                assert_eq!(ev.costs_all(&pts), ref_c);
+                assert_eq!(ev.costs_all(&pts).unwrap(), ref_c);
                 for model in 0..3 {
-                    let mc = ev.model_costs(model, &pts);
+                    let mc = ev.model_costs(model, &pts).unwrap();
                     for (i, &v) in mc.iter().enumerate() {
                         assert_eq!(v.to_bits(), ref_c[i * 3 + model].to_bits());
                     }
@@ -1154,7 +1121,8 @@ mod tests {
                 let (c, g) = FleetEvaluator::new(&fleet, threads)
                     .chunk_size(23)
                     .lanes(8)
-                    .model_grads(k, &pts);
+                    .model_grads(k, &pts)
+                    .unwrap();
                 assert_eq!(
                     c.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     ref_c.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -1173,8 +1141,13 @@ mod tests {
     fn empty_batches_and_fleets_are_fine() {
         let (fleet, _) = family(2);
         let none: Vec<Vec<f64>> = Vec::new();
-        assert!(FleetEvaluator::new(&fleet, 4).costs_all(&none).is_empty());
-        let (c, o) = FleetEvaluator::new(&fleet, 4).costs_and_outputs_all(&none);
+        assert!(FleetEvaluator::new(&fleet, 4)
+            .costs_all(&none)
+            .unwrap()
+            .is_empty());
+        let (c, o) = FleetEvaluator::new(&fleet, 4)
+            .costs_and_outputs_all(&none)
+            .unwrap();
         assert!(c.is_empty() && o.is_empty());
 
         let empty = FleetBuilder::new(1).build();
@@ -1202,7 +1175,7 @@ mod tests {
         }
         let fleet = fb.build();
         assert_eq!(fleet.tape().n_ops(), 0);
-        let costs = FleetEvaluator::new(&fleet, 1).costs_all(&[[0.0]]);
+        let costs = FleetEvaluator::new(&fleet, 1).costs_all(&[[0.0]]).unwrap();
         assert_eq!(costs, vec![0.5, 1.0]);
     }
 }

@@ -45,8 +45,8 @@
 //! same deterministic chunked pool as plain evaluation, and the
 //! adjoint sweep runs **lane-blocked op-at-a-time** like
 //! the forward sweep: the forward pass retains the whole lane-major
-//! register file ([`crate::exec::LaneFile`]), and the backward pass
-//! sweeps each op's VJP across the block in an [`AdjointFile`] of the
+//! register file (`exec::LaneFile`), and the backward pass
+//! sweeps each op's VJP across the block in an `AdjointFile` of the
 //! same `[n_regs × LANES]` layout. Per lane the backward kernels
 //! perform the scalar VJP's float sequence in the same order (including
 //! the `a == 0` dead-op skip as a real per-lane branch, so signed

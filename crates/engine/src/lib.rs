@@ -92,7 +92,7 @@ pub use tape::{CompileStats, Op, Tape, TapeBuilder, TruncNormSf, Value};
 /// through both their sequential (`SAFETY_OPT_THREADS=1`) and parallel
 /// (`SAFETY_OPT_THREADS=4`) code paths even on one-core runners; results
 /// are bit-identical either way. Read **once per process**, like every
-/// other `SAFETY_OPT_*` knob (see [`env`]).
+/// other `SAFETY_OPT_*` knob (see [`env`](mod@env)).
 ///
 /// # Panics
 ///

@@ -6,7 +6,7 @@
 //! and every worker thread accumulate into one set of cells). The
 //! profiler is **inert unless `SAFETY_OPT_TELEMETRY=profile`**
 //! ([`telemetry::profile_enabled`]): the sweep loops carry an
-//! [`OpTimer`] whose per-op cost in every other mode is a single
+//! `OpTimer` whose per-op cost in every other mode is a single
 //! `Option` branch — no clock reads, no atomics — so the 0-ULP
 //! observation-only contract and the overhead gates are untouched.
 //!

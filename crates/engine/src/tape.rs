@@ -377,7 +377,7 @@ pub struct CompileStats {
 ///
 /// Layout of the evaluation scratch: `[inputs… | op outputs…]`. Outputs
 /// (one per declared sum, e.g. one per hazard) are read from the
-/// registers in [`Tape::outputs`]; the scalar result is
+/// registers in `Tape::outputs`; the scalar result is
 /// `Σ weights[i] · output[i]`.
 #[derive(Debug, Clone)]
 pub struct Tape {

@@ -156,11 +156,15 @@ fn fleet_masked_adjoint_stays_within_the_pinned_envelope() {
                     ("pointwise", pointwise_model_grads(&fleet, k, &points)),
                     (
                         "1 thread",
-                        FleetEvaluator::new(&fleet, 1).model_grads(k, &points),
+                        FleetEvaluator::new(&fleet, 1)
+                            .model_grads(k, &points)
+                            .unwrap(),
                     ),
                     (
                         "4 threads",
-                        FleetEvaluator::new(&fleet, 4).model_grads(k, &points),
+                        FleetEvaluator::new(&fleet, 4)
+                            .model_grads(k, &points)
+                            .unwrap(),
                     ),
                 ];
                 for (run, (fv, fg)) in fleet_runs {

@@ -83,23 +83,23 @@ proptest! {
     ) {
         let (fleet, tapes) = compile_family(&spec);
         let points = random_points(97, seed);
-        let reference = FleetEvaluator::new(&fleet, 1).costs_all(&points);
-        let (ref_c, ref_o) = FleetEvaluator::new(&fleet, 1).costs_and_outputs_all(&points);
+        let reference = FleetEvaluator::new(&fleet, 1).costs_all(&points).unwrap();
+        let (ref_c, ref_o) = FleetEvaluator::new(&fleet, 1).costs_and_outputs_all(&points).unwrap();
         prop_assert_eq!(bits(&reference), bits(&ref_c));
         for threads in [1usize, 2, 4, 7] {
             let ev = FleetEvaluator::new(&fleet, threads).chunk_size(chunk);
             prop_assert_eq!(
-                bits(&ev.costs_all(&points)), bits(&reference),
+                bits(&ev.costs_all(&points).unwrap()), bits(&reference),
                 "costs_all, {} threads", threads
             );
-            let (c, o) = ev.costs_and_outputs_all(&points);
+            let (c, o) = ev.costs_and_outputs_all(&points).unwrap();
             prop_assert_eq!(bits(&c), bits(&ref_c), "costs, {} threads", threads);
             prop_assert_eq!(bits(&o), bits(&ref_o), "outputs, {} threads", threads);
             for (k, tape) in tapes.iter().enumerate() {
-                let mc = ev.model_costs(k, &points);
+                let mc = ev.model_costs(k, &points).unwrap();
                 let standalone = BatchEvaluator::new(tape, threads)
                     .chunk_size(chunk)
-                    .costs(&points);
+                    .costs(&points).unwrap();
                 prop_assert_eq!(
                     bits(&mc), bits(&standalone),
                     "model_costs vs BatchEvaluator, model {}, {} threads", k, threads

@@ -147,7 +147,7 @@ proptest! {
         let (_, tapes) = compile_family(&spec);
         let points = random_points(61, seed);
         for tape in tapes.iter().take(2) {
-            let (ref_costs, ref_grads) = BatchEvaluator::new(tape, 1).eval_grad_batch(&points);
+            let (ref_costs, ref_grads) = BatchEvaluator::new(tape, 1).eval_grad_batch(&points).unwrap();
             for (i, p) in points.iter().enumerate() {
                 let (cost, grad) = tape.eval_grad(p);
                 prop_assert_eq!(cost.to_bits(), ref_costs[i].to_bits());
@@ -159,7 +159,7 @@ proptest! {
             for threads in [1usize, 4] {
                 let (c, g) = BatchEvaluator::new(tape, threads)
                     .chunk_size(chunk)
-                    .eval_grad_batch(&points);
+                    .eval_grad_batch(&points).unwrap();
                 prop_assert_eq!(bits(&c), bits(&ref_costs), "costs, {} threads", threads);
                 prop_assert_eq!(bits(&g), bits(&ref_grads), "grads, {} threads", threads);
             }

@@ -62,7 +62,7 @@ proptest! {
                     let (v, g) = BatchEvaluator::new(tape, threads)
                         .chunk_size(chunk)
                         .lanes(lanes)
-                        .eval_grad_batch(&points);
+                        .eval_grad_batch(&points).unwrap();
                     prop_assert_eq!(
                         bits(&v), bits(&ref_v),
                         "values, {} threads, {} lanes", threads, lanes
@@ -118,7 +118,7 @@ proptest! {
                     let (v, g) = FleetEvaluator::new(&fleet, threads)
                         .chunk_size(chunk)
                         .lanes(lanes)
-                        .model_grads(k, &points);
+                        .model_grads(k, &points).unwrap();
                     prop_assert_eq!(
                         bits(&v), bits(&ref_v),
                         "values, model {}, {} threads, {} lanes", k, threads, lanes

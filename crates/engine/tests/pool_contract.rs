@@ -1,6 +1,6 @@
 //! The chunked-pool contract of every fallible batch entry point, table
 //! driven. On a batch of several chunks, at 1, 2 and 4 threads, every
-//! `try_*` method of [`BatchEvaluator`] and [`FleetEvaluator`] must
+//! batch method of [`BatchEvaluator`] and [`FleetEvaluator`] must
 //!
 //! * fail an already-expired deadline with `DeadlineExceeded` naming
 //!   chunk 0 (the lowest failing chunk wins),
@@ -25,28 +25,31 @@ const BAD: usize = 37;
 
 /// One entry point: `(threads, points, deadline)` to its outcome.
 type Call<'a> =
-    Box<dyn Fn(usize, &[Vec<f64>], Option<&EvalDeadline>) -> Result<(), EngineError> + 'a>;
+    Box<dyn Fn(usize, &[Vec<f64>], Option<EvalDeadline>) -> Result<(), EngineError> + 'a>;
 
 fn call<'a>(
-    f: impl Fn(usize, &[Vec<f64>], Option<&EvalDeadline>) -> Result<(), EngineError> + 'a,
+    f: impl Fn(usize, &[Vec<f64>], Option<EvalDeadline>) -> Result<(), EngineError> + 'a,
 ) -> Call<'a> {
     Box::new(f)
 }
 
 fn tape_calls<'a>(shape: &str, tape: &'a Tape) -> Vec<(String, Call<'a>)> {
-    let ev = move |threads| BatchEvaluator::new(tape, threads).chunk_size(CHUNK);
+    let ev = move |threads, deadline: Option<EvalDeadline>| {
+        let ev = BatchEvaluator::new(tape, threads).chunk_size(CHUNK);
+        match deadline {
+            Some(d) => ev.deadline(d),
+            None => ev,
+        }
+    };
     let calls: Vec<(&str, Call<'a>)> = vec![
+        ("costs", call(move |t, p, d| ev(t, d).costs(p).map(drop))),
         (
-            "try_costs",
-            call(move |t, p, d| ev(t).try_costs(p, d).map(drop)),
+            "costs_and_outputs",
+            call(move |t, p, d| ev(t, d).costs_and_outputs(p).map(drop)),
         ),
         (
-            "try_costs_and_outputs",
-            call(move |t, p, d| ev(t).try_costs_and_outputs(p, d).map(drop)),
-        ),
-        (
-            "try_eval_grad_batch",
-            call(move |t, p, d| ev(t).try_eval_grad_batch(p, d).map(drop)),
+            "eval_grad_batch",
+            call(move |t, p, d| ev(t, d).eval_grad_batch(p).map(drop)),
         ),
     ];
     calls
@@ -56,23 +59,29 @@ fn tape_calls<'a>(shape: &str, tape: &'a Tape) -> Vec<(String, Call<'a>)> {
 }
 
 fn fleet_calls<'a>(shape: &str, fleet: &'a Fleet) -> Vec<(String, Call<'a>)> {
-    let ev = move |threads| FleetEvaluator::new(fleet, threads).chunk_size(CHUNK);
+    let ev = move |threads, deadline: Option<EvalDeadline>| {
+        let ev = FleetEvaluator::new(fleet, threads).chunk_size(CHUNK);
+        match deadline {
+            Some(d) => ev.deadline(d),
+            None => ev,
+        }
+    };
     let calls: Vec<(&str, Call<'a>)> = vec![
         (
-            "try_costs_all",
-            call(move |t, p, d| ev(t).try_costs_all(p, d).map(drop)),
+            "costs_all",
+            call(move |t, p, d| ev(t, d).costs_all(p).map(drop)),
         ),
         (
-            "try_costs_and_outputs_all",
-            call(move |t, p, d| ev(t).try_costs_and_outputs_all(p, d).map(drop)),
+            "costs_and_outputs_all",
+            call(move |t, p, d| ev(t, d).costs_and_outputs_all(p).map(drop)),
         ),
         (
-            "try_model_costs",
-            call(move |t, p, d| ev(t).try_model_costs(0, p, d).map(drop)),
+            "model_costs",
+            call(move |t, p, d| ev(t, d).model_costs(0, p).map(drop)),
         ),
         (
-            "try_model_grads",
-            call(move |t, p, d| ev(t).try_model_grads(0, p, d).map(drop)),
+            "model_grads",
+            call(move |t, p, d| ev(t, d).model_grads(0, p).map(drop)),
         ),
     ];
     calls
@@ -135,7 +144,7 @@ fn quiet_arity_panics() {
 }
 
 #[test]
-fn every_try_entry_point_reports_the_lowest_failing_chunk() {
+fn every_batch_entry_point_reports_the_lowest_failing_chunk() {
     quiet_arity_panics();
     let tapes = [
         ("2-input tape", tape(2)),
@@ -170,7 +179,7 @@ fn every_try_entry_point_reports_the_lowest_failing_chunk() {
         let mut bad = good.clone();
         bad[BAD] = vec![1.0; dim + 1];
         for threads in [1, 2, 4] {
-            match call(threads, &good, Some(&expired)) {
+            match call(threads, &good, Some(expired)) {
                 Err(EngineError::DeadlineExceeded { chunk: 0 }) => {}
                 other => panic!("{name}, {threads} threads: expired deadline gave {other:?}"),
             }

@@ -126,7 +126,9 @@ fn relaxed_soa_adjoint_stays_within_a_few_ulps_of_exact_scalar() {
     // The pointwise sweep never uses the relaxed kernels, so it is the
     // exact reference even inside a relaxed process.
     let (ref_v, ref_g) = pointwise_grads(&tape, &points);
-    let (v, g) = BatchEvaluator::new(&tape, 1).eval_grad_batch(&points);
+    let (v, g) = BatchEvaluator::new(&tape, 1)
+        .eval_grad_batch(&points)
+        .unwrap();
     // One ≤1-ulp kernel per factor, a handful of correctly-rounded
     // multiplies on top: a small end-to-end ulp envelope. 16 is ~2× the
     // worst drift observed across seeds.
@@ -148,11 +150,13 @@ fn relaxed_soa_adjoint_stays_within_a_few_ulps_of_exact_scalar() {
     // boundaries, allowed to differ within the bound.)
     let (rv, rg) = BatchEvaluator::new(&tape, 2)
         .chunk_size(8)
-        .eval_grad_batch(&points);
+        .eval_grad_batch(&points)
+        .unwrap();
     for threads in [4usize, 7] {
         let (tv, tg) = BatchEvaluator::new(&tape, threads)
             .chunk_size(8)
-            .eval_grad_batch(&points);
+            .eval_grad_batch(&points)
+            .unwrap();
         assert_eq!(
             tv.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             rv.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -181,7 +185,9 @@ fn relaxed_mode_preserves_nan_poisoning() {
     // its whole lane block onto the scalar-exact fallback.
     let points = random_points(61, 0xdead);
     let (ref_v, ref_g) = pointwise_grads(&tape, &points);
-    let (v, g) = BatchEvaluator::new(&tape, 1).eval_grad_batch(&points);
+    let (v, g) = BatchEvaluator::new(&tape, 1)
+        .eval_grad_batch(&points)
+        .unwrap();
     assert!(
         ref_v.iter().any(|x| x.is_nan()),
         "suite needs poisoned points"

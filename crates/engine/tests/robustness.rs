@@ -68,7 +68,7 @@ fn pool_and_grad_chunks_fail_typed_and_retry_bit_identically() {
     for threads in [1usize, 4] {
         let ev = || BatchEvaluator::new(&tape, threads);
         faultinject::arm(sites::POOL_CHUNK, Trigger::Prob { p: 1.0, seed: 0 });
-        match ev().try_costs(&pts, None).unwrap_err() {
+        match ev().costs(&pts).unwrap_err() {
             EngineError::WorkerPanicked { payload, .. } => {
                 assert!(payload.contains(sites::POOL_CHUNK), "payload {payload:?}");
             }
@@ -77,22 +77,20 @@ fn pool_and_grad_chunks_fail_typed_and_retry_bit_identically() {
         faultinject::disarm(sites::POOL_CHUNK);
         faultinject::arm(sites::GRAD_CHUNK, Trigger::Nth(1));
         assert!(matches!(
-            ev().try_eval_grad_batch(&pts, None).unwrap_err(),
+            ev().eval_grad_batch(&pts).unwrap_err(),
             EngineError::WorkerPanicked { .. }
         ));
         faultinject::disarm(sites::GRAD_CHUNK);
         // Nothing poisoned: retries are bit-identical across the
         // whole matrix.
         assert_eq!(
-            bits(&ev().try_costs(&pts, None).unwrap()),
+            bits(&ev().costs(&pts).unwrap()),
             bits(&base),
             "{threads} threads"
         );
-        let (v, g) = ev().try_eval_grad_batch(&pts, None).unwrap();
+        let (v, g) = ev().eval_grad_batch(&pts).unwrap();
         assert_eq!(bits(&v), bits(&base_grad.0), "{threads} threads");
         assert_eq!(bits(&g), bits(&base_grad.1), "{threads} threads");
-        // The infallible wrappers still work after the faults.
-        assert_eq!(bits(&ev().costs(&pts)), bits(&base));
     }
 }
 
@@ -113,24 +111,22 @@ fn fleet_chunks_fail_typed_and_retry_bit_identically() {
     }
     let fleet = fb.build();
     let pts = points(193);
-    let base = FleetEvaluator::new(&fleet, 1)
-        .try_costs_all(&pts, None)
-        .unwrap();
+    let base = FleetEvaluator::new(&fleet, 1).costs_all(&pts).unwrap();
     for threads in [1usize, 4] {
         faultinject::arm(sites::FLEET_CHUNK, Trigger::Prob { p: 1.0, seed: 0 });
         let err = FleetEvaluator::new(&fleet, threads)
-            .try_costs_all(&pts, None)
+            .costs_all(&pts)
             .unwrap_err();
         assert!(matches!(err, EngineError::WorkerPanicked { .. }), "{err:?}");
         let err = FleetEvaluator::new(&fleet, threads)
-            .try_model_grads(1, &pts, None)
+            .model_grads(1, &pts)
             .unwrap_err();
         assert!(matches!(err, EngineError::WorkerPanicked { .. }), "{err:?}");
         faultinject::disarm(sites::FLEET_CHUNK);
         assert_eq!(
             bits(
                 &FleetEvaluator::new(&fleet, threads)
-                    .try_costs_all(&pts, None)
+                    .costs_all(&pts)
                     .unwrap()
             ),
             bits(&base),
@@ -161,7 +157,7 @@ fn fired_and_hit_counters_track_armed_sites() {
     let tape = tape();
     let pts = points(64);
     faultinject::arm(sites::POOL_CHUNK, Trigger::Nth(1));
-    let _ = BatchEvaluator::new(&tape, 1).try_costs(&pts, None);
+    let _ = BatchEvaluator::new(&tape, 1).costs(&pts);
     assert_eq!(faultinject::fired(sites::POOL_CHUNK), 1);
     assert!(faultinject::hits(sites::POOL_CHUNK) >= 1);
     faultinject::disarm(sites::POOL_CHUNK);

@@ -53,10 +53,10 @@ proptest! {
                         .chunk_size(chunk)
                         .lanes(lanes);
                     prop_assert_eq!(
-                        bits(&ev.costs(&points)), bits(&reference),
+                        bits(&ev.costs(&points).unwrap()), bits(&reference),
                         "costs, {} threads, {} lanes", threads, lanes
                     );
-                    let (c, o) = ev.costs_and_outputs(&points);
+                    let (c, o) = ev.costs_and_outputs(&points).unwrap();
                     prop_assert_eq!(
                         bits(&c), bits(&ref_c),
                         "costs_and_outputs costs, {} threads, {} lanes", threads, lanes
@@ -92,10 +92,10 @@ proptest! {
                     .chunk_size(chunk)
                     .lanes(lanes);
                 prop_assert_eq!(
-                    bits(&ev.costs_all(&points)), bits(&reference),
+                    bits(&ev.costs_all(&points).unwrap()), bits(&reference),
                     "costs_all, {} threads, {} lanes", threads, lanes
                 );
-                let (c, o) = ev.costs_and_outputs_all(&points);
+                let (c, o) = ev.costs_and_outputs_all(&points).unwrap();
                 prop_assert_eq!(
                     bits(&c), bits(&ref_c),
                     "costs, {} threads, {} lanes", threads, lanes
@@ -106,7 +106,7 @@ proptest! {
                 );
                 for (k, reference_model) in ref_models.iter().enumerate() {
                     prop_assert_eq!(
-                        bits(&ev.model_costs(k, &points)), bits(reference_model),
+                        bits(&ev.model_costs(k, &points).unwrap()), bits(reference_model),
                         "model_costs, model {}, {} threads, {} lanes", k, threads, lanes
                     );
                 }
@@ -124,7 +124,7 @@ proptest! {
         let (_, tapes) = compile_family(&spec);
         let points = random_points(33, seed);
         let tape = &tapes[0];
-        let soa = BatchEvaluator::new(tape, 1).costs(&points);
+        let soa = BatchEvaluator::new(tape, 1).costs(&points).unwrap();
         for (p, &v) in points.iter().zip(&soa) {
             prop_assert_eq!(tape.eval(p).to_bits(), v.to_bits(), "at {:?}", p);
         }

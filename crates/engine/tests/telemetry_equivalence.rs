@@ -159,19 +159,27 @@ fn telemetry_modes_never_change_results() {
         for threads in [1usize, 4] {
             let ctx = format!("mode {}, {threads} threads", mode.name());
             let ev = BatchEvaluator::new(tape, threads);
-            assert_eq!(bits(&ev.costs(&points)), bits(&ref_costs), "costs, {ctx}");
-            let (c, o) = ev.costs_and_outputs(&points);
+            assert_eq!(
+                bits(&ev.costs(&points).unwrap()),
+                bits(&ref_costs),
+                "costs, {ctx}"
+            );
+            let (c, o) = ev.costs_and_outputs(&points).unwrap();
             assert_eq!(bits(&c), bits(&ref_c), "batch costs, {ctx}");
             assert_eq!(bits(&o), bits(&ref_o), "output rows, {ctx}");
-            let (gc, g) = ev.eval_grad_batch(&points);
+            let (gc, g) = ev.eval_grad_batch(&points).unwrap();
             assert_eq!(bits(&gc), bits(&ref_gc), "gradient costs, {ctx}");
             assert_eq!(bits(&g), bits(&ref_g), "gradients, {ctx}");
 
             let fe = FleetEvaluator::new(&fleet, threads);
-            assert_eq!(bits(&fe.costs_all(&points)), bits(&ref_all), "fleet, {ctx}");
+            assert_eq!(
+                bits(&fe.costs_all(&points).unwrap()),
+                bits(&ref_all),
+                "fleet, {ctx}"
+            );
             for (k, reference) in ref_models.iter().enumerate() {
                 assert_eq!(
-                    bits(&fe.model_costs(k, &points)),
+                    bits(&fe.model_costs(k, &points).unwrap()),
                     bits(reference),
                     "model {k}, {ctx}"
                 );

@@ -107,7 +107,7 @@ fn assert_modular_exact(ft: &FaultTree, tag: &str) {
         .map(|p| tape.eval_into(p, &mut scratch, &mut out))
         .collect();
     for threads in [1usize, 4] {
-        let got = BatchEvaluator::new(&tape, threads).costs(&points);
+        let got = BatchEvaluator::new(&tape, threads).costs(&points).unwrap();
         for (k, (a, b)) in reference.iter().zip(&got).enumerate() {
             assert_eq!(
                 a.to_bits(),

@@ -152,160 +152,6 @@ fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-impl SimulatedAnnealing {
-    /// Population annealing through a [`BatchObjective`]: `chains`
-    /// independent Metropolis chains advance in lockstep, and every
-    /// step's proposals (one per chain) are evaluated as **one batch** —
-    /// the hook for compiled and parallel evaluation backends. The best
-    /// point across all chains is reported.
-    ///
-    /// Runs are deterministic per seed; chain `k` of a `chains = 1` run
-    /// follows different proposals than [`Minimizer::minimize`] (the RNG
-    /// stream is consumed chain-major per step), but the algorithm and
-    /// cooling schedule are identical.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as the scalar path, plus
-    /// [`OptimError::InvalidConfig`] for `chains == 0`.
-    ///
-    /// [`BatchObjective`]: crate::BatchObjective
-    pub fn minimize_batch(
-        &self,
-        objective: &dyn crate::BatchObjective,
-        domain: &BoxDomain,
-        chains: usize,
-    ) -> Result<OptimizationOutcome> {
-        self.validate()?;
-        if chains == 0 {
-            return Err(OptimError::InvalidConfig {
-                option: "chains",
-                requirement: "must be >= 1",
-            });
-        }
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let widths = domain.widths();
-        let mut evaluations = 0u64;
-
-        // Chain starts: domain center plus random scatter.
-        let mut current: Vec<Vec<f64>> = (0..chains)
-            .map(|k| {
-                if k == 0 {
-                    domain.center()
-                } else {
-                    domain.sample(&mut rng)
-                }
-            })
-            .collect();
-        let mut f_current = Vec::with_capacity(chains);
-        objective.eval_batch(&current, &mut f_current);
-        evaluations += chains as u64;
-        for v in &mut f_current {
-            if !v.is_finite() {
-                *v = f64::INFINITY;
-            }
-        }
-
-        let start_best = f_current
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(i, &v)| (i, v))
-            .unwrap_or((0, f64::INFINITY));
-        let mut best = current[start_best.0].clone();
-        let mut f_best = start_best.1;
-
-        // Temperature calibration from the start spread (mirrors the
-        // scalar path's probe-based estimate).
-        let spread = f_current
-            .iter()
-            .filter(|v| v.is_finite())
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-                (lo.min(v), hi.max(v))
-            });
-        let spread = if spread.1 > spread.0 {
-            spread.1 - spread.0
-        } else {
-            0.0
-        };
-        let mut temperature = self.initial_temperature * spread.max(1e-12);
-
-        let mut proposals: Vec<Vec<f64>> = Vec::with_capacity(chains);
-        let mut f_proposals: Vec<f64> = Vec::with_capacity(chains);
-        let mut trace = Vec::new();
-        let mut iterations = 0;
-
-        for _level in 0..self.temperature_levels {
-            iterations += 1;
-            for _ in 0..self.iterations_per_temperature {
-                proposals.clear();
-                for chain in &current {
-                    let trial: Vec<f64> = chain
-                        .iter()
-                        .zip(&widths)
-                        .enumerate()
-                        .map(|(i, (&xi, &w))| {
-                            domain
-                                .interval(i)
-                                .clamp(xi + gaussian(&mut rng) * self.proposal_scale * w)
-                        })
-                        .collect();
-                    proposals.push(trial);
-                }
-                objective.eval_batch(&proposals, &mut f_proposals);
-                evaluations += chains as u64;
-                for k in 0..chains {
-                    let f_trial = if f_proposals[k].is_finite() {
-                        f_proposals[k]
-                    } else {
-                        f64::INFINITY
-                    };
-                    let accept = if f_trial <= f_current[k] {
-                        true
-                    } else if temperature > 0.0 {
-                        let delta = f_trial - f_current[k];
-                        rng.gen::<f64>() < (-delta / temperature).exp()
-                    } else {
-                        false
-                    };
-                    if accept {
-                        std::mem::swap(&mut current[k], &mut proposals[k]);
-                        f_current[k] = f_trial;
-                        if f_trial < f_best {
-                            best.clone_from(&current[k]);
-                            f_best = f_trial;
-                        }
-                    }
-                }
-            }
-            temperature *= self.cooling;
-            if self.record_trace || self.hook.is_set() {
-                let point = TracePoint {
-                    iteration: iterations,
-                    evaluations,
-                    best_value: f_best,
-                };
-                self.hook.emit(0, &point);
-                if self.record_trace {
-                    trace.push(point);
-                }
-            }
-        }
-
-        if !f_best.is_finite() {
-            return Err(OptimError::NoFiniteValue { evaluations });
-        }
-        Ok(OptimizationOutcome {
-            best_x: best,
-            best_value: f_best,
-            evaluations,
-            iterations,
-            termination: TerminationReason::MaxIterations,
-            trace,
-        })
-    }
-}
-
 impl Minimizer for SimulatedAnnealing {
     fn minimize(
         &self,
@@ -491,24 +337,5 @@ mod tests {
             SimulatedAnnealing::default().minimize(&|_: &[f64]| f64::NAN, &domain),
             Err(OptimError::NoFiniteValue { .. })
         ));
-    }
-
-    #[test]
-    fn batch_path_finds_minimum_with_lockstep_chains() {
-        let domain = BoxDomain::from_bounds(&[(-5.12, 5.12), (-5.12, 5.12)]).unwrap();
-        let a = SimulatedAnnealing::default()
-            .seed(7)
-            .minimize_batch(&rastrigin, &domain, 8)
-            .unwrap();
-        let b = SimulatedAnnealing::default()
-            .seed(7)
-            .minimize_batch(&rastrigin, &domain, 8)
-            .unwrap();
-        assert_eq!(a.best_x, b.best_x, "deterministic per seed");
-        assert!(a.best_value < 1.1, "best = {}", a.best_value);
-        assert!(domain.contains(&a.best_x));
-        assert!(SimulatedAnnealing::default()
-            .minimize_batch(&sphere, &domain, 0)
-            .is_err());
     }
 }

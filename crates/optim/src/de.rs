@@ -150,139 +150,6 @@ impl DifferentialEvolution {
     }
 }
 
-impl DifferentialEvolution {
-    /// Synchronous differential evolution through a [`BatchObjective`]:
-    /// the initial population and every generation's trial vectors are
-    /// evaluated as **one batch per generation**, the hook for compiled
-    /// and parallel evaluation backends.
-    ///
-    /// The generation semantics differ slightly from
-    /// [`Minimizer::minimize`]: selection is synchronous (all trials are
-    /// judged against the *previous* generation), the textbook parallel
-    /// DE variant. Runs are deterministic per seed.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as the scalar path.
-    ///
-    /// [`BatchObjective`]: crate::BatchObjective
-    pub fn minimize_batch(
-        &self,
-        objective: &dyn crate::BatchObjective,
-        domain: &BoxDomain,
-    ) -> Result<OptimizationOutcome> {
-        self.validate()?;
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let n = domain.dim();
-        let np = self.population;
-        let mut evaluations = 0u64;
-
-        let mut pop: Vec<Vec<f64>> = (0..np).map(|_| domain.sample(&mut rng)).collect();
-        let mut values = Vec::with_capacity(np);
-        objective.eval_batch(&pop, &mut values);
-        evaluations += np as u64;
-        for v in &mut values {
-            if !v.is_finite() {
-                *v = f64::INFINITY;
-            }
-        }
-
-        let mut trials: Vec<Vec<f64>> = Vec::with_capacity(np);
-        let mut trial_values: Vec<f64> = Vec::with_capacity(np);
-        let mut trace = Vec::new();
-        let mut iterations = 0;
-        let mut termination = TerminationReason::MaxIterations;
-
-        for _gen in 0..self.generations {
-            iterations += 1;
-            trials.clear();
-            for i in 0..np {
-                let mut pick = || loop {
-                    let k = rng.gen_range(0..np);
-                    if k != i {
-                        return k;
-                    }
-                };
-                let (a, b, c) = {
-                    let a = pick();
-                    let b = loop {
-                        let k = pick();
-                        if k != a {
-                            break k;
-                        }
-                    };
-                    let c = loop {
-                        let k = pick();
-                        if k != a && k != b {
-                            break k;
-                        }
-                    };
-                    (a, b, c)
-                };
-                let forced = rng.gen_range(0..n);
-                let mut trial = pop[i].clone();
-                for j in 0..n {
-                    if j == forced || rng.gen::<f64>() < self.crossover {
-                        let v = pop[a][j] + self.weight * (pop[b][j] - pop[c][j]);
-                        trial[j] = domain.interval(j).clamp(v);
-                    }
-                }
-                trials.push(trial);
-            }
-            objective.eval_batch(&trials, &mut trial_values);
-            evaluations += np as u64;
-            for (i, trial) in trials.iter().enumerate() {
-                let ft = if trial_values[i].is_finite() {
-                    trial_values[i]
-                } else {
-                    f64::INFINITY
-                };
-                if ft <= values[i] {
-                    pop[i].clone_from(trial);
-                    values[i] = ft;
-                }
-            }
-            let (min_v, max_v) = values
-                .iter()
-                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-                    (lo.min(v), hi.max(v))
-                });
-            if self.record_trace || self.hook.is_set() {
-                let point = TracePoint {
-                    iteration: iterations,
-                    evaluations,
-                    best_value: min_v,
-                };
-                self.hook.emit(0, &point);
-                if self.record_trace {
-                    trace.push(point);
-                }
-            }
-            if max_v.is_finite() && (max_v - min_v) <= self.f_tol {
-                termination = TerminationReason::Converged;
-                break;
-            }
-        }
-
-        let (best_idx, &best_value) = values
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .expect("population non-empty");
-        if !best_value.is_finite() {
-            return Err(OptimError::NoFiniteValue { evaluations });
-        }
-        Ok(OptimizationOutcome {
-            best_x: pop[best_idx].clone(),
-            best_value,
-            evaluations,
-            iterations,
-            termination,
-            trace,
-        })
-    }
-}
-
 impl Minimizer for DifferentialEvolution {
     fn minimize(
         &self,
@@ -469,34 +336,5 @@ mod tests {
             .generations(20)
             .minimize(&f, &domain)
             .unwrap();
-    }
-
-    #[test]
-    fn batch_path_solves_rastrigin_deterministically() {
-        let domain = BoxDomain::from_bounds(&[(-5.12, 5.12), (-5.12, 5.12)]).unwrap();
-        let de = DifferentialEvolution::default().seed(3);
-        let a = de.minimize_batch(&rastrigin, &domain).unwrap();
-        let b = de.minimize_batch(&rastrigin, &domain).unwrap();
-        assert_eq!(a.best_x, b.best_x);
-        assert!(a.best_value < 1e-4, "best = {}", a.best_value);
-        // One batch per generation: initial population + per-gen trials.
-        assert_eq!(a.evaluations, 40 * (a.iterations + 1));
-    }
-
-    #[test]
-    fn batch_path_handles_partial_infeasibility() {
-        let domain = BoxDomain::from_bounds(&[(-2.0, 2.0)]).unwrap();
-        let f = |x: &[f64]| {
-            if x[0] < -1.0 {
-                f64::INFINITY
-            } else {
-                (x[0] - 0.5).powi(2)
-            }
-        };
-        let out = DifferentialEvolution::default()
-            .generations(80)
-            .minimize_batch(&f, &domain)
-            .unwrap();
-        assert!((out.best_x[0] - 0.5).abs() < 1e-3);
     }
 }

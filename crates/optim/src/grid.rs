@@ -109,50 +109,6 @@ impl GridSearch {
         self.points_per_dim.pow(domain.dim() as u32)
     }
 
-    /// Exhaustive minimization through a [`BatchObjective`]: the lattice
-    /// is enumerated in fixed-size batches so compiled/parallel backends
-    /// amortize per-call overhead over thousands of points.
-    ///
-    /// Equivalent to [`GridSearch::minimize`] for pointwise-equal
-    /// objectives (same lattice, same tie-breaking: the first point of
-    /// the enumeration wins ties).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GridSearch::minimize`].
-    pub fn minimize_batch(
-        &self,
-        objective: &dyn crate::BatchObjective,
-        domain: &BoxDomain,
-    ) -> Result<OptimizationOutcome> {
-        self.validate()?;
-        let total = self.total_points(domain);
-        const BATCH: usize = 4096;
-        let mut tracker = crate::objective::BatchTracker::new();
-        let mut points: Vec<Vec<f64>> = Vec::with_capacity(BATCH.min(total));
-        let mut values: Vec<f64> = Vec::with_capacity(BATCH.min(total));
-        let mut start = 0;
-        while start < total {
-            let end = (start + BATCH).min(total);
-            points.clear();
-            points.extend((start..end).map(|i| self.point(domain, i)));
-            objective.eval_batch(&points, &mut values);
-            tracker.observe(&points, &values);
-            start = end;
-        }
-        let best_x = tracker.best_x.ok_or(OptimError::NoFiniteValue {
-            evaluations: tracker.evaluations,
-        })?;
-        Ok(OptimizationOutcome {
-            best_x,
-            best_value: tracker.best_value,
-            evaluations: tracker.evaluations,
-            iterations: total as u64,
-            termination: TerminationReason::Exhausted,
-            trace: Vec::new(),
-        })
-    }
-
     /// Evaluates the full lattice and returns every point — the raw data
     /// behind cost-surface figures.
     ///
@@ -306,28 +262,6 @@ mod tests {
         let domain = BoxDomain::from_bounds(&[(0.0, 1.0)]).unwrap();
         assert!(matches!(
             GridSearch::new(5).minimize(&|_: &[f64]| f64::NAN, &domain),
-            Err(OptimError::NoFiniteValue { .. })
-        ));
-    }
-
-    #[test]
-    fn batch_path_matches_scalar_minimize() {
-        let domain = BoxDomain::from_bounds(&[(-10.0, 10.0), (-10.0, 10.0)]).unwrap();
-        let grid = GridSearch::new(73);
-        let scalar = grid.minimize(&booth, &domain).unwrap();
-        let batch = grid.minimize_batch(&booth, &domain).unwrap();
-        assert_eq!(scalar.best_x, batch.best_x);
-        assert_eq!(scalar.best_value, batch.best_value);
-        assert_eq!(scalar.evaluations, batch.evaluations);
-        assert_eq!(batch.termination, TerminationReason::Exhausted);
-    }
-
-    #[test]
-    fn batch_path_reports_all_infeasible() {
-        let domain = BoxDomain::from_bounds(&[(0.0, 1.0)]).unwrap();
-        let f = |_: &[f64]| f64::NAN;
-        assert!(matches!(
-            GridSearch::new(5).minimize_batch(&f, &domain),
             Err(OptimError::NoFiniteValue { .. })
         ));
     }

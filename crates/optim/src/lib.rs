@@ -10,7 +10,6 @@
 //!
 //! * [`domain`] — compact [`Interval`](domain::Interval)s and
 //!   [`domain::BoxDomain`]s with projection and sampling.
-//! * [`golden`] / [`brent`] — one-dimensional minimization.
 //! * [`grid`] — exhaustive (optionally parallel) grid search: the paper's
 //!   "test large numbers of combinations in very short time".
 //! * [`nelder_mead`] — the derivative-free simplex workhorse.
@@ -52,11 +51,9 @@
 #![warn(missing_debug_implementations)]
 
 pub mod anneal;
-pub mod brent;
 pub mod de;
 pub mod domain;
 mod error;
-pub mod golden;
 pub mod gradient;
 pub mod grid;
 pub mod hooke_jeeves;

@@ -8,12 +8,12 @@
 
 use crate::domain::BoxDomain;
 use crate::gradient::{GdState, GradientDescent};
-use crate::nelder_mead::{NelderMead, NmState};
+use crate::nelder_mead::NelderMead;
 use crate::quasi_newton::{QnState, QuasiNewton};
 use crate::trace::HookHandle;
 use crate::{
-    BatchDifferentiableObjective, BatchObjective, DifferentiableObjective, Minimizer, Objective,
-    OptimError, OptimizationOutcome, Result, TerminationReason,
+    BatchDifferentiableObjective, DifferentiableObjective, Minimizer, Objective, OptimError,
+    OptimizationOutcome, Result, TerminationReason,
 };
 use safety_opt_telemetry as telemetry;
 
@@ -129,67 +129,6 @@ impl<M: StartablePoint + Clone> MultiStart<M> {
     }
 }
 
-impl MultiStart<NelderMead> {
-    /// Runs all restarts **in lockstep** against a [`BatchObjective`]:
-    /// each round gathers every live restart's pending probes (a whole
-    /// initial simplex, a reflection, a shrink, …) into one batch call,
-    /// so a compiled/parallel backend sees `starts`-wide batches instead
-    /// of single points.
-    ///
-    /// Each restart's evaluation sequence — and therefore its outcome —
-    /// is identical to the sequential [`Minimizer::minimize`] path for
-    /// pointwise-equal objectives; only the interleaving across restarts
-    /// changes. Aggregation (best-of, evaluation totals, termination)
-    /// matches the sequential wrapper exactly.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as the sequential path: configuration errors, and
-    /// [`OptimError::NoFiniteValue`] if every restart failed to see a
-    /// finite value.
-    pub fn minimize_batch(
-        &self,
-        objective: &dyn BatchObjective,
-        domain: &BoxDomain,
-    ) -> Result<OptimizationOutcome> {
-        self.check_starts()?;
-        // One scope for the whole lockstep drive: rounds interleave
-        // every restart's probes into shared batches, so per-restart
-        // attribution is impossible here by construction.
-        let _scope = telemetry::TraceScope::enter("restarts.lockstep");
-        let mut states = (0..self.starts)
-            .map(|k| NmState::new(&self.restart(k, domain), domain))
-            .collect::<Result<Vec<_>>>()?;
-        let mut batch: Vec<Vec<f64>> = Vec::new();
-        let mut values: Vec<f64> = Vec::new();
-        let mut spans: Vec<(usize, usize)> = Vec::new();
-        loop {
-            batch.clear();
-            spans.clear();
-            for (idx, state) in states.iter().enumerate() {
-                if !state.is_done() {
-                    spans.push((idx, state.pending().len()));
-                    batch.extend(state.pending().iter().cloned());
-                }
-            }
-            if batch.is_empty() {
-                break;
-            }
-            objective.eval_batch(&batch, &mut values);
-            let mut offset = 0;
-            for &(idx, len) in &spans {
-                states[idx].advance(&values[offset..offset + len]);
-                offset += len;
-            }
-        }
-        let mut fold = RestartFold::default();
-        for state in states {
-            fold.observe(state.into_outcome())?;
-        }
-        fold.finish()
-    }
-}
-
 impl MultiStart<GradientDescent> {
     /// Runs all gradient-descent restarts **in lockstep** against a
     /// [`BatchDifferentiableObjective`]: each round gathers every live
@@ -218,9 +157,9 @@ impl MultiStart<GradientDescent> {
         domain: &BoxDomain,
     ) -> Result<OptimizationOutcome> {
         self.check_starts()?;
-        // One scope for the whole lockstep drive (see the Nelder–Mead
-        // twin above): rounds interleave restarts, so per-restart
-        // attribution is impossible here by construction.
+        // One scope for the whole lockstep drive: rounds interleave
+        // restarts, so per-restart attribution is impossible here by
+        // construction.
         let _scope = telemetry::TraceScope::enter("restarts.lockstep");
         let dim = domain.dim();
         let mut states = (0..self.starts)
@@ -300,8 +239,8 @@ impl MultiStart<QuasiNewton> {
         domain: &BoxDomain,
     ) -> Result<OptimizationOutcome> {
         self.check_starts()?;
-        // One scope for the whole lockstep drive (see the Nelder–Mead
-        // twin above).
+        // One scope for the whole lockstep drive (see the
+        // gradient-descent twin above).
         let _scope = telemetry::TraceScope::enter("restarts.lockstep");
         let dim = domain.dim();
         let mut states = (0..self.starts)
@@ -444,7 +383,7 @@ impl<M: Minimizer + Clone + StartablePoint> Minimizer for MultiStart<M> {
     /// algorithm (e.g. [`GradientDescent`]) consumes analytic gradients
     /// from every start — the sequential twin of the lockstep
     /// [`MultiStart::minimize_batch`] driver over the same start points
-    /// and the same [`RestartFold`] aggregation.
+    /// and the same `RestartFold` aggregation.
     fn minimize_differentiable(
         &self,
         objective: &dyn DifferentiableObjective,
@@ -593,69 +532,6 @@ mod tests {
         let domain = BoxDomain::from_bounds(&[(0.0, 1.0)]).unwrap();
         assert!(MultiStart::new(NelderMead::default(), 0)
             .minimize(&crate::testfns::sphere, &domain)
-            .is_err());
-    }
-
-    #[test]
-    fn lockstep_batch_equals_sequential_exactly() {
-        // Same restarts, same trajectories: the lockstep driver must
-        // reproduce the sequential wrapper bit for bit (best point and
-        // value, totals, termination) for a pointwise batch objective.
-        for (bounds, f) in [
-            (
-                vec![(-5.0, 5.0), (-5.0, 5.0)],
-                rastrigin as fn(&[f64]) -> f64,
-            ),
-            (
-                vec![(-5.0, 5.0), (-5.0, 5.0)],
-                himmelblau as fn(&[f64]) -> f64,
-            ),
-            (vec![(-4.0, 6.0)], |x: &[f64]| (x[0] - 0.3).powi(2)),
-        ] {
-            let domain = BoxDomain::from_bounds(&bounds).unwrap();
-            for starts in [1usize, 3, 8] {
-                let ms = MultiStart::new(NelderMead::default(), starts);
-                let seq = ms.minimize(&f, &domain).unwrap();
-                let batch = ms.minimize_batch(&f, &domain).unwrap();
-                assert_eq!(seq.best_x, batch.best_x, "{starts} starts");
-                assert_eq!(seq.best_value.to_bits(), batch.best_value.to_bits());
-                assert_eq!(seq.evaluations, batch.evaluations);
-                assert_eq!(seq.iterations, batch.iterations);
-                assert_eq!(seq.termination, batch.termination);
-            }
-        }
-    }
-
-    #[test]
-    fn lockstep_batch_replicates_nan_basin_skipping() {
-        let domain = BoxDomain::from_bounds(&[(-1.0, 1.0)]).unwrap();
-        let f = |x: &[f64]| {
-            if x[0] < -0.5 {
-                f64::NAN
-            } else {
-                (x[0] - 0.25).powi(2)
-            }
-        };
-        let ms = MultiStart::new(NelderMead::default(), 6);
-        let seq = ms.minimize(&f, &domain).unwrap();
-        let batch = ms.minimize_batch(&f, &domain).unwrap();
-        assert_eq!(seq.best_x, batch.best_x);
-        assert_eq!(seq.evaluations, batch.evaluations);
-
-        // All-NaN objective: both report NoFiniteValue.
-        let nan = |_: &[f64]| f64::NAN;
-        assert!(matches!(
-            ms.minimize_batch(&nan, &domain),
-            Err(OptimError::NoFiniteValue { .. })
-        ));
-    }
-
-    #[test]
-    fn lockstep_batch_zero_starts_is_an_error() {
-        let domain = BoxDomain::from_bounds(&[(0.0, 1.0)]).unwrap();
-        let f = |x: &[f64]| x[0];
-        assert!(MultiStart::new(NelderMead::default(), 0)
-            .minimize_batch(&f, &domain)
             .is_err());
     }
 

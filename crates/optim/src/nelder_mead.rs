@@ -9,21 +9,15 @@
 //! guaranteeing no out-of-domain evaluation.
 //!
 //! The algorithm is implemented as a resumable state machine
-//! ([`NmState`]): it publishes the points it needs next (the initial
+//! (`NmState`): it publishes the points it needs next (the initial
 //! simplex, one reflection/expansion/contraction probe, or a whole
-//! shrink) and consumes their values. [`NelderMead::minimize`] drives it
-//! pointwise; [`NelderMead::minimize_batch`] feeds each request to a
-//! [`crate::BatchObjective`] in one call, and
-//! [`crate::multistart::MultiStart`] runs many states in lockstep so
-//! every restart's probes land in one batch per round. All drivers
-//! produce identical evaluation sequences per run, hence identical
-//! outcomes.
+//! shrink) and consumes their values; [`NelderMead::minimize`] drives it
+//! pointwise.
 
 use crate::domain::BoxDomain;
 use crate::trace::HookHandle;
 use crate::{
-    BatchObjective, Minimizer, Objective, OptimError, OptimizationOutcome, Result,
-    TerminationReason, TracePoint,
+    Minimizer, Objective, OptimError, OptimizationOutcome, Result, TerminationReason, TracePoint,
 };
 
 /// Nelder–Mead configuration (standard coefficients, adaptive by default).
@@ -162,34 +156,6 @@ impl NelderMead {
     }
 }
 
-impl NelderMead {
-    /// Minimization through a [`BatchObjective`]: every evaluation
-    /// request of one iteration — the whole initial simplex, a whole
-    /// shrink — lands in a single batch call, so compiled/parallel
-    /// backends amortize per-call overhead.
-    ///
-    /// Produces the exact evaluation sequence of
-    /// [`NelderMead::minimize`], hence identical outcomes for
-    /// pointwise-equal objectives.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`NelderMead::minimize`].
-    pub fn minimize_batch(
-        &self,
-        objective: &dyn BatchObjective,
-        domain: &BoxDomain,
-    ) -> Result<OptimizationOutcome> {
-        let mut state = NmState::new(self, domain)?;
-        let mut values = Vec::new();
-        while !state.is_done() {
-            objective.eval_batch(state.pending(), &mut values);
-            state.advance(&values);
-        }
-        state.into_outcome()
-    }
-}
-
 impl Minimizer for NelderMead {
     fn minimize(
         &self,
@@ -248,8 +214,7 @@ enum Phase {
 /// Resumable Nelder–Mead run: alternates between publishing
 /// [`pending`](NmState::pending) evaluation points and consuming their
 /// values through [`advance`](NmState::advance). Replicates the classic
-/// loop step for step, so every driver (pointwise, batched, lockstep
-/// multi-start) produces identical trajectories.
+/// loop step for step.
 #[derive(Debug, Clone)]
 pub(crate) struct NmState {
     f_tol: f64,
@@ -340,7 +305,7 @@ impl NmState {
     }
 
     /// Consumes one value per pending point (in order; non-finite values
-    /// are penalized to `+∞` exactly like the pointwise driver) and
+    /// are penalized to `+∞`) and
     /// progresses to the next pending set or termination.
     ///
     /// # Panics
@@ -647,47 +612,6 @@ mod tests {
         assert!(NelderMead::default()
             .start(vec![0.5, 0.5])
             .minimize(&sphere, &domain)
-            .is_err());
-    }
-
-    #[test]
-    fn batch_driver_equals_pointwise_driver_exactly() {
-        // One state machine, two drivers: identical trajectories.
-        for f in [
-            sphere as fn(&[f64]) -> f64,
-            rosenbrock as fn(&[f64]) -> f64,
-            |x: &[f64]| {
-                if x[0] < 0.0 {
-                    f64::NAN
-                } else {
-                    (x[0] - 0.5).powi(2) + x[1].powi(2)
-                }
-            },
-        ] {
-            let domain = BoxDomain::from_bounds(&[(-2.0, 2.0), (-2.0, 2.0)]).unwrap();
-            let nm = NelderMead::default().record_trace(true);
-            let seq = nm.minimize(&f, &domain).unwrap();
-            let batch = nm.minimize_batch(&f, &domain).unwrap();
-            assert_eq!(seq.best_x, batch.best_x);
-            assert_eq!(seq.best_value.to_bits(), batch.best_value.to_bits());
-            assert_eq!(seq.evaluations, batch.evaluations);
-            assert_eq!(seq.iterations, batch.iterations);
-            assert_eq!(seq.termination, batch.termination);
-            assert_eq!(seq.trace, batch.trace);
-        }
-    }
-
-    #[test]
-    fn batch_driver_propagates_config_errors() {
-        let domain = BoxDomain::from_bounds(&[(0.0, 1.0)]).unwrap();
-        let f = |x: &[f64]| x[0];
-        assert!(NelderMead::default()
-            .max_iterations(0)
-            .minimize_batch(&f, &domain)
-            .is_err());
-        assert!(NelderMead::default()
-            .start(vec![0.5, 0.5])
-            .minimize_batch(&f, &domain)
             .is_err());
     }
 

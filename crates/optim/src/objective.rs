@@ -68,21 +68,16 @@ impl Objective for ValueOnly<'_> {
 
 /// An objective that can evaluate a whole batch of points at once.
 ///
-/// Population-based and exhaustive methods ([`GridSearch`],
-/// [`DifferentialEvolution`], [`SimulatedAnnealing`]) expose
-/// `minimize_batch` entry points that gather every candidate of a
-/// generation and hand them over in one call — the hook that compiled,
-/// parallel evaluation backends (the `safety_opt_engine` tape) plug
-/// into. Any `Fn(&[f64]) -> f64 + Sync` closure is a valid (pointwise)
-/// batch objective.
+/// The value-only half of [`BatchDifferentiableObjective`]: the lockstep
+/// gradient-descent driver sends its Armijo trials and
+/// finite-difference probes through `eval_batch`, so compiled, parallel
+/// evaluation backends (the `safety_opt_engine` tape) see whole rounds.
+/// Any `Fn(&[f64]) -> f64 + Sync` closure is a valid (pointwise) batch
+/// objective.
 ///
 /// Implementations must write exactly one value per input point, in
 /// order; non-finite values mean "infeasible" exactly as for
 /// [`Objective`].
-///
-/// [`GridSearch`]: crate::grid::GridSearch
-/// [`DifferentialEvolution`]: crate::de::DifferentialEvolution
-/// [`SimulatedAnnealing`]: crate::anneal::SimulatedAnnealing
 pub trait BatchObjective: Sync {
     /// Evaluates every point of `points`, overwriting `out` with one
     /// value per point.
@@ -129,37 +124,6 @@ pub trait BatchDifferentiableObjective: BatchObjective {
 impl std::fmt::Debug for dyn BatchDifferentiableObjective + '_ {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("BatchDifferentiableObjective")
-    }
-}
-
-/// Evaluation bookkeeping shared by the `minimize_batch` entry points:
-/// counts evaluations and tracks the best finite point seen.
-#[derive(Debug, Default)]
-pub(crate) struct BatchTracker {
-    pub evaluations: u64,
-    pub best_x: Option<Vec<f64>>,
-    pub best_value: f64,
-}
-
-impl BatchTracker {
-    pub fn new() -> Self {
-        Self {
-            evaluations: 0,
-            best_x: None,
-            best_value: f64::INFINITY,
-        }
-    }
-
-    /// Folds one evaluated batch into the running best.
-    pub fn observe(&mut self, points: &[Vec<f64>], values: &[f64]) {
-        debug_assert_eq!(points.len(), values.len());
-        self.evaluations += values.len() as u64;
-        for (p, &v) in points.iter().zip(values) {
-            if v.is_finite() && (self.best_x.is_none() || v < self.best_value) {
-                self.best_value = v;
-                self.best_x = Some(p.clone());
-            }
-        }
     }
 }
 

@@ -62,11 +62,20 @@ fn warn_degrade_fallback_once(hazard: &str, nodes: usize, limit: usize) {
 /// across a scoped worker pool sized by `threads` and sweep each chunk
 /// lane-blocked; results are bit-identical for every thread count and
 /// to the pointwise [`cost`](Self::cost).
+///
+/// Every batch method returns worker panics and expired deadlines as
+/// [`SafeOptError::Engine`] instead of panicking. Batches are
+/// all-or-nothing: an error means no partial results, and the model
+/// stays fully usable (an identical retry returns bit-identical
+/// results).
 #[derive(Debug, Clone)]
 pub struct CompiledModel {
     tape: Arc<Tape>,
     space: Arc<ParameterSpace>,
     threads: usize,
+    /// Cooperative deadline of every batch method (see
+    /// [`with_deadline`](Self::with_deadline)).
+    deadline: Option<EvalDeadline>,
     quant: QuantMethod,
     /// The source hazards (names + exact BDD structures) — what the
     /// point-importance API ([`crate::importance`]) walks.
@@ -90,12 +99,12 @@ impl CompiledModel {
     ///
     /// Same conditions as [`compile`](Self::compile).
     pub fn compile_with_threads(model: &SafetyModel, threads: usize) -> Result<Self> {
-        Self::try_compile_with_threads(model, threads, CompileBudget::UNLIMITED)
+        Self::compile_with_budget(model, threads, CompileBudget::UNLIMITED)
     }
 
-    /// Compiles `model` under a [`CompileBudget`], with machine-sized
-    /// parallelism for batches. With [`CompileBudget::UNLIMITED`] this
-    /// is exactly [`compile`](Self::compile).
+    /// Compiles `model` under a [`CompileBudget`], with an explicit
+    /// batch worker count. With [`CompileBudget::UNLIMITED`] this is
+    /// exactly [`compile_with_threads`](Self::compile_with_threads).
     ///
     /// Budget enforcement is **all-or-nothing**: a blown limit returns
     /// [`SafeOptError::Engine`]`(`[`EngineError::BudgetExceeded`]`)`
@@ -111,17 +120,7 @@ impl CompiledModel {
     ///
     /// Everything [`compile`](Self::compile) can return, plus
     /// [`SafeOptError::Engine`] for blown budgets.
-    pub fn try_compile(model: &SafetyModel, budget: CompileBudget) -> Result<Self> {
-        Self::try_compile_with_threads(model, safety_opt_engine::default_threads(), budget)
-    }
-
-    /// [`try_compile`](Self::try_compile) with an explicit batch worker
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`try_compile`](Self::try_compile).
-    pub fn try_compile_with_threads(
+    pub fn compile_with_budget(
         model: &SafetyModel,
         threads: usize,
         budget: CompileBudget,
@@ -145,6 +144,7 @@ impl CompiledModel {
             tape: Arc::new(builder.build()),
             space,
             threads: threads.max(1),
+            deadline: None,
             quant,
             hazards: Arc::new(model.hazards().to_vec()),
         })
@@ -194,6 +194,18 @@ impl CompiledModel {
         self.threads
     }
 
+    /// This model with a cooperative [`EvalDeadline`] on every batch
+    /// method, checked before each chunk starts: once it has passed, a
+    /// batch fails with [`SafeOptError::Engine`]`(`
+    /// [`EngineError::DeadlineExceeded`]`)`. A cheap clone; the tape is
+    /// shared.
+    pub fn with_deadline(&self, deadline: EvalDeadline) -> Self {
+        Self {
+            deadline: Some(deadline),
+            ..self.clone()
+        }
+    }
+
     pub(crate) fn check_dim(&self, got: usize) -> Result<()> {
         if got != self.dim() {
             return Err(SafeOptError::DimensionMismatch {
@@ -223,12 +235,13 @@ impl CompiledModel {
     ///
     /// # Errors
     ///
-    /// [`SafeOptError::DimensionMismatch`] for wrong-arity points.
+    /// [`SafeOptError::DimensionMismatch`] for wrong-arity points;
+    /// [`SafeOptError::Engine`] for isolated worker panics
+    /// ([`EngineError::WorkerPanicked`]) and expired deadlines
+    /// ([`EngineError::DeadlineExceeded`]).
     pub fn cost_batch(&self, points: &[Vec<f64>]) -> Result<Vec<f64>> {
-        for p in points {
-            self.check_dim(p.len())?;
-        }
-        Ok(self.evaluator().costs(points))
+        self.check_points(points)?;
+        Ok(self.evaluator().costs(points)?)
     }
 
     /// Costs **and** hazard probabilities for a batch of points
@@ -236,12 +249,10 @@ impl CompiledModel {
     ///
     /// # Errors
     ///
-    /// [`SafeOptError::DimensionMismatch`] for wrong-arity points.
+    /// Same conditions as [`cost_batch`](Self::cost_batch).
     pub fn cost_and_hazards_batch(&self, points: &[Vec<f64>]) -> Result<(Vec<f64>, Vec<f64>)> {
-        for p in points {
-            self.check_dim(p.len())?;
-        }
-        Ok(self.evaluator().costs_and_outputs(points))
+        self.check_points(points)?;
+        Ok(self.evaluator().costs_and_outputs(points)?)
     }
 
     /// Cost **and** analytic cost gradient at one point, via the
@@ -277,81 +288,23 @@ impl CompiledModel {
     ///
     /// # Errors
     ///
-    /// [`SafeOptError::DimensionMismatch`] for wrong-arity points.
+    /// Same conditions as [`cost_batch`](Self::cost_batch).
     pub fn gradient_batch(&self, points: &[Vec<f64>]) -> Result<(Vec<f64>, Vec<f64>)> {
-        for p in points {
-            self.check_dim(p.len())?;
-        }
-        Ok(self.evaluator().eval_grad_batch(points))
+        self.check_points(points)?;
+        Ok(self.evaluator().eval_grad_batch(points)?)
     }
 
-    /// Fallible twin of [`cost_batch`](Self::cost_batch): worker panics
-    /// are isolated into typed errors and an optional cooperative
-    /// [`EvalDeadline`] is checked between chunks. All-or-nothing — an
-    /// error means no partial results, and the model stays fully usable
-    /// (an identical retry returns bit-identical results).
-    ///
-    /// # Errors
-    ///
-    /// [`SafeOptError::DimensionMismatch`] for wrong-arity points;
-    /// [`SafeOptError::Engine`] for isolated worker panics
-    /// ([`EngineError::WorkerPanicked`]) and expired deadlines
-    /// ([`EngineError::DeadlineExceeded`]).
-    pub fn try_cost_batch(
-        &self,
-        points: &[Vec<f64>],
-        deadline: Option<&EvalDeadline>,
-    ) -> Result<Vec<f64>> {
-        for p in points {
-            self.check_dim(p.len())?;
-        }
-        self.evaluator()
-            .try_costs(points, deadline)
-            .map_err(SafeOptError::Engine)
-    }
-
-    /// Fallible twin of
-    /// [`cost_and_hazards_batch`](Self::cost_and_hazards_batch) (see
-    /// [`try_cost_batch`](Self::try_cost_batch) for the error contract).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`try_cost_batch`](Self::try_cost_batch).
-    pub fn try_cost_and_hazards_batch(
-        &self,
-        points: &[Vec<f64>],
-        deadline: Option<&EvalDeadline>,
-    ) -> Result<(Vec<f64>, Vec<f64>)> {
-        for p in points {
-            self.check_dim(p.len())?;
-        }
-        self.evaluator()
-            .try_costs_and_outputs(points, deadline)
-            .map_err(SafeOptError::Engine)
-    }
-
-    /// Fallible twin of [`gradient_batch`](Self::gradient_batch) (see
-    /// [`try_cost_batch`](Self::try_cost_batch) for the error contract).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`try_cost_batch`](Self::try_cost_batch).
-    pub fn try_gradient_batch(
-        &self,
-        points: &[Vec<f64>],
-        deadline: Option<&EvalDeadline>,
-    ) -> Result<(Vec<f64>, Vec<f64>)> {
-        for p in points {
-            self.check_dim(p.len())?;
-        }
-        self.evaluator()
-            .try_eval_grad_batch(points, deadline)
-            .map_err(SafeOptError::Engine)
+    fn check_points(&self, points: &[Vec<f64>]) -> Result<()> {
+        points.iter().try_for_each(|p| self.check_dim(p.len()))
     }
 
     /// The batch evaluator every batch entry point routes through.
     fn evaluator(&self) -> BatchEvaluator<'_> {
-        BatchEvaluator::new(&self.tape, self.threads)
+        let ev = BatchEvaluator::new(&self.tape, self.threads);
+        match self.deadline {
+            Some(deadline) => ev.deadline(deadline),
+            None => ev,
+        }
     }
 
     /// The compiled cost as a scalar optimization objective with an
@@ -441,17 +394,15 @@ impl safety_opt_optim::DifferentiableObjective for CompiledObjective {
     }
 }
 
-/// [`safety_opt_optim::BatchObjective`] for the batch entry points of
-/// grid search, differential evolution, and population annealing: one
-/// parallel tape sweep per generation.
+/// [`safety_opt_optim::BatchObjective`] for the value-only rounds of the
+/// lockstep multi-start drivers: one [`cost_batch`](CompiledModel::cost_batch)
+/// per round. Values map non-finite to `∞`, and a wrong-arity batch is
+/// infeasible (all `∞`), like [`CompiledObjective`]'s `eval`; engine
+/// errors re-raise (see `feasible`).
 impl safety_opt_optim::BatchObjective for CompiledModel {
     fn eval_batch(&self, points: &[Vec<f64>], out: &mut Vec<f64>) {
-        *out = self.evaluator().costs(points);
-        for v in out.iter_mut() {
-            if !v.is_finite() {
-                *v = f64::INFINITY;
-            }
-        }
+        *out = feasible(self.cost_batch(points)).unwrap_or_else(|| vec![f64::NAN; points.len()]);
+        infinite_if_not_finite(out);
     }
 }
 
@@ -460,23 +411,41 @@ impl safety_opt_optim::BatchObjective for CompiledModel {
 /// per round. Values map non-finite to `∞` and gradients stay
 /// poisoned, pointwise identical to [`CompiledObjective`]'s
 /// `value_grad`; a wrong-arity batch is infeasible (`∞` values, NaN
-/// gradients), not a panic.
+/// gradients), not a panic. Engine errors re-raise (see `feasible`).
 impl safety_opt_optim::BatchDifferentiableObjective for CompiledModel {
     fn eval_grad_batch(&self, points: &[Vec<f64>], values: &mut Vec<f64>, grads: &mut Vec<f64>) {
-        match self.gradient_batch(points) {
-            Ok((v, g)) => {
-                *values = v;
-                *grads = g;
-            }
-            Err(_) => {
-                *values = vec![f64::NAN; points.len()];
-                *grads = vec![f64::NAN; points.len() * self.dim()];
-            }
+        (*values, *grads) = feasible(self.gradient_batch(points)).unwrap_or_else(|| {
+            (
+                vec![f64::NAN; points.len()],
+                vec![f64::NAN; points.len() * self.dim()],
+            )
+        });
+        infinite_if_not_finite(values);
+    }
+}
+
+/// The error policy of the optimizer-facing batch objectives, whose
+/// traits have no error channel: a wrong-arity batch is infeasible
+/// (`None`), and an engine error becomes a panic on the calling thread
+/// — a worker panic resumes with its own payload, any other engine
+/// error panics with its message.
+pub(crate) fn feasible<T>(result: Result<T>) -> Option<T> {
+    match result {
+        Ok(v) => Some(v),
+        Err(SafeOptError::DimensionMismatch { .. }) => None,
+        Err(SafeOptError::Engine(EngineError::WorkerPanicked { payload, .. })) => {
+            std::panic::resume_unwind(Box::new(payload))
         }
-        for v in values.iter_mut() {
-            if !v.is_finite() {
-                *v = f64::INFINITY;
-            }
+        Err(SafeOptError::Engine(e)) => panic!("{e}"),
+        Err(e) => panic!("{e}"),
+    }
+}
+
+/// Maps every non-finite value to `+∞`: the optimizers' "infeasible".
+pub(crate) fn infinite_if_not_finite(values: &mut [f64]) {
+    for v in values {
+        if !v.is_finite() {
+            *v = f64::INFINITY;
         }
     }
 }

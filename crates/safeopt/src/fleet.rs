@@ -39,13 +39,12 @@
 //! # }
 //! ```
 
-use crate::compile::lower_hazard;
+use crate::compile::{feasible, infinite_if_not_finite, lower_hazard};
 use crate::model::SafetyModel;
 use crate::{Result, SafeOptError};
 use safety_opt_engine::fleet::{Fleet, FleetBuilder, FleetEvaluator, FleetScratch};
 use safety_opt_engine::{
-    faultinject, CacheStats, CompileBudget, CompileStats, EngineError, EvalDeadline, GradWorkspace,
-    QuantizedCache, Value,
+    faultinject, CompileBudget, CompileStats, EngineError, EvalDeadline, GradWorkspace, Value,
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -58,10 +57,17 @@ use std::sync::Arc;
 /// parameter-space dimension; their hazard counts may differ. Batch
 /// entry points sweep each chunk lane-blocked; results are
 /// bit-identical for every thread count.
+///
+/// Every batch method returns worker panics and expired deadlines as
+/// [`SafeOptError::Engine`] instead of panicking, with the
+/// all-or-nothing contract of [`crate::compile::CompiledModel`].
 #[derive(Debug, Clone)]
 pub struct CompiledFleet {
     fleet: Arc<Fleet>,
     threads: usize,
+    /// Cooperative deadline of every batch method (see
+    /// [`with_deadline`](Self::with_deadline)).
+    deadline: Option<EvalDeadline>,
 }
 
 impl CompiledFleet {
@@ -102,6 +108,7 @@ impl CompiledFleet {
         Ok(Self {
             fleet: Arc::new(builder.build()),
             threads: threads.max(1),
+            deadline: None,
         })
     }
 
@@ -138,6 +145,7 @@ impl CompiledFleet {
         let fleet = Self {
             fleet: Arc::new(builder.build()),
             threads: threads.max(1),
+            deadline: None,
         };
         (Some(fleet), slots)
     }
@@ -210,10 +218,13 @@ impl CompiledFleet {
     ///
     /// # Errors
     ///
-    /// [`SafeOptError::DimensionMismatch`] for wrong-arity points.
+    /// [`SafeOptError::DimensionMismatch`] for wrong-arity points;
+    /// [`SafeOptError::Engine`] for isolated worker panics
+    /// ([`EngineError::WorkerPanicked`]) and expired deadlines
+    /// ([`EngineError::DeadlineExceeded`]).
     pub fn costs_all(&self, points: &[Vec<f64>]) -> Result<Vec<f64>> {
         self.check_points(points)?;
-        Ok(self.evaluator().costs_all(points))
+        Ok(self.evaluator().costs_all(points)?)
     }
 
     /// Costs **and** hazard probabilities of every model at every point.
@@ -223,10 +234,10 @@ impl CompiledFleet {
     ///
     /// # Errors
     ///
-    /// [`SafeOptError::DimensionMismatch`] for wrong-arity points.
+    /// Same conditions as [`costs_all`](Self::costs_all).
     pub fn cost_and_hazards_all(&self, points: &[Vec<f64>]) -> Result<(Vec<f64>, Vec<f64>)> {
         self.check_points(points)?;
-        Ok(self.evaluator().costs_and_outputs_all(points))
+        Ok(self.evaluator().costs_and_outputs_all(points)?)
     }
 
     /// Costs of **one model** at every point through its reachability
@@ -235,10 +246,10 @@ impl CompiledFleet {
     ///
     /// # Errors
     ///
-    /// [`SafeOptError::DimensionMismatch`] for wrong-arity points.
+    /// Same conditions as [`costs_all`](Self::costs_all).
     pub fn model_cost_batch(&self, model: usize, points: &[Vec<f64>]) -> Result<Vec<f64>> {
         self.check_points(points)?;
-        Ok(self.evaluator().model_costs(model, points))
+        Ok(self.evaluator().model_costs(model, points)?)
     }
 
     /// Costs **and** analytic cost gradients of **one model** at every
@@ -250,98 +261,35 @@ impl CompiledFleet {
     ///
     /// # Errors
     ///
-    /// [`SafeOptError::DimensionMismatch`] for wrong-arity points.
+    /// Same conditions as [`costs_all`](Self::costs_all).
     pub fn model_gradient_batch(
         &self,
         model: usize,
         points: &[Vec<f64>],
     ) -> Result<(Vec<f64>, Vec<f64>)> {
         self.check_points(points)?;
-        Ok(self.evaluator().model_grads(model, points))
-    }
-
-    /// Fallible twin of [`costs_all`](Self::costs_all): worker panics
-    /// are isolated into typed errors and an optional cooperative
-    /// [`EvalDeadline`] is checked between chunks. All-or-nothing — an
-    /// error means no partial results, and the fleet stays fully usable
-    /// (an identical retry returns bit-identical results).
-    ///
-    /// # Errors
-    ///
-    /// [`SafeOptError::DimensionMismatch`] for wrong-arity points;
-    /// [`SafeOptError::Engine`] for isolated worker panics
-    /// ([`EngineError::WorkerPanicked`]) and expired deadlines
-    /// ([`EngineError::DeadlineExceeded`]).
-    pub fn try_costs_all(
-        &self,
-        points: &[Vec<f64>],
-        deadline: Option<&EvalDeadline>,
-    ) -> Result<Vec<f64>> {
-        self.check_points(points)?;
-        self.evaluator()
-            .try_costs_all(points, deadline)
-            .map_err(SafeOptError::Engine)
-    }
-
-    /// Fallible twin of
-    /// [`cost_and_hazards_all`](Self::cost_and_hazards_all) (see
-    /// [`try_costs_all`](Self::try_costs_all) for the error contract).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`try_costs_all`](Self::try_costs_all).
-    pub fn try_cost_and_hazards_all(
-        &self,
-        points: &[Vec<f64>],
-        deadline: Option<&EvalDeadline>,
-    ) -> Result<(Vec<f64>, Vec<f64>)> {
-        self.check_points(points)?;
-        self.evaluator()
-            .try_costs_and_outputs_all(points, deadline)
-            .map_err(SafeOptError::Engine)
-    }
-
-    /// Fallible twin of [`model_cost_batch`](Self::model_cost_batch)
-    /// (see [`try_costs_all`](Self::try_costs_all) for the error
-    /// contract).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`try_costs_all`](Self::try_costs_all).
-    pub fn try_model_cost_batch(
-        &self,
-        model: usize,
-        points: &[Vec<f64>],
-        deadline: Option<&EvalDeadline>,
-    ) -> Result<Vec<f64>> {
-        self.check_points(points)?;
-        self.evaluator()
-            .try_model_costs(model, points, deadline)
-            .map_err(SafeOptError::Engine)
-    }
-
-    /// Fallible twin of
-    /// [`model_gradient_batch`](Self::model_gradient_batch) (see
-    /// [`try_costs_all`](Self::try_costs_all) for the error contract).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`try_costs_all`](Self::try_costs_all).
-    pub fn try_model_gradient_batch(
-        &self,
-        model: usize,
-        points: &[Vec<f64>],
-        deadline: Option<&EvalDeadline>,
-    ) -> Result<(Vec<f64>, Vec<f64>)> {
-        self.check_points(points)?;
-        self.evaluator()
-            .try_model_grads(model, points, deadline)
-            .map_err(SafeOptError::Engine)
+        Ok(self.evaluator().model_grads(model, points)?)
     }
 
     /// The fleet evaluator every batch entry point routes through.
     fn evaluator(&self) -> FleetEvaluator<'_> {
-        FleetEvaluator::new(&self.fleet, self.threads)
+        let ev = FleetEvaluator::new(&self.fleet, self.threads);
+        match self.deadline {
+            Some(deadline) => ev.deadline(deadline),
+            None => ev,
+        }
+    }
+
+    /// This fleet with a cooperative [`EvalDeadline`] on every batch
+    /// method, checked before each chunk starts: once it has passed, a
+    /// batch fails with [`SafeOptError::Engine`]`(`
+    /// [`EngineError::DeadlineExceeded`]`)`. A cheap clone; the arena
+    /// is shared.
+    pub fn with_deadline(&self, deadline: EvalDeadline) -> Self {
+        Self {
+            deadline: Some(deadline),
+            ..self.clone()
+        }
     }
 
     /// This fleet with every batch evaluated inline on the calling
@@ -350,32 +298,30 @@ impl CompiledFleet {
     /// bit-identical for every thread count).
     pub(crate) fn single_threaded(&self) -> Self {
         Self {
-            fleet: Arc::clone(&self.fleet),
             threads: 1,
+            ..self.clone()
         }
     }
 
-    /// One model's compiled cost as a scalar optimization objective with
-    /// an optional quantized memo cache — the fleet twin of
-    /// [`crate::compile::CompiledModel::objective`].
-    pub fn model_objective(&self, model: usize, memo: bool) -> FleetModelObjective {
+    /// One model's compiled cost as a scalar optimization objective —
+    /// the fleet twin of [`crate::compile::CompiledModel::objective`]
+    /// without the memo cache.
+    pub fn model_objective(&self, model: usize) -> FleetModelObjective {
         FleetModelObjective {
             fleet: Arc::clone(&self.fleet),
             model,
             scratch: RefCell::new((Vec::new(), vec![0.0; self.n_hazards(model)])),
             grad_ws: RefCell::new(GradWorkspace::new()),
-            cache: memo.then(QuantizedCache::fine),
         }
     }
 
     /// One model's compiled cost as a
-    /// [`safety_opt_optim::BatchObjective`] — the hook the lockstep
-    /// multi-start and population optimizers plug into.
+    /// [`safety_opt_optim::BatchDifferentiableObjective`] — the hook the
+    /// lockstep multi-start drivers plug into.
     pub fn model_batch_objective(&self, model: usize) -> FleetModelBatchObjective {
         FleetModelBatchObjective {
-            fleet: Arc::clone(&self.fleet),
+            fleet: self.clone(),
             model,
-            threads: self.threads,
             scratch: FleetScratch::new(),
         }
     }
@@ -428,28 +374,6 @@ pub struct FleetModelObjective {
     model: usize,
     scratch: RefCell<(Vec<f64>, Vec<f64>)>,
     grad_ws: RefCell<GradWorkspace>,
-    cache: Option<QuantizedCache>,
-}
-
-impl FleetModelObjective {
-    fn eval_raw(&self, x: &[f64]) -> f64 {
-        let (scratch, hazards) = &mut *self.scratch.borrow_mut();
-        let v = self.fleet.eval_model_into(self.model, x, scratch, hazards);
-        if v.is_finite() {
-            v
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Hit/miss/eviction statistics of the memo cache (all zero when
-    /// disabled). Recorded unconditionally — independent of the
-    /// `SAFETY_OPT_TELEMETRY` mode.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache
-            .as_ref()
-            .map_or_else(CacheStats::default, QuantizedCache::stats)
-    }
 }
 
 impl safety_opt_optim::Objective for FleetModelObjective {
@@ -457,9 +381,12 @@ impl safety_opt_optim::Objective for FleetModelObjective {
         if x.len() != self.fleet.n_inputs() {
             return f64::INFINITY;
         }
-        match &self.cache {
-            Some(cache) => cache.get_or_insert_with(x, || self.eval_raw(x)),
-            None => self.eval_raw(x),
+        let (scratch, hazards) = &mut *self.scratch.borrow_mut();
+        let v = self.fleet.eval_model_into(self.model, x, scratch, hazards);
+        if v.is_finite() {
+            v
+        } else {
+            f64::INFINITY
         }
     }
 }
@@ -472,8 +399,8 @@ impl safety_opt_optim::Objective for FleetModelObjective {
 /// accumulation-order caveat when cross-model sharing reorders a
 /// subexpression's consumers). Evaluation
 /// failures surface as an `∞` value alongside the poisoned gradient
-/// (finite-difference fallback signal), and the memo cache is bypassed,
-/// exactly like the standalone twin.
+/// (finite-difference fallback signal), exactly like the standalone
+/// twin.
 impl safety_opt_optim::DifferentiableObjective for FleetModelObjective {
     fn value_grad(&self, x: &[f64], grad: &mut [f64]) -> f64 {
         if x.len() != self.fleet.n_inputs() || grad.len() != x.len() {
@@ -494,7 +421,9 @@ impl safety_opt_optim::DifferentiableObjective for FleetModelObjective {
 }
 
 /// One fleet model's cost as a [`safety_opt_optim::BatchObjective`]:
-/// one parallel masked sweep per generation/round.
+/// one parallel masked sweep per round, through the checked
+/// [`CompiledFleet::model_cost_batch`] /
+/// [`CompiledFleet::model_gradient_batch`] path.
 ///
 /// Optimizer rounds are small (a lockstep round holds one probe per
 /// live restart), so most calls run inline on the calling thread. The
@@ -507,26 +436,37 @@ impl safety_opt_optim::DifferentiableObjective for FleetModelObjective {
 /// fresh evaluator on every call.
 #[derive(Debug)]
 pub struct FleetModelBatchObjective {
-    fleet: Arc<Fleet>,
+    fleet: CompiledFleet,
     model: usize,
-    threads: usize,
     scratch: FleetScratch,
 }
 
 impl FleetModelBatchObjective {
     fn evaluator(&self) -> FleetEvaluator<'_> {
-        FleetEvaluator::new(&self.fleet, self.threads).reuse_scratch(&self.scratch)
+        self.fleet.evaluator().reuse_scratch(&self.scratch)
+    }
+
+    /// [`CompiledFleet::model_cost_batch`] on the kept sweep buffers.
+    fn costs(&self, points: &[Vec<f64>]) -> Result<Vec<f64>> {
+        self.fleet.check_points(points)?;
+        Ok(self.evaluator().model_costs(self.model, points)?)
+    }
+
+    /// [`CompiledFleet::model_gradient_batch`] on the kept sweep
+    /// buffers.
+    fn grads(&self, points: &[Vec<f64>]) -> Result<(Vec<f64>, Vec<f64>)> {
+        self.fleet.check_points(points)?;
+        Ok(self.evaluator().model_grads(self.model, points)?)
     }
 }
 
+/// Values map non-finite to `∞`, and a wrong-arity batch is infeasible
+/// (all `∞`), like [`FleetModelObjective`]'s `eval`; engine errors
+/// re-raise, so a worker panic resumes with its own payload.
 impl safety_opt_optim::BatchObjective for FleetModelBatchObjective {
     fn eval_batch(&self, points: &[Vec<f64>], out: &mut Vec<f64>) {
-        *out = self.evaluator().model_costs(self.model, points);
-        for v in out.iter_mut() {
-            if !v.is_finite() {
-                *v = f64::INFINITY;
-            }
-        }
+        *out = feasible(self.costs(points)).unwrap_or_else(|| vec![f64::NAN; points.len()]);
+        infinite_if_not_finite(out);
     }
 }
 
@@ -536,17 +476,17 @@ impl safety_opt_optim::BatchObjective for FleetModelBatchObjective {
 /// into: one parallel masked adjoint sweep per round — and within
 /// each worker, the engine's lane-blocked SoA adjoint path. Values map
 /// non-finite to `∞` and gradients stay poisoned, pointwise identical
-/// to [`FleetModelObjective`]'s sequential `value_grad`.
+/// to [`FleetModelObjective`]'s sequential `value_grad`; a wrong-arity
+/// batch is infeasible (`∞` values, NaN gradients).
 impl safety_opt_optim::BatchDifferentiableObjective for FleetModelBatchObjective {
     fn eval_grad_batch(&self, points: &[Vec<f64>], values: &mut Vec<f64>, grads: &mut Vec<f64>) {
-        let (v, g) = self.evaluator().model_grads(self.model, points);
-        *values = v;
-        *grads = g;
-        for v in values.iter_mut() {
-            if !v.is_finite() {
-                *v = f64::INFINITY;
-            }
-        }
+        (*values, *grads) = feasible(self.grads(points)).unwrap_or_else(|| {
+            (
+                vec![f64::NAN; points.len()],
+                vec![f64::NAN; points.len() * self.fleet.dim()],
+            )
+        });
+        infinite_if_not_finite(values);
     }
 }
 
@@ -644,18 +584,12 @@ mod tests {
         for (k, model) in models.iter().enumerate() {
             let compiled = CompiledModel::compile_with_threads(model, 1).unwrap();
             let single = compiled.objective(false);
-            let fo = fleet.model_objective(k, false);
+            let fo = fleet.model_objective(k);
             for p in grid_points() {
                 assert_eq!(fo.eval(&p).to_bits(), single.eval(&p).to_bits());
             }
             // Wrong arity is infeasible, not a panic.
             assert_eq!(fo.eval(&[1.0]), f64::INFINITY);
-            // Memoized twin caches revisits.
-            let memo = fleet.model_objective(k, true);
-            let a = memo.eval(&[19.0, 15.5]);
-            assert_eq!(a, memo.eval(&[19.0, 15.5]));
-            let stats = memo.cache_stats();
-            assert_eq!((stats.hits, stats.misses), (1, 1));
             // Batch objective agrees pointwise.
             let bo = fleet.model_batch_objective(k);
             let pts = grid_points();
@@ -725,7 +659,7 @@ mod tests {
         for (k, model) in models.iter().enumerate() {
             let compiled = CompiledModel::compile_with_threads(model, 1).unwrap();
             let single = compiled.objective(false);
-            let fo = fleet.model_objective(k, false);
+            let fo = fleet.model_objective(k);
             let mut gs = vec![0.0; 2];
             let mut gf = vec![0.0; 2];
             for p in &points {
@@ -769,7 +703,7 @@ mod tests {
                 .minimize_batch(&fleet.model_batch_objective(k), &domain)
                 .unwrap();
             let sequential = MultiStart::new(GradientDescent::default(), 3)
-                .minimize_differentiable(&fleet.model_objective(k, false), &domain)
+                .minimize_differentiable(&fleet.model_objective(k), &domain)
                 .unwrap();
             assert_eq!(lockstep.best_x, sequential.best_x, "model {k}");
             assert_eq!(
@@ -798,7 +732,7 @@ mod tests {
                 .minimize_batch(&fleet.model_batch_objective(k), &domain)
                 .unwrap();
             let sequential = ms
-                .minimize_differentiable(&fleet.model_objective(k, false), &domain)
+                .minimize_differentiable(&fleet.model_objective(k), &domain)
                 .unwrap();
             assert_eq!(lockstep.best_x, sequential.best_x, "model {k}");
             assert_eq!(
@@ -836,12 +770,12 @@ mod tests {
                     .collect();
                 let (mut values, mut grads) = (Vec::new(), Vec::new());
                 objective.eval_grad_batch(&points, &mut values, &mut grads);
-                let (fv, fg) = fresh().model_grads(2, &points);
+                let (fv, fg) = fresh().model_grads(2, &points).unwrap();
                 assert_eq!(bits(&values), bits(&fv), "round {round} n={n}");
                 assert_eq!(bits(&grads), bits(&fg), "round {round} n={n}");
                 let mut costs = Vec::new();
                 objective.eval_batch(&points, &mut costs);
-                let fc = fresh().model_costs(2, &points);
+                let fc = fresh().model_costs(2, &points).unwrap();
                 assert_eq!(bits(&costs), bits(&fc), "round {round} n={n}");
             }
         }
@@ -858,7 +792,7 @@ mod tests {
         let fleet = CompiledFleet::compile(std::slice::from_ref(&model)).unwrap();
         let costs = fleet.costs_all(&[vec![0.5]]).unwrap();
         assert!(costs[0].is_nan());
-        let obj = fleet.model_objective(0, false);
+        let obj = fleet.model_objective(0);
         assert_eq!(obj.eval(&[0.5]), f64::INFINITY);
     }
 
@@ -907,6 +841,71 @@ mod tests {
         let (none, slots) = CompiledFleet::compile_partial(&[], 1);
         assert!(none.is_none());
         assert!(slots.is_empty());
+    }
+
+    #[test]
+    fn wrong_arity_points_are_infeasible_on_every_objective_path() {
+        // A 1-D point against a 2-D model: every optimizer-facing path
+        // reports it infeasible (`∞` values, NaN gradients) instead of
+        // panicking.
+        let models = family(2);
+        let compiled = CompiledModel::compile_with_threads(&models[0], 1).unwrap();
+        let fleet = CompiledFleet::compile_with_threads(&models, 1).unwrap();
+        let scalar = compiled.objective(false);
+        let fleet_scalar = fleet.model_objective(0);
+        let batch = fleet.model_batch_objective(0);
+        let point = vec![vec![19.0]];
+        type Path<'a> = Box<dyn Fn() -> (Vec<f64>, Option<Vec<f64>>) + 'a>;
+        let paths: [(&str, Path<'_>); 6] = [
+            (
+                "CompiledObjective::eval",
+                Box::new(|| (vec![scalar.eval(&point[0])], None)),
+            ),
+            (
+                "FleetModelObjective::eval",
+                Box::new(|| (vec![fleet_scalar.eval(&point[0])], None)),
+            ),
+            (
+                "CompiledModel::eval_batch",
+                Box::new(|| {
+                    let mut out = Vec::new();
+                    compiled.eval_batch(&point, &mut out);
+                    (out, None)
+                }),
+            ),
+            (
+                "CompiledModel::eval_grad_batch",
+                Box::new(|| {
+                    let (mut v, mut g) = (Vec::new(), Vec::new());
+                    compiled.eval_grad_batch(&point, &mut v, &mut g);
+                    (v, Some(g))
+                }),
+            ),
+            (
+                "FleetModelBatchObjective::eval_batch",
+                Box::new(|| {
+                    let mut out = Vec::new();
+                    batch.eval_batch(&point, &mut out);
+                    (out, None)
+                }),
+            ),
+            (
+                "FleetModelBatchObjective::eval_grad_batch",
+                Box::new(|| {
+                    let (mut v, mut g) = (Vec::new(), Vec::new());
+                    batch.eval_grad_batch(&point, &mut v, &mut g);
+                    (v, Some(g))
+                }),
+            ),
+        ];
+        for (name, path) in &paths {
+            let (values, grads) = path();
+            assert_eq!(values, [f64::INFINITY], "{name}");
+            if let Some(grads) = grads {
+                assert_eq!(grads.len(), 2, "{name}");
+                assert!(grads.iter().all(|g| g.is_nan()), "{name}: {grads:?}");
+            }
+        }
     }
 
     #[test]

@@ -155,7 +155,7 @@ fn hazard_importance(
     // the same lane-blocked adjoint path every other gradient consumer
     // uses.
     let tape = exact.leaf_tape();
-    let (p, grads) = safety_opt_engine::BatchEvaluator::new(tape, 1).eval_grad_batch(&[&q[..]]);
+    let (p, grads) = safety_opt_engine::BatchEvaluator::new(tape, 1).eval_grad_batch(&[&q[..]])?;
     let (p_top, birnbaum) = (p[0], grads);
     let mut leaves = Vec::new();
     for leaf in 0..plan.num_leaves() {

@@ -212,12 +212,13 @@ impl OptimumDistribution {
 /// sample (in sample order) is returned. This per-sample tolerance
 /// covers the typed engine errors too — a blown
 /// [`safety_opt_engine::CompileBudget`], an expired deadline, or an
-/// injected fault ([`SafeOptError::Engine`](crate::SafeOptError::Engine))
-/// on one sample increments `failures` instead of aborting the whole
-/// study. A panic while optimizing one sample — such as an armed
-/// `fleet.chunk` failpoint, which the infallible batch objective
-/// re-raises — is caught on its worker and recorded as that sample's
-/// [`EngineError::WorkerPanicked`] with `chunk` set to the sample index.
+/// injected fault ([`SafeOptError::Engine`]) on one sample increments
+/// `failures` instead of aborting the whole study. A panic while
+/// optimizing one sample — such as an armed `fleet.chunk` failpoint,
+/// which the batch objective re-raises because its trait has no error
+/// channel — is caught on its worker and recorded as that sample's
+/// [`EngineError::WorkerPanicked`] with `chunk` set to the sample
+/// index.
 /// Failpoint hits are counted process-wide, so with more than one
 /// worker a `site@N` or `p < 1` trigger lands on a schedule-dependent
 /// sample; `p = 1` fails every sample on any schedule.

@@ -4,7 +4,7 @@
 //! across thread counts 1 and 4 and both the standalone and fleet
 //! compilation paths, and the suite asserts the three-part contract:
 //!
-//! 1. only **typed errors** escape the fallible entry points — worker
+//! 1. only **typed errors** escape the batch entry points — worker
 //!    panics are isolated into [`EngineError::WorkerPanicked`],
 //!    compile-path sites return [`EngineError::FaultInjected`] wrapped
 //!    in the owning crate's error type;
@@ -134,6 +134,46 @@ fn assert_worker_panicked(err: &SafeOptError, site: &str) {
     }
 }
 
+/// One batch method of the safeopt layer, its outputs flattened into a
+/// list of vectors so a table can compare them bit for bit.
+type BatchCall = fn(&CompiledModel, &CompiledFleet, &[Vec<f64>]) -> Result<Vec<Vec<f64>>>;
+
+/// Every batch method of [`CompiledModel`] and [`CompiledFleet`], with
+/// the failpoint site its chunks check.
+fn batch_paths() -> [(&'static str, &'static str, BatchCall); 7] {
+    [
+        ("cost_batch", sites::POOL_CHUNK, |m, _, p| {
+            Ok(vec![m.cost_batch(p)?])
+        }),
+        ("cost_and_hazards_batch", sites::POOL_CHUNK, |m, _, p| {
+            let (c, h) = m.cost_and_hazards_batch(p)?;
+            Ok(vec![c, h])
+        }),
+        ("gradient_batch", sites::GRAD_CHUNK, |m, _, p| {
+            let (c, g) = m.gradient_batch(p)?;
+            Ok(vec![c, g])
+        }),
+        ("costs_all", sites::FLEET_CHUNK, |_, f, p| {
+            Ok(vec![f.costs_all(p)?])
+        }),
+        ("cost_and_hazards_all", sites::FLEET_CHUNK, |_, f, p| {
+            let (c, h) = f.cost_and_hazards_all(p)?;
+            Ok(vec![c, h])
+        }),
+        ("model_cost_batch", sites::FLEET_CHUNK, |_, f, p| {
+            Ok(vec![f.model_cost_batch(1, p)?])
+        }),
+        ("model_gradient_batch", sites::FLEET_CHUNK, |_, f, p| {
+            let (c, g) = f.model_gradient_batch(1, p)?;
+            Ok(vec![c, g])
+        }),
+    ]
+}
+
+fn all_bits(outputs: &[Vec<f64>]) -> Vec<Vec<u64>> {
+    outputs.iter().map(|v| bits(v)).collect()
+}
+
 #[test]
 fn evaluation_sites_fail_typed_across_backends_threads_and_paths() {
     let _guard = chaos_lock();
@@ -143,53 +183,23 @@ fn evaluation_sites_fail_typed_across_backends_threads_and_paths() {
     for threads in [1usize, 4] {
         let compiled = CompiledModel::compile_with_threads(&model(), threads).unwrap();
         let fleet = CompiledFleet::compile_with_threads(&models, threads).unwrap();
-        let base_costs = compiled.try_cost_batch(&pts, None).unwrap();
         // The never-faulted baseline is the pointwise sweep, bit for bit.
+        let base_costs = compiled.cost_batch(&pts).unwrap();
         for (p, c) in pts.iter().zip(&base_costs) {
             assert_eq!(compiled.tape().eval(p).to_bits(), c.to_bits());
         }
-        let base_grads = compiled.try_gradient_batch(&pts, None).unwrap();
-        let base_all = fleet.try_costs_all(&pts, None).unwrap();
-        let base_mg = fleet.try_model_gradient_batch(1, &pts, None).unwrap();
-
-        // Forward pool chunks (standalone path).
-        faultinject::arm(sites::POOL_CHUNK, Trigger::Prob { p: 1.0, seed: 0 });
-        let err = compiled.try_cost_batch(&pts, None).unwrap_err();
-        assert_worker_panicked(&err, sites::POOL_CHUNK);
-        faultinject::disarm(sites::POOL_CHUNK);
-
-        // Adjoint-sweep chunks (standalone path).
-        faultinject::arm(sites::GRAD_CHUNK, Trigger::Prob { p: 1.0, seed: 0 });
-        let err = compiled.try_gradient_batch(&pts, None).unwrap_err();
-        assert_worker_panicked(&err, sites::GRAD_CHUNK);
-        faultinject::disarm(sites::GRAD_CHUNK);
-
-        // Fleet-evaluation chunks (forward and masked adjoint).
-        faultinject::arm(sites::FLEET_CHUNK, Trigger::Prob { p: 1.0, seed: 0 });
-        let err = fleet.try_costs_all(&pts, None).unwrap_err();
-        assert_worker_panicked(&err, sites::FLEET_CHUNK);
-        let err = fleet.try_model_gradient_batch(1, &pts, None).unwrap_err();
-        assert_worker_panicked(&err, sites::FLEET_CHUNK);
-        faultinject::disarm(sites::FLEET_CHUNK);
-
-        // Nothing was poisoned: the disarmed retry is bit-identical
-        // to the never-faulted baseline on every path, and the
-        // infallible entry points work too.
-        let retry = compiled.try_cost_batch(&pts, None).unwrap();
-        assert_eq!(bits(&retry), bits(&base_costs), "{threads} threads");
-        let (rv, rg) = compiled.try_gradient_batch(&pts, None).unwrap();
-        assert_eq!(bits(&rv), bits(&base_grads.0), "{threads} threads");
-        assert_eq!(bits(&rg), bits(&base_grads.1), "{threads} threads");
-        let all = fleet.try_costs_all(&pts, None).unwrap();
-        assert_eq!(bits(&all), bits(&base_all), "{threads} threads");
-        let (mv, mg) = fleet.try_model_gradient_batch(1, &pts, None).unwrap();
-        assert_eq!(bits(&mv), bits(&base_mg.0), "{threads} threads");
-        assert_eq!(bits(&mg), bits(&base_mg.1), "{threads} threads");
-        assert_eq!(
-            bits(&compiled.cost_batch(&pts).unwrap()),
-            bits(&base_costs),
-            "infallible path after faults, {threads} threads"
-        );
+        for (name, site, call) in batch_paths() {
+            let ctx = format!("{name}, {threads} threads");
+            let base = call(&compiled, &fleet, &pts).unwrap();
+            faultinject::arm(site, Trigger::Prob { p: 1.0, seed: 0 });
+            let err = call(&compiled, &fleet, &pts).unwrap_err();
+            faultinject::disarm(site);
+            assert_worker_panicked(&err, site);
+            // Nothing was poisoned: the disarmed retry is bit-identical
+            // to the never-faulted baseline.
+            let retry = call(&compiled, &fleet, &pts).unwrap();
+            assert_eq!(all_bits(&retry), all_bits(&base), "{ctx}");
+        }
     }
 }
 
@@ -326,7 +336,7 @@ fn bdd_node_budget_degrades_to_rare_event_lowering_when_enabled() {
 
     // Off (the default): all-or-nothing typed error.
     set_degrade_mode(DegradeMode::Off);
-    match CompiledModel::try_compile(&exact_model, budget) {
+    match CompiledModel::compile_with_budget(&exact_model, 1, budget) {
         Err(SafeOptError::Engine(EngineError::BudgetExceeded { what, .. })) => {
             assert_eq!(what, "BDD nodes");
         }
@@ -340,7 +350,7 @@ fn bdd_node_budget_degrades_to_rare_event_lowering_when_enabled() {
     let before = telemetry::snapshot()
         .counter("safeopt.degrade.fallback")
         .unwrap_or(0);
-    let degraded = CompiledModel::try_compile(&exact_model, budget).unwrap();
+    let degraded = CompiledModel::compile_with_budget(&exact_model, 1, budget).unwrap();
     let after = telemetry::snapshot()
         .counter("safeopt.degrade.fallback")
         .unwrap_or(0);
@@ -367,7 +377,8 @@ fn bdd_node_budget_degrades_to_rare_event_lowering_when_enabled() {
 #[test]
 fn ops_budget_is_all_or_nothing() {
     let _guard = chaos_lock();
-    match CompiledModel::try_compile(&model(), CompileBudget::default().with_max_ops(1)) {
+    match CompiledModel::compile_with_budget(&model(), 1, CompileBudget::default().with_max_ops(1))
+    {
         Err(SafeOptError::Engine(EngineError::BudgetExceeded { what, limit, .. })) => {
             assert_eq!(what, "tape ops");
             assert_eq!(limit, 1);
@@ -375,7 +386,7 @@ fn ops_budget_is_all_or_nothing() {
         other => panic!("expected BudgetExceeded(tape ops), got {other:?}"),
     }
     // An unlimited retry is unaffected.
-    CompiledModel::try_compile(&model(), CompileBudget::UNLIMITED).unwrap();
+    CompiledModel::compile_with_budget(&model(), 1, CompileBudget::UNLIMITED).unwrap();
 }
 
 #[test]
@@ -383,38 +394,28 @@ fn expired_deadlines_are_typed_on_every_batch_path() {
     let _guard = chaos_lock();
     let pts = points();
     let compiled = CompiledModel::compile_with_threads(&model(), 2).unwrap();
-    let fleet = CompiledFleet::compile_with_threads(&family(2), 2).unwrap();
+    let fleet = CompiledFleet::compile_with_threads(&family(3), 2).unwrap();
     let expired = EvalDeadline::after(Duration::ZERO);
-    for err in [
-        compiled.try_cost_batch(&pts, Some(&expired)).unwrap_err(),
-        compiled
-            .try_cost_and_hazards_batch(&pts, Some(&expired))
-            .unwrap_err(),
-        compiled
-            .try_gradient_batch(&pts, Some(&expired))
-            .unwrap_err(),
-        fleet.try_costs_all(&pts, Some(&expired)).unwrap_err(),
-        fleet
-            .try_model_cost_batch(0, &pts, Some(&expired))
-            .unwrap_err(),
-        fleet
-            .try_model_gradient_batch(0, &pts, Some(&expired))
-            .unwrap_err(),
-    ] {
-        assert!(
-            matches!(
-                err,
-                SafeOptError::Engine(EngineError::DeadlineExceeded { .. })
-            ),
-            "got {err:?}"
-        );
-    }
-    // A generous deadline evaluates normally, bit-identical to none.
     let generous = EvalDeadline::after(Duration::from_secs(3600));
-    assert_eq!(
-        bits(&compiled.try_cost_batch(&pts, Some(&generous)).unwrap()),
-        bits(&compiled.try_cost_batch(&pts, None).unwrap())
-    );
+    for (name, _, call) in batch_paths() {
+        match call(
+            &compiled.with_deadline(expired),
+            &fleet.with_deadline(expired),
+            &pts,
+        ) {
+            Err(SafeOptError::Engine(EngineError::DeadlineExceeded { .. })) => {}
+            other => panic!("{name}: expected DeadlineExceeded, got {other:?}"),
+        }
+        // A generous deadline evaluates normally, bit-identical to none.
+        let bounded = call(
+            &compiled.with_deadline(generous),
+            &fleet.with_deadline(generous),
+            &pts,
+        )
+        .unwrap();
+        let unbounded = call(&compiled, &fleet, &pts).unwrap();
+        assert_eq!(all_bits(&bounded), all_bits(&unbounded), "{name}");
+    }
 }
 
 /// The one-timer tradeoff family the uncertainty tests sample: an HV

@@ -27,7 +27,7 @@
 //! |-----------|----------|
 //! | [`safeopt`] | The method: parameters, probability expressions, hazard models, the optimizer front-end, sensitivity / surface / Pareto analysis |
 //! | [`fta`] | Fault trees, minimal cut sets, BDDs, quantification, importance measures, text format |
-//! | [`optim`] | Grid / golden-section / Brent / Nelder–Mead / pattern-search / gradient / projected quasi-Newton / annealing / differential-evolution minimizers over box domains |
+//! | [`optim`] | Grid / Nelder–Mead / pattern-search / gradient / projected quasi-Newton / annealing / differential-evolution minimizers over box domains |
 //! | [`stats`] | Distributions, special functions, quadrature, Monte-Carlo estimation |
 //! | [`elbtunnel`] | The paper's case study: calibrated analytic model, fault trees, and a discrete-event simulator of the height control |
 //! | [`telemetry`] | Observability: process-global counters, histograms, and spans behind the `SAFETY_OPT_TELEMETRY` mode switch |

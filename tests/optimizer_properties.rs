@@ -3,10 +3,8 @@
 
 use proptest::prelude::*;
 use safety_optimization::optim::anneal::SimulatedAnnealing;
-use safety_optimization::optim::brent::Brent;
 use safety_optimization::optim::de::DifferentialEvolution;
 use safety_optimization::optim::domain::BoxDomain;
-use safety_optimization::optim::golden::GoldenSection;
 use safety_optimization::optim::gradient::GradientDescent;
 use safety_optimization::optim::grid::GridSearch;
 use safety_optimization::optim::hooke_jeeves::HookeJeeves;
@@ -77,23 +75,6 @@ proptest! {
             );
             prop_assert!(out.evaluations > 0);
         }
-    }
-
-    #[test]
-    fn one_dimensional_methods_agree(
-        lo in -10.0f64..0.0,
-        width in 1.0f64..10.0,
-        c in -15.0f64..15.0,
-    ) {
-        let domain = BoxDomain::from_bounds(&[(lo, lo + width)]).unwrap();
-        let f = move |x: &[f64]| (x[0] - c).powi(2);
-        let golden = GoldenSection::default().minimize(&f, &domain).unwrap();
-        let brent = Brent::default().minimize(&f, &domain).unwrap();
-        prop_assert!((golden.best_x[0] - brent.best_x[0]).abs() < 1e-4,
-            "golden {} vs brent {}", golden.best_x[0], brent.best_x[0]);
-        // Both land at the projection of the true minimum onto the domain.
-        let expected = c.clamp(lo, lo + width);
-        prop_assert!((golden.best_x[0] - expected).abs() < 1e-4);
     }
 
     #[test]

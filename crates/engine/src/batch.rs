@@ -409,7 +409,10 @@ pub(crate) fn run_pool<U: Send, R>(
         return Ok(Some(runner));
     }
     let first_err = FirstError::default();
-    let assignments = round_robin(threads, units.enumerate());
+    // One worker per unit at most: an idle worker would still build its
+    // runner (and its buffers) for nothing.
+    let workers = threads.min(units.len());
+    let assignments = round_robin(workers, units.enumerate());
     let scope_h = telemetry::ScopeHandle::current();
     let (worker_runner, run) = (&worker_runner, &run);
     std::thread::scope(|scope| {
@@ -757,6 +760,29 @@ mod tests {
             Err(EngineError::DeadlineExceeded { chunk }) => assert_eq!(chunk, 2),
             other => panic!("expected the chunk-2 error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn pool_spawns_no_worker_without_a_unit() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let built = AtomicUsize::new(0);
+        let ran = AtomicUsize::new(0);
+        let inline = run_pool(
+            8,
+            None,
+            0..2usize,
+            || unreachable!("two units run on the pool"),
+            || {
+                built.fetch_add(1, Ordering::Relaxed);
+            },
+            |_, _| {
+                ran.fetch_add(1, Ordering::Relaxed);
+            },
+        )
+        .unwrap();
+        assert!(inline.is_none());
+        assert_eq!(built.into_inner(), 2, "one runner per unit, not per thread");
+        assert_eq!(ran.into_inner(), 2);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Shared parsing for the `SAFETY_OPT_*` environment knobs.
 //!
-//! Every process-level knob (`SAFETY_OPT_THREADS`, `_MATH`, `_QUANT`,
-//! `_PREPROCESS`, `_FAILPOINTS`, `_DEGRADE`, …) follows the same
-//! contract:
+//! The process reads four knobs: `SAFETY_OPT_THREADS` (engine pool
+//! size), `SAFETY_OPT_QUANT` (default quantification method),
+//! `SAFETY_OPT_TELEMETRY` (the observability ladder) and
+//! `SAFETY_OPT_FAILPOINTS` (armed fault-injection sites). Every one
+//! follows the same contract:
 //!
 //! * read **once per process** (the knob is a process-level contract,
 //!   not a per-call switch — evaluators are constructed per batch call
@@ -13,17 +15,12 @@
 //!   path runs, and a silent fallback would be undetectable because
 //!   results are bit-identical across most knob settings by design.
 //!
-//! Before this module each knob carried its own copy of that trim /
-//! empty / lowercase / panic dance. The copies now live here; the knob
+//! The trim / empty / lowercase / panic dance lives here once; the knob
 //! owners keep only their domain enum and their default. (The telemetry
 //! crate is the one exception: the engine depends on it, so it keeps a
-//! local parser with the same message format.)
-//!
-//! This module also owns the [`DegradeMode`] knob (`SAFETY_OPT_DEGRADE`)
-//! because the graceful-degradation policy is engine-wide, consumed by
-//! the safeopt compile layer.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! local parser with the same message format.) Per-compile policy, such
+//! as what a blown BDD node budget does, is not a knob: it is a field of
+//! the [`crate::CompileBudget`] value the caller passes.
 
 /// Uniform parse of a multiple-choice knob.
 ///
@@ -87,84 +84,6 @@ pub fn var(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
-/// Policy when BDD-exact lowering blows its
-/// [`crate::CompileBudget::max_bdd_nodes`] budget (the
-/// `SAFETY_OPT_DEGRADE` knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegradeMode {
-    /// A blown node budget is a hard typed error
-    /// ([`crate::EngineError::BudgetExceeded`]) — the default.
-    Off,
-    /// A blown node budget falls back to rare-event lowering for that
-    /// hazard: the process survives with a documented accuracy
-    /// degradation (counted in telemetry as
-    /// `safeopt.degrade.fallback`, warned once per process).
-    Fallback,
-}
-
-/// Packed [`DegradeMode`] plus the "not yet initialized" sentinel.
-const DEGRADE_UNSET: u8 = u8::MAX;
-const DEGRADE_OFF: u8 = 0;
-const DEGRADE_FALLBACK: u8 = 1;
-
-/// Process-level degradation policy; `DEGRADE_UNSET` until first read.
-static DEGRADE: AtomicU8 = AtomicU8::new(DEGRADE_UNSET);
-
-/// The process-level [`DegradeMode`]: the `SAFETY_OPT_DEGRADE`
-/// environment variable when set (`"off"` or `"fallback"`),
-/// [`DegradeMode::Off`] otherwise. Read **once per process** like every
-/// other knob; tests override it with [`set_degrade_mode`].
-///
-/// # Panics
-///
-/// Panics if `SAFETY_OPT_DEGRADE` names neither mode — a degradation
-/// policy silently defaulting to `off` would turn an intended graceful
-/// fallback into hard errors (or vice versa) with no diagnostic.
-pub fn degrade_mode() -> DegradeMode {
-    match DEGRADE.load(Ordering::Relaxed) {
-        DEGRADE_OFF => DegradeMode::Off,
-        DEGRADE_FALLBACK => DegradeMode::Fallback,
-        _ => init_degrade_mode(),
-    }
-}
-
-/// Reads `SAFETY_OPT_DEGRADE` and publishes the mode (first call only).
-#[cold]
-fn init_degrade_mode() -> DegradeMode {
-    let mode =
-        parse_degrade_override(var("SAFETY_OPT_DEGRADE").as_deref()).unwrap_or(DegradeMode::Off);
-    // Racing first readers agree: the parse is deterministic.
-    DEGRADE.store(pack_degrade(mode), Ordering::Relaxed);
-    mode
-}
-
-/// Programmatic override of the degradation policy, taking precedence
-/// over the environment from this call on. For embedders and tests —
-/// the env knob stays read-once.
-pub fn set_degrade_mode(mode: DegradeMode) {
-    DEGRADE.store(pack_degrade(mode), Ordering::Relaxed);
-}
-
-fn pack_degrade(mode: DegradeMode) -> u8 {
-    match mode {
-        DegradeMode::Off => DEGRADE_OFF,
-        DegradeMode::Fallback => DEGRADE_FALLBACK,
-    }
-}
-
-/// Parses a `SAFETY_OPT_DEGRADE` override: `None`/empty means "unset".
-fn parse_degrade_override(value: Option<&str>) -> Option<DegradeMode> {
-    parse_choice(
-        "SAFETY_OPT_DEGRADE",
-        value,
-        &[
-            ("off", DegradeMode::Off),
-            ("fallback", DegradeMode::Fallback),
-        ],
-        "unset it to fail hard on blown budgets",
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,33 +135,5 @@ mod tests {
     #[should_panic(expected = "K must be a positive integer, got \"many\"")]
     fn positive_rejects_typos() {
         parse_positive("K", Some("many"), "h");
-    }
-
-    #[test]
-    fn degrade_override_parses_known_modes() {
-        assert_eq!(parse_degrade_override(None), None);
-        assert_eq!(parse_degrade_override(Some("")), None);
-        assert_eq!(parse_degrade_override(Some("off")), Some(DegradeMode::Off));
-        assert_eq!(
-            parse_degrade_override(Some(" Fallback ")),
-            Some(DegradeMode::Fallback)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "SAFETY_OPT_DEGRADE must be \"off\" or \"fallback\"")]
-    fn unknown_degrade_mode_is_rejected_loudly() {
-        parse_degrade_override(Some("maybe"));
-    }
-
-    #[test]
-    fn degrade_mode_is_programmable() {
-        // The env knob is read-once and process-global; only exercise
-        // the programmatic override here (dedicated integration tests
-        // pin the env path).
-        set_degrade_mode(DegradeMode::Fallback);
-        assert_eq!(degrade_mode(), DegradeMode::Fallback);
-        set_degrade_mode(DegradeMode::Off);
-        assert_eq!(degrade_mode(), DegradeMode::Off);
     }
 }

@@ -84,22 +84,28 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Resource limits for one compilation (tape build, BDD lowering).
-/// Unset fields are unlimited; [`CompileBudget::default`] limits
-/// nothing, so a budgeted compile given the default behaves exactly like
-/// an unbudgeted one.
+/// Resource limits for one compilation (tape build, BDD lowering), and
+/// what a blown BDD node limit does. Unset limits are unlimited;
+/// [`CompileBudget::default`] limits nothing, so a budgeted compile given
+/// the default behaves exactly like an unbudgeted one.
 ///
 /// Enforcement is **all-or-nothing**: a blown budget surfaces as
-/// [`EngineError::BudgetExceeded`] (or, with
-/// `SAFETY_OPT_DEGRADE=fallback`, as a documented accuracy degradation
-/// — see the safeopt compile layer), never as a silently truncated
-/// artifact.
+/// [`EngineError::BudgetExceeded`], never as a silently truncated
+/// artifact. The one exception is opt-in per budget:
+/// [`with_rare_event_fallback`](Self::with_rare_event_fallback) turns a
+/// hazard whose BDD plan alone blows [`max_bdd_nodes`](Self::max_bdd_nodes)
+/// into a documented accuracy degradation instead (see the safeopt
+/// compile layer).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompileBudget {
     /// Maximum ops emitted onto one compiled tape.
     pub max_ops: Option<usize>,
     /// Maximum Shannon nodes across one hazard's BDD plan.
     pub max_bdd_nodes: Option<usize>,
+    /// When a hazard's BDD plan blows [`max_bdd_nodes`](Self::max_bdd_nodes):
+    /// `false` (the default) returns [`EngineError::BudgetExceeded`];
+    /// `true` lowers that hazard with the rare-event cut-set sum instead.
+    pub rare_event_fallback: bool,
 }
 
 impl CompileBudget {
@@ -107,6 +113,7 @@ impl CompileBudget {
     pub const UNLIMITED: CompileBudget = CompileBudget {
         max_ops: None,
         max_bdd_nodes: None,
+        rare_event_fallback: false,
     };
 
     /// Caps the ops emitted onto one compiled tape.
@@ -118,6 +125,14 @@ impl CompileBudget {
     /// Caps the Shannon nodes of one hazard's BDD plan.
     pub fn with_max_bdd_nodes(mut self, max_bdd_nodes: usize) -> Self {
         self.max_bdd_nodes = Some(max_bdd_nodes);
+        self
+    }
+
+    /// Degrades a hazard whose BDD plan blows
+    /// [`max_bdd_nodes`](Self::max_bdd_nodes) to rare-event lowering
+    /// instead of failing the compile.
+    pub fn with_rare_event_fallback(mut self) -> Self {
+        self.rare_event_fallback = true;
         self
     }
 

@@ -113,69 +113,6 @@ macro_rules! dispatch_lanes {
 }
 pub(crate) use dispatch_lanes;
 
-/// Floating-point contract of the SoA lane kernels (see [`math_mode`]).
-///
-/// `Exact` is the default: every lane kernel performs the
-/// point-at-a-time sweep's float sequence per lane, so results are 0-ULP
-/// bit-identical to [`Tape::eval_into`] across lane widths, thread
-/// counts, and chunk sizes. `Relaxed` swaps the transcendental calls inside lane
-/// blocks (`exp`/`exp_m1` in [`Op::Exposure`] forward and adjoint
-/// kernels) for the branchless vectorizable kernels of
-/// [`crate::fast_exp`], which are allowed to drift from the scalar
-/// path by the documented ulp bounds (≤1 ulp for `exp`; see the module
-/// docs for `exp_m1`). Point-at-a-time sweeps — and therefore ragged
-/// tails and `Closure` fallbacks — always stay exact, so relaxed results
-/// remain deterministic, but may differ across lane widths and chunk
-/// boundaries within the bound — chunk boundaries decide which
-/// points ride a lane block vs the scalar-exact tail, so worker counts
-/// agree for a fixed chunk size while the single-thread sequential
-/// fast path (one chunk spanning the whole batch) may differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MathMode {
-    /// 0-ULP bit-identity with the point-at-a-time sweep (the default).
-    #[default]
-    Exact,
-    /// Vectorizable transcendental kernels with documented ulp drift.
-    Relaxed,
-}
-
-/// Math mode used by the SoA lane kernels: the `SAFETY_OPT_MATH`
-/// environment variable when set (`"exact"` or `"relaxed"`),
-/// [`MathMode::Exact`] otherwise. Read **once per process**, exactly
-/// like the other `SAFETY_OPT_*` knobs: the mode is a process-level
-/// numeric contract, not a per-call switch.
-///
-/// # Panics
-///
-/// Panics if `SAFETY_OPT_MATH` is set to anything but `"exact"` or
-/// `"relaxed"` (case-insensitive). A typo silently falling back to the
-/// exact default would be undetectable precisely because exact results
-/// are bit-identical — the `SAFETY_OPT_THREADS` contract.
-pub fn math_mode() -> MathMode {
-    static MODE: std::sync::OnceLock<MathMode> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| {
-        parse_math_override(crate::env::var("SAFETY_OPT_MATH").as_deref())
-            .unwrap_or(MathMode::Exact)
-    })
-}
-
-/// Parses a `SAFETY_OPT_MATH` override: `None`/empty means "unset"
-/// (use the exact default); anything else must name a mode.
-fn parse_math_override(value: Option<&str>) -> Option<MathMode> {
-    crate::env::parse_choice(
-        "SAFETY_OPT_MATH",
-        value,
-        &[("exact", MathMode::Exact), ("relaxed", MathMode::Relaxed)],
-        "unset it to use the exact default",
-    )
-}
-
-/// `true` when the process-level [`math_mode`] is [`MathMode::Relaxed`].
-#[inline]
-pub(crate) fn relaxed_math() -> bool {
-    math_mode() == MathMode::Relaxed
-}
-
 /// Lane-blocked SoA register file: register `r`'s value for lane `l`
 /// lives at `r * L + l`, inputs first, then one row per op — the
 /// structure-of-arrays transpose of [`Tape::eval_into`]'s scratch. All
@@ -237,23 +174,8 @@ impl LaneFile {
         match &tape.ops[slot] {
             Op::Exposure { rate, t } => {
                 let t = arg(*t);
-                // The window clamp and rate multiply vectorize; in exact
-                // mode only the `exp_m1` calls stay scalar per lane, in
-                // relaxed mode the whole block runs the branchless
-                // `fast_exp` kernel (documented ulp drift).
-                let mut u = [0.0; L];
                 for l in 0..L {
-                    u[l] = -rate * t[l].max(0.0);
-                }
-                if relaxed_math() {
-                    crate::fast_exp::exp_m1_block::<L>(&u, out);
-                    for o in out.iter_mut() {
-                        *o = -*o;
-                    }
-                } else {
-                    for l in 0..L {
-                        out[l] = -u[l].exp_m1();
-                    }
+                    out[l] = -(-rate * t[l].max(0.0)).exp_m1();
                 }
             }
             Op::Overtime { sf, x } => {
@@ -391,24 +313,6 @@ impl LaneFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn math_override_parses_known_modes() {
-        assert_eq!(parse_math_override(None), None);
-        assert_eq!(parse_math_override(Some("")), None);
-        assert_eq!(parse_math_override(Some("  ")), None);
-        assert_eq!(parse_math_override(Some("exact")), Some(MathMode::Exact));
-        assert_eq!(
-            parse_math_override(Some(" Relaxed ")),
-            Some(MathMode::Relaxed)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "SAFETY_OPT_MATH must be \"exact\" or \"relaxed\"")]
-    fn unknown_math_mode_is_rejected_loudly() {
-        parse_math_override(Some("fast"));
-    }
 
     #[test]
     fn lane_widths_round_down_to_supported_blocks() {

@@ -446,27 +446,11 @@ impl AdjointFile {
                 let base = t.index() * L;
                 let w: [f64; L] = regs_block::<L>(regs, base);
                 let adj = lane_window::<L>(&mut self.adj, base);
-                if crate::exec::relaxed_math() {
-                    // Speculative blocked exp (pure, so unobservable on
-                    // skipped lanes), then the guarded accumulate.
-                    let mut u = [0.0; L];
-                    for l in 0..L {
-                        u[l] = -rate * w[l];
-                    }
-                    let mut e = [0.0; L];
-                    crate::fast_exp::exp_block::<L>(&u, &mut e);
-                    for l in 0..L {
-                        if a[l] != 0.0 && w[l] > 0.0 {
-                            adj[l] += a[l] * rate * e[l];
-                        }
-                    }
-                } else {
-                    for l in 0..L {
-                        // λ·e^{−λt} for t > 0; subgradient 0 on the
-                        // clamped branch — the scalar VJP per lane.
-                        if a[l] != 0.0 && w[l] > 0.0 {
-                            adj[l] += a[l] * rate * (-rate * w[l]).exp();
-                        }
+                for l in 0..L {
+                    // λ·e^{−λt} for t > 0; subgradient 0 on the clamped
+                    // branch — the scalar VJP per lane.
+                    if a[l] != 0.0 && w[l] > 0.0 {
+                        adj[l] += a[l] * rate * (-rate * w[l]).exp();
                     }
                 }
             }

@@ -67,7 +67,6 @@ pub mod env;
 pub mod error;
 pub mod exec;
 pub mod fast_erf;
-pub mod fast_exp;
 pub mod faultinject;
 pub mod fleet;
 pub mod grad;
@@ -76,9 +75,7 @@ pub mod tape;
 
 pub use batch::BatchEvaluator;
 pub use cache::{CacheStats, QuantizedCache};
-pub use env::{degrade_mode, set_degrade_mode, DegradeMode};
 pub use error::{CompileBudget, EngineError, EvalDeadline};
-pub use exec::{math_mode, MathMode};
 pub use fleet::{Fleet, FleetBuilder, FleetEvaluator, FleetScratch};
 pub use grad::GradWorkspace;
 pub use profile::{ProfileReport, ProfileRow};

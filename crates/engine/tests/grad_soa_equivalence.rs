@@ -10,10 +10,9 @@
 //! (exercising the monomorphized block widths, the rounding, and the
 //! ragged scalar tail), and random chunk sizes.
 //!
-//! This is the exact-mode (default) leg; the relaxed-math contract
-//! (`SAFETY_OPT_MATH=relaxed`, documented ≤1-ulp vectorized `exp`)
-//! lives in `relaxed_math.rs` because the mode knob is read once per
-//! process.
+//! The lane kernels call the platform libm `exp`/`exp_m1` per lane,
+//! exactly as the pointwise sweep does, which is what makes 0 ULP
+//! attainable.
 //!
 //! The random-family machinery is shared with the `soa_equivalence`,
 //! `fleet_equivalence`, and `grad_equivalence` suites

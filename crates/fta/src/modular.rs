@@ -146,9 +146,9 @@ impl ModularPlan {
         })
     }
 
-    /// Wraps a monolithic [`ShannonPlan`] as a single-module plan (the
-    /// preprocessing-disabled path): local slots map one-to-one onto
-    /// original leaves.
+    /// Wraps a monolithic [`ShannonPlan`] as a single-module plan — the
+    /// unpreprocessed reference that modular plans are checked against:
+    /// local slots map one-to-one onto original leaves.
     pub fn from_single(plan: ShannonPlan) -> Self {
         let num_leaves = plan.num_leaves();
         ModularPlan {

@@ -57,31 +57,6 @@ static PRE_GATES_REMOVED: telemetry::Counter =
 /// Independent modules detected on preprocessed trees.
 static PRE_MODULES: telemetry::Counter = telemetry::Counter::new("fta.preprocess.modules");
 
-/// Whether the safeopt compile path routes tree-derived hazards through
-/// the preprocessing pipeline. `SAFETY_OPT_PREPROCESS=off` disables it
-/// (the escape hatch CI uses to pin the equivalence contract);
-/// `on`/unset enables. Read **once per process**, mirroring
-/// `SAFETY_OPT_THREADS`/`SAFETY_OPT_QUANT`.
-///
-/// # Panics
-///
-/// Panics on any other value — a forced pipeline setting exists to pin
-/// which code path runs, and a typo silently enabling the default would
-/// be undetectable.
-pub fn preprocess_enabled() -> bool {
-    use safety_opt_engine::env;
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        env::parse_choice(
-            "SAFETY_OPT_PREPROCESS",
-            env::var("SAFETY_OPT_PREPROCESS").as_deref(),
-            &[("on", true), ("off", false)],
-            "unset it to use the default, on",
-        )
-        .unwrap_or(true)
-    })
-}
-
 /// What one preprocessing run did: node counts before/after (reachable
 /// from the root), per-pass rewrite tallies, and the module count of the
 /// result. Mirrored into the `fta.preprocess.*` telemetry counters.
@@ -822,12 +797,5 @@ mod tests {
         let modules = detect_modules(&ft).unwrap();
         assert_eq!(modules.last().copied(), Some(top));
         assert!(modules.contains(&inner));
-    }
-
-    #[test]
-    fn preprocess_env_values_parse() {
-        // The knob itself is process-global; only exercise the parser
-        // indirectly by checking the documented default here.
-        assert!(preprocess_enabled() || !preprocess_enabled());
     }
 }

@@ -26,7 +26,7 @@ use crate::param::{ParamValues, ParameterSpace};
 use crate::pprob::{ExprStructure, ProbExpr};
 use crate::{Result, SafeOptError};
 use safety_opt_engine::{
-    faultinject, BatchEvaluator, CacheStats, CompileBudget, CompileStats, DegradeMode, EngineError,
+    faultinject, BatchEvaluator, CacheStats, CompileBudget, CompileStats, EngineError,
     EvalDeadline, GradWorkspace, QuantizedCache, Tape, TapeBuilder, Value,
 };
 use safety_opt_fta::bdd::ShannonRef;
@@ -37,7 +37,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Hazards whose exact BDD lowering blew its node budget and degraded
-/// to rare-event lowering (`SAFETY_OPT_DEGRADE=fallback`).
+/// to rare-event lowering ([`CompileBudget::with_rare_event_fallback`]).
 static DEGRADE_FALLBACKS: telemetry::Counter = telemetry::Counter::new("safeopt.degrade.fallback");
 
 /// Warns once per process when graceful degradation first kicks in;
@@ -49,8 +49,8 @@ fn warn_degrade_fallback_once(hazard: &str, nodes: usize, limit: usize) {
         eprintln!(
             "safety-opt: hazard {hazard:?} has a {nodes}-node BDD plan over the \
              {limit}-node budget; degrading to rare-event lowering \
-             (SAFETY_OPT_DEGRADE=fallback). Probabilities for this hazard are \
-             conservative rare-event approximations, not BDD-exact. \
+             (CompileBudget::with_rare_event_fallback). Probabilities for \
+             this hazard are conservative rare-event approximations, not BDD-exact. \
              Further degradations are counted in safeopt.degrade.fallback."
         );
     });
@@ -108,13 +108,13 @@ impl CompiledModel {
     ///
     /// Budget enforcement is **all-or-nothing**: a blown limit returns
     /// [`SafeOptError::Engine`]`(`[`EngineError::BudgetExceeded`]`)`
-    /// and no partially compiled model. Exception: when the process
-    /// degradation policy is `SAFETY_OPT_DEGRADE=fallback` (or
-    /// [`safety_opt_engine::set_degrade_mode`]), a hazard whose exact
+    /// and no partially compiled model. Exception: when `budget` carries
+    /// [`CompileBudget::with_rare_event_fallback`], a hazard whose exact
     /// BDD plan alone blows `max_bdd_nodes` falls back to rare-event
     /// lowering for that hazard — a documented accuracy degradation,
     /// counted in the `safeopt.degrade.fallback` telemetry counter and
-    /// warned once per process.
+    /// warned once per process. The policy belongs to this one compile:
+    /// two compiles in one process may use opposite policies.
     ///
     /// # Errors
     ///
@@ -482,27 +482,25 @@ pub(crate) fn lower_hazard(
             let plan = exact.plan();
             // Exact lowering emits one fused op per Shannon node, so the
             // plan's node count is the budget-relevant size. A blown
-            // `max_bdd_nodes` either aborts (all-or-nothing) or — under
-            // `SAFETY_OPT_DEGRADE=fallback` — degrades this hazard to
-            // the rare-event cut-set lowering below.
+            // `max_bdd_nodes` either aborts (all-or-nothing) or — when
+            // the budget allows the rare-event fallback — degrades this
+            // hazard to the rare-event cut-set lowering below.
             if let Err(e) = budget.check_bdd_nodes(plan.node_count()) {
-                match safety_opt_engine::degrade_mode() {
-                    DegradeMode::Off => return Err(SafeOptError::Engine(e)),
-                    DegradeMode::Fallback => {
-                        DEGRADE_FALLBACKS.add(1);
-                        telemetry::trace::trace_instant(
-                            telemetry::EventKind::DegradeFallback,
-                            hazard.name(),
-                            plan.node_count() as u64,
-                        );
-                        warn_degrade_fallback_once(
-                            hazard.name(),
-                            plan.node_count(),
-                            budget.max_bdd_nodes.unwrap_or(usize::MAX),
-                        );
-                        return lower_rare_event(b, memo, space, hazard);
-                    }
+                if !budget.rare_event_fallback {
+                    return Err(SafeOptError::Engine(e));
                 }
+                DEGRADE_FALLBACKS.add(1);
+                telemetry::trace::trace_instant(
+                    telemetry::EventKind::DegradeFallback,
+                    hazard.name(),
+                    plan.node_count() as u64,
+                );
+                warn_degrade_fallback_once(
+                    hazard.name(),
+                    plan.node_count(),
+                    budget.max_bdd_nodes.unwrap_or(usize::MAX),
+                );
+                return lower_rare_event(b, memo, space, hazard);
             }
             let resolve = |r: ShannonRef, vals: &[Value], b: &TapeBuilder| match r {
                 ShannonRef::False => b.constant(0.0),

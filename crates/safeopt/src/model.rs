@@ -20,11 +20,9 @@
 use crate::param::{ParamValues, ParameterSpace};
 use crate::pprob::{ExprStructure, ProbExpr};
 use crate::{Result, SafeOptError};
-use safety_opt_fta::bdd::{ShannonRef, TreeBdd};
+use safety_opt_fta::bdd::ShannonRef;
 use safety_opt_fta::modular::{ModularPlan, PlanInput};
-use safety_opt_fta::preprocess::{
-    preprocess_enabled, preprocess_with_constants, PreprocessOutcome,
-};
+use safety_opt_fta::preprocess::{preprocess_with_constants, PreprocessOutcome};
 use safety_opt_fta::tree::FaultTree;
 use std::sync::Arc;
 
@@ -156,8 +154,8 @@ impl ExactHazard {
     /// BDD leaf's expression once, then folds each module's Shannon
     /// nodes bottom-up, substituting already-folded child-module tops
     /// where the plan references them — the scalar twin of the compiled
-    /// `MulAdd` lowering and of [`TreeBdd::probability`]'s float
-    /// sequence.
+    /// `MulAdd` lowering and of
+    /// [`safety_opt_fta::bdd::TreeBdd::probability`]'s float sequence.
     pub(crate) fn probability(&self, params: &ParamValues<'_>) -> Result<f64> {
         let mut leaf_vals: Vec<Option<f64>> = vec![None; self.leaf_exprs.len()];
         let mut roots: Vec<f64> = Vec::with_capacity(self.plan.modules().len());
@@ -347,38 +345,31 @@ impl Hazard {
             let names = cs.names(tree).join(" & ");
             cut_sets.push(ModelCutSet::new(names, factors));
         }
-        // The exact structure goes through the preprocessing pipeline
-        // (constant propagation, normalization, coalescing, module
-        // detection) unless `SAFETY_OPT_PREPROCESS=off`; the cut sets
-        // above always come from the raw tree so the rare-event path is
-        // byte-for-byte unaffected by the rewrite. Leaves whose
-        // substituted expression is literally 0 or 1 are folded as
-        // house events.
-        let plan = if preprocess_enabled() {
-            let oracle = |leaf: usize| {
-                leaf_exprs[leaf]
-                    .as_ref()
-                    .and_then(|expr| match expr.structure() {
-                        ExprStructure::Constant(v) => {
-                            if v == 0.0 {
-                                Some(false)
-                            } else if v == 1.0 {
-                                Some(true)
-                            } else {
-                                None
-                            }
+        // The exact structure always goes through the preprocessing
+        // pipeline (constant propagation, normalization, coalescing,
+        // module detection); the cut sets above always come from the
+        // raw tree so the rare-event path is byte-for-byte unaffected by
+        // the rewrite. Leaves whose substituted expression is literally
+        // 0 or 1 are folded as house events.
+        let oracle = |leaf: usize| {
+            leaf_exprs[leaf]
+                .as_ref()
+                .and_then(|expr| match expr.structure() {
+                    ExprStructure::Constant(v) => {
+                        if v == 0.0 {
+                            Some(false)
+                        } else if v == 1.0 {
+                            Some(true)
+                        } else {
+                            None
                         }
-                        _ => None,
-                    })
-            };
-            match preprocess_with_constants(tree, oracle)?.outcome {
-                PreprocessOutcome::Tree(reduced) => ModularPlan::build(&reduced)?,
-                PreprocessOutcome::Constant(value) => {
-                    ModularPlan::constant(value, tree.leaves().len())
-                }
-            }
-        } else {
-            ModularPlan::from_single(TreeBdd::build(tree)?.shannon_plan())
+                    }
+                    _ => None,
+                })
+        };
+        let plan = match preprocess_with_constants(tree, oracle)?.outcome {
+            PreprocessOutcome::Tree(reduced) => ModularPlan::build(&reduced)?,
+            PreprocessOutcome::Constant(value) => ModularPlan::constant(value, tree.leaves().len()),
         };
         let leaf_names = tree
             .leaves()

@@ -25,13 +25,13 @@ use safety_opt_core::pprob::{complement, constant, exposure, overtime};
 use safety_opt_core::uncertainty::optimize_under_uncertainty;
 use safety_opt_core::{Result, SafeOptError};
 use safety_opt_engine::faultinject::{self, sites, Trigger};
-use safety_opt_engine::{set_degrade_mode, CompileBudget, DegradeMode, EngineError, EvalDeadline};
+use safety_opt_engine::{CompileBudget, EngineError, EvalDeadline};
 use safety_opt_stats::dist::TruncatedNormal;
 use safety_opt_telemetry as telemetry;
 use std::sync::{Mutex, MutexGuard, Once, PoisonError};
 use std::time::Duration;
 
-/// Serializes every chaos test (failpoints and the degradation mode are
+/// Serializes every chaos test (failpoints and the telemetry mode are
 /// process-global) and silences the panic hook for the suite's own
 /// injected panics so the output stays readable.
 fn chaos_lock() -> MutexGuard<'static, ()> {
@@ -305,10 +305,9 @@ fn cache_memo_panic_never_poisons_the_objective_memo() {
     assert_eq!(stats.hits, 1, "second post-fault eval must hit the cache");
 }
 
-#[test]
-fn bdd_node_budget_degrades_to_rare_event_lowering_when_enabled() {
-    let _guard = chaos_lock();
-    // Shared-event tree where rare-event and exact genuinely differ.
+/// Shared-event tree where rare-event and exact genuinely differ (event
+/// `a` sits in both cut sets, so the rare-event sum over-counts).
+fn shared_event_model(quant: QuantMethod) -> SafetyModel {
     let mut ft = safety_opt_fta::tree::FaultTree::new("shared");
     let a = ft.basic_event("a").unwrap();
     let b = ft.basic_event("b").unwrap();
@@ -317,61 +316,116 @@ fn bdd_node_budget_degrades_to_rare_event_lowering_when_enabled() {
     let g2 = ft.and_gate("g2", [a, c]).unwrap();
     let top = ft.or_gate("top", [g1, g2]).unwrap();
     ft.set_root(top).unwrap();
-    let build = || {
-        let mut space = ParameterSpace::new();
-        let t = space.parameter("t", 0.1, 10.0).unwrap();
-        let hazard = Hazard::from_fault_tree(&ft, |leaf| {
-            Ok(match leaf {
-                0 => exposure(0.2, t),
-                1 => constant(0.4).unwrap(),
-                _ => constant(0.25).unwrap(),
-            })
+    let mut space = ParameterSpace::new();
+    let t = space.parameter("t", 0.1, 10.0).unwrap();
+    let hazard = Hazard::from_fault_tree(&ft, |leaf| {
+        Ok(match leaf {
+            0 => exposure(0.2, t),
+            1 => constant(0.4).unwrap(),
+            _ => constant(0.25).unwrap(),
         })
-        .unwrap();
-        SafetyModel::new(space).hazard(hazard, 1000.0)
-    };
-    let exact_model = build().with_quant_method(QuantMethod::BddExact);
-    let budget = CompileBudget::default().with_max_bdd_nodes(0);
+    })
+    .unwrap();
+    SafetyModel::new(space)
+        .hazard(hazard, 1000.0)
+        .with_quant_method(quant)
+}
+
+fn fallback_counter() -> u64 {
+    telemetry::snapshot()
+        .counter("safeopt.degrade.fallback")
+        .unwrap_or(0)
+}
+
+#[test]
+fn bdd_node_budget_degrades_to_rare_event_lowering_when_enabled() {
+    let _guard = chaos_lock();
+    let exact_model = shared_event_model(QuantMethod::BddExact);
+    let strict = CompileBudget::default().with_max_bdd_nodes(0);
+    let lenient = strict.with_rare_event_fallback();
     let x = [3.0];
 
-    // Off (the default): all-or-nothing typed error.
-    set_degrade_mode(DegradeMode::Off);
-    match CompiledModel::compile_with_budget(&exact_model, 1, budget) {
+    // The default policy: all-or-nothing typed error.
+    match CompiledModel::compile_with_budget(&exact_model, 1, strict) {
         Err(SafeOptError::Engine(EngineError::BudgetExceeded { what, .. })) => {
             assert_eq!(what, "BDD nodes");
         }
         other => panic!("expected BudgetExceeded(BDD nodes), got {other:?}"),
     }
 
-    // Fallback: compiles, counts the degradation, and the degraded
-    // hazard is bit-identical to an explicit rare-event compile.
+    // The fallback budget: compiles, counts the degradation, and the
+    // degraded hazard is bit-identical to an explicit rare-event compile.
     telemetry::set_mode(telemetry::TelemetryMode::Counters);
-    set_degrade_mode(DegradeMode::Fallback);
-    let before = telemetry::snapshot()
-        .counter("safeopt.degrade.fallback")
-        .unwrap_or(0);
-    let degraded = CompiledModel::compile_with_budget(&exact_model, 1, budget).unwrap();
-    let after = telemetry::snapshot()
-        .counter("safeopt.degrade.fallback")
-        .unwrap_or(0);
-    assert_eq!(after, before + 1, "degradation must be counted");
-    let rare =
-        CompiledModel::compile_with_threads(&build().with_quant_method(QuantMethod::RareEvent), 1)
-            .unwrap();
+    let before = fallback_counter();
+    let degraded = CompiledModel::compile_with_budget(&exact_model, 1, lenient).unwrap();
+    assert_eq!(
+        fallback_counter(),
+        before + 1,
+        "degradation must be counted"
+    );
+    telemetry::set_mode(telemetry::TelemetryMode::Off);
+    let rare = CompiledModel::compile_with_threads(&shared_event_model(QuantMethod::RareEvent), 1)
+        .unwrap();
     assert_eq!(
         degraded.cost(&x).unwrap().to_bits(),
         rare.cost(&x).unwrap().to_bits(),
         "degraded hazard must equal the rare-event lowering exactly"
     );
-    // And it genuinely degraded: the unbudgeted exact compile differs
-    // (shared event `a` makes rare-event over-count).
+    // And it genuinely degraded: the unbudgeted exact compile differs.
     let exact = CompiledModel::compile(&exact_model).unwrap();
     assert_ne!(
         exact.cost(&x).unwrap().to_bits(),
         degraded.cost(&x).unwrap().to_bits()
     );
-    set_degrade_mode(DegradeMode::Off);
+}
+
+#[test]
+fn fallback_budget_that_is_not_blown_compiles_exactly() {
+    let _guard = chaos_lock();
+    let exact_model = shared_event_model(QuantMethod::BddExact);
+    let roomy = CompileBudget::default()
+        .with_max_bdd_nodes(1_000)
+        .with_rare_event_fallback();
+    telemetry::set_mode(telemetry::TelemetryMode::Counters);
+    let before = fallback_counter();
+    let budgeted = CompiledModel::compile_with_budget(&exact_model, 1, roomy).unwrap();
+    assert_eq!(fallback_counter(), before, "nothing degraded");
     telemetry::set_mode(telemetry::TelemetryMode::Off);
+    let plain = CompiledModel::compile_with_threads(&exact_model, 1).unwrap();
+    for x in [[0.1], [3.0], [7.5], [10.0]] {
+        assert_eq!(
+            budgeted.cost(&x).unwrap().to_bits(),
+            plain.cost(&x).unwrap().to_bits(),
+            "at {x:?}"
+        );
+    }
+}
+
+#[test]
+fn degrade_policy_belongs_to_each_compile() {
+    let _guard = chaos_lock();
+    let exact_model = shared_event_model(QuantMethod::BddExact);
+    let rare = CompiledModel::compile_with_threads(&shared_event_model(QuantMethod::RareEvent), 1)
+        .unwrap();
+    let strict = CompileBudget::default().with_max_bdd_nodes(0);
+    let lenient = strict.with_rare_event_fallback();
+    let x = [3.0];
+    // Opposite policies back to back, in both orders: neither compile
+    // leaks its policy into the next.
+    for _ in 0..2 {
+        let degraded = CompiledModel::compile_with_budget(&exact_model, 1, lenient).unwrap();
+        assert_eq!(
+            degraded.cost(&x).unwrap().to_bits(),
+            rare.cost(&x).unwrap().to_bits()
+        );
+        assert!(matches!(
+            CompiledModel::compile_with_budget(&exact_model, 1, strict),
+            Err(SafeOptError::Engine(EngineError::BudgetExceeded {
+                what: "BDD nodes",
+                ..
+            }))
+        ));
+    }
 }
 
 #[test]

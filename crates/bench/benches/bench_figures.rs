@@ -1,6 +1,7 @@
 //! Wall-time of regenerating each paper artifact: the Fig. 5 surface
 //! grid, the Fig. 6 series, the E2 optimization, and a simulation batch —
-//! one benchmark per experiment of the index in DESIGN.md.
+//! one benchmark per paper experiment (E1, E2, E3, E7 of the README's
+//! experiment index).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use safety_opt_core::optimize::SafetyOptimizer;

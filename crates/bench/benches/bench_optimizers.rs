@@ -5,11 +5,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use safety_opt_core::optimize::SafetyOptimizer;
 use safety_opt_elbtunnel::analytic::ElbtunnelModel;
-use safety_opt_optim::anneal::SimulatedAnnealing;
-use safety_opt_optim::de::DifferentialEvolution;
 use safety_opt_optim::gradient::GradientDescent;
 use safety_opt_optim::grid::GridSearch;
-use safety_opt_optim::hooke_jeeves::HookeJeeves;
 use safety_opt_optim::multistart::MultiStart;
 use safety_opt_optim::nelder_mead::NelderMead;
 use safety_opt_optim::quasi_newton::QuasiNewton;
@@ -28,17 +25,8 @@ fn bench_optimizers_on_elbtunnel(c: &mut Criterion) {
             "multistart_nm_8",
             Box::new(MultiStart::new(NelderMead::default(), 8)),
         ),
-        ("hooke_jeeves", Box::new(HookeJeeves::default())),
         ("gradient_descent", Box::new(GradientDescent::default())),
         ("grid_101", Box::new(GridSearch::new(101))),
-        (
-            "simulated_annealing",
-            Box::new(SimulatedAnnealing::default().seed(1)),
-        ),
-        (
-            "differential_evolution",
-            Box::new(DifferentialEvolution::default().seed(1).generations(120)),
-        ),
     ];
     let mut group = c.benchmark_group("optimize_elbtunnel");
     for (name, algo) in &algorithms {

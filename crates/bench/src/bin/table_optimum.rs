@@ -1,8 +1,9 @@
 //! E2 — regenerates the optimal-configuration results of Sect. IV-C.2:
 //! optimal timer runtimes, the improvement over the engineers' initial
-//! (30, 30) configuration, and the per-hazard deltas — with every
-//! optimizer of the library as a cross-check (ablation A1's accuracy
-//! side).
+//! (30, 30) configuration, and the per-hazard deltas. The default
+//! 4-start quasi-Newton is cross-checked against single-start
+//! quasi-Newton, Nelder–Mead (single and 8-start), capped gradient descent
+//! and a dense grid (ablation A1's accuracy side).
 //!
 //! Run with: `cargo run --release -p safety-opt-bench --bin table_optimum`
 
@@ -10,11 +11,8 @@ use safety_opt_bench::{row, write_artifact};
 use safety_opt_core::optimize::{ConfigurationComparison, SafetyOptimizer};
 use safety_opt_elbtunnel::analytic::ElbtunnelModel;
 use safety_opt_elbtunnel::constants as c;
-use safety_opt_optim::anneal::SimulatedAnnealing;
-use safety_opt_optim::de::DifferentialEvolution;
 use safety_opt_optim::gradient::GradientDescent;
 use safety_opt_optim::grid::GridSearch;
-use safety_opt_optim::hooke_jeeves::HookeJeeves;
 use safety_opt_optim::multistart::MultiStart;
 use safety_opt_optim::nelder_mead::NelderMead;
 use safety_opt_optim::quasi_newton::QuasiNewton;
@@ -39,17 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Box::new(MultiStart::new(NelderMead::default(), 8)),
         ),
         ("nelder-mead", Box::new(NelderMead::default())),
-        ("hooke-jeeves", Box::new(HookeJeeves::default())),
         ("gradient-descent", Box::new(GradientDescent::default())),
         ("grid", Box::new(GridSearch::new(501))),
-        (
-            "simulated-annealing",
-            Box::new(SimulatedAnnealing::default().seed(2004)),
-        ),
-        (
-            "differential-evolution",
-            Box::new(DifferentialEvolution::default().seed(2004)),
-        ),
     ];
 
     let widths = [24usize, 9, 9, 13, 11];

@@ -1,7 +1,8 @@
 //! Shared helpers for the reproduction harness.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper (see the experiment index in `DESIGN.md`), printing the series
+//! paper (see the experiment index in the README's "Reproduction
+//! harness" section), printing the series
 //! to stdout and writing CSV/JSON artifacts into `results/` at the
 //! workspace root. The Criterion benches in `benches/` measure the
 //! engines themselves (cut-set algorithms, quantification, optimizers).

@@ -7,7 +7,6 @@
 //! objective outside it.
 
 use crate::{OptimError, Result};
-use rand::Rng;
 
 /// A compact real interval `[lo, hi]` with `lo < hi`, both finite.
 ///
@@ -76,11 +75,6 @@ impl Interval {
     /// Linear interpolation: `t = 0` maps to `lo`, `t = 1` to `hi`.
     pub fn lerp(&self, t: f64) -> f64 {
         self.clamp(self.lo + t * self.width())
-    }
-
-    /// Uniform random point in the interval.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.lerp(rng.gen::<f64>())
     }
 }
 
@@ -184,11 +178,6 @@ impl BoxDomain {
         self.intervals.iter().map(Interval::width).collect()
     }
 
-    /// Uniform random point in the box.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
-        self.intervals.iter().map(|iv| iv.sample(rng)).collect()
-    }
-
     /// The largest dimension width — a useful convergence scale.
     pub fn max_width(&self) -> f64 {
         self.intervals
@@ -213,8 +202,6 @@ impl std::fmt::Display for BoxDomain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn interval_rejects_bad_bounds() {
@@ -236,15 +223,6 @@ mod tests {
         assert_eq!(iv.lerp(0.0), 5.0);
         assert_eq!(iv.lerp(1.0), 30.0);
         assert_eq!(iv.lerp(0.5), 17.5);
-    }
-
-    #[test]
-    fn interval_samples_stay_inside() {
-        let iv = Interval::new(-3.0, 7.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..1000 {
-            assert!(iv.contains(iv.sample(&mut rng)));
-        }
     }
 
     #[test]
@@ -276,15 +254,6 @@ mod tests {
     fn project_panics_on_wrong_dimension() {
         let d = BoxDomain::from_bounds(&[(0.0, 1.0)]).unwrap();
         let _ = d.project(&[0.5, 0.5]);
-    }
-
-    #[test]
-    fn box_samples_stay_inside() {
-        let d = BoxDomain::from_bounds(&[(0.0, 1.0), (-5.0, 5.0), (100.0, 101.0)]).unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..500 {
-            assert!(d.contains(&d.sample(&mut rng)));
-        }
     }
 
     #[test]

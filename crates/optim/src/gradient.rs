@@ -34,6 +34,17 @@ enum GradSource<'a> {
     Analytic(&'a dyn DifferentiableObjective),
 }
 
+/// Central-difference step, relative to each dimension width.
+const FD_STEP: f64 = 1e-6;
+/// Projected-gradient norm at which the descent counts as converged.
+const G_TOL: f64 = 1e-10;
+/// Accepted step length, relative to the widest domain dimension, at
+/// which the descent counts as converged.
+const X_TOL: f64 = 1e-12;
+/// Initial (and largest) line-search step as a fraction of the widest
+/// domain dimension.
+const INITIAL_STEP: f64 = 0.1;
+
 /// Projected-gradient-descent configuration.
 ///
 /// ```
@@ -51,15 +62,7 @@ enum GradSource<'a> {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct GradientDescent {
-    /// Relative finite-difference step for the numerical gradient.
-    fd_step: f64,
-    /// Gradient-norm tolerance (projected gradient).
-    g_tol: f64,
-    /// Step-size tolerance relative to domain width.
-    x_tol: f64,
     max_iterations: u64,
-    /// Initial line-search step as a fraction of domain width.
-    initial_step: f64,
     start: Option<Vec<f64>>,
     record_trace: bool,
     hook: HookHandle,
@@ -68,11 +71,7 @@ pub struct GradientDescent {
 impl Default for GradientDescent {
     fn default() -> Self {
         Self {
-            fd_step: 1e-6,
-            g_tol: 1e-10,
-            x_tol: 1e-12,
             max_iterations: 5000,
-            initial_step: 0.1,
             start: None,
             record_trace: false,
             hook: HookHandle::none(),
@@ -84,24 +83,6 @@ impl GradientDescent {
     /// Creates a minimizer with default settings.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the relative central-difference step.
-    pub fn fd_step(mut self, h: f64) -> Self {
-        self.fd_step = h;
-        self
-    }
-
-    /// Sets the projected-gradient-norm stopping tolerance.
-    pub fn g_tol(mut self, tol: f64) -> Self {
-        self.g_tol = tol;
-        self
-    }
-
-    /// Sets the relative step-size stopping tolerance.
-    pub fn x_tol(mut self, tol: f64) -> Self {
-        self.x_tol = tol;
-        self
     }
 
     /// Sets the iteration budget.
@@ -136,19 +117,6 @@ impl GradientDescent {
     }
 
     fn validate(&self, domain: &BoxDomain) -> Result<()> {
-        for (option, v) in [
-            ("fd_step", self.fd_step),
-            ("g_tol", self.g_tol),
-            ("x_tol", self.x_tol),
-            ("initial_step", self.initial_step),
-        ] {
-            if !(v.is_finite() && v > 0.0) {
-                return Err(OptimError::InvalidConfig {
-                    option,
-                    requirement: "must be finite and > 0",
-                });
-            }
-        }
         if self.max_iterations == 0 {
             return Err(OptimError::InvalidConfig {
                 option: "max_iterations",
@@ -177,7 +145,7 @@ impl GradientDescent {
     ) -> Vec<f64> {
         let mut g = vec![0.0; x.len()];
         for i in 0..x.len() {
-            let h = (self.fd_step * widths[i]).max(1e-12);
+            let h = (FD_STEP * widths[i]).max(1e-12);
             let iv = domain.interval(i);
             let hi = iv.clamp(x[i] + h);
             let lo = iv.clamp(x[i] - h);
@@ -235,7 +203,7 @@ impl GradientDescent {
             None => domain.center(),
         };
         let mut fx = f.eval_penalized(&x);
-        let mut step0 = self.initial_step * scale;
+        let mut step0 = INITIAL_STEP * scale;
         let mut trace = Vec::new();
         let mut iterations = 0;
         let mut termination = TerminationReason::MaxIterations;
@@ -255,7 +223,7 @@ impl GradientDescent {
                 .map(|(&p, &xi)| (p - xi) * (p - xi))
                 .sum::<f64>()
                 .sqrt();
-            if pg_norm <= self.g_tol || g_norm == 0.0 {
+            if pg_norm <= G_TOL || g_norm == 0.0 {
                 termination = TerminationReason::Converged;
                 break;
             }
@@ -285,8 +253,8 @@ impl GradientDescent {
                     fx = ft;
                     accepted = true;
                     // Gentle step growth for the next iteration.
-                    step0 = (step * 2.0).min(self.initial_step * scale);
-                    if moved <= self.x_tol * scale {
+                    step0 = (step * 2.0).min(INITIAL_STEP * scale);
+                    if moved <= X_TOL * scale {
                         termination = TerminationReason::Converged;
                     }
                     break;
@@ -408,7 +376,7 @@ impl GdState {
         Ok(Self {
             widths: domain.widths(),
             scale: domain.max_width(),
-            step0: config.initial_step * domain.max_width(),
+            step0: INITIAL_STEP * domain.max_width(),
             cfg: config.clone(),
             domain: domain.clone(),
             x,
@@ -480,8 +448,8 @@ impl GdState {
                     self.x = trial;
                     self.fx = ft;
                     // Gentle step growth for the next iteration.
-                    self.step0 = (step * 2.0).min(self.cfg.initial_step * self.scale);
-                    self.end_iteration(true, moved <= self.cfg.x_tol * self.scale);
+                    self.step0 = (step * 2.0).min(INITIAL_STEP * self.scale);
+                    self.end_iteration(true, moved <= X_TOL * self.scale);
                 } else if tries + 1 >= 60 {
                     // Line search failed: either converged or the
                     // landscape is flat at numerical precision.
@@ -526,7 +494,7 @@ impl GdState {
         let mut slots = Vec::new();
         self.pending.clear();
         for (i, gi) in g.iter_mut().enumerate() {
-            let h = (self.cfg.fd_step * self.widths[i]).max(1e-12);
+            let h = (FD_STEP * self.widths[i]).max(1e-12);
             let iv = self.domain.interval(i);
             let hi = iv.clamp(self.x[i] + h);
             let lo = iv.clamp(self.x[i] - h);
@@ -590,7 +558,7 @@ impl GdState {
             .map(|(&p, &xi)| (p - xi) * (p - xi))
             .sum::<f64>()
             .sqrt();
-        if pg_norm <= self.cfg.g_tol || g_norm == 0.0 {
+        if pg_norm <= G_TOL || g_norm == 0.0 {
             self.finish(TerminationReason::Converged);
             return;
         }
@@ -794,10 +762,6 @@ mod tests {
     #[test]
     fn rejects_bad_config() {
         let domain = BoxDomain::from_bounds(&[(0.0, 1.0)]).unwrap();
-        assert!(GradientDescent::default()
-            .fd_step(0.0)
-            .minimize(&sphere, &domain)
-            .is_err());
         assert!(GradientDescent::default()
             .max_iterations(0)
             .minimize(&sphere, &domain)

@@ -1,27 +1,17 @@
-//! Exhaustive grid search, optionally parallel.
+//! Exhaustive grid search.
 //!
 //! The paper explicitly endorses brute force when nothing smarter applies:
 //! *"It is possible to test large numbers of combinations in very short
 //! time. So this technique gives a good impression about the quantitative
-//! dependencies between mean costs and free parameters."* Grid search is
-//! also what regenerates the Fig. 5 cost surface: [`GridSearch::evaluate`]
-//! returns every grid point with its objective value, ready for plotting.
+//! dependencies between mean costs and free parameters."* Here it is the
+//! dense cross-check of the default quasi-Newton optimum; the Fig. 5 cost
+//! surface is the front-end's batched `CostSurface` sweep, not this type.
 
 use crate::domain::BoxDomain;
 use crate::{
     CountingObjective, Minimizer, Objective, OptimError, OptimizationOutcome, Result,
     TerminationReason,
 };
-
-/// One evaluated grid point.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct GridPoint {
-    /// Coordinates of the point.
-    pub x: Vec<f64>,
-    /// Objective value (may be non-finite if the objective produced one).
-    pub value: f64,
-}
 
 /// Exhaustive search over a regular lattice.
 ///
@@ -44,15 +34,11 @@ pub struct GridPoint {
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridSearch {
     points_per_dim: usize,
-    threads: usize,
 }
 
 impl Default for GridSearch {
     fn default() -> Self {
-        Self {
-            points_per_dim: 101,
-            threads: 1,
-        }
+        Self::new(101)
     }
 }
 
@@ -60,20 +46,7 @@ impl GridSearch {
     /// Creates a grid search with `points_per_dim` lattice lines per
     /// dimension (endpoints included; must be ≥ 2).
     pub fn new(points_per_dim: usize) -> Self {
-        Self {
-            points_per_dim,
-            threads: 1,
-        }
-    }
-
-    /// Evaluates grid rows on `threads` worker threads (std scoped).
-    ///
-    /// The objective must be `Sync`; use [`GridSearch::minimize`] from the
-    /// [`Minimizer`] trait for the single-threaded version that accepts
-    /// any objective.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
+        Self { points_per_dim }
     }
 
     fn validate(&self) -> Result<()> {
@@ -107,58 +80,6 @@ impl GridSearch {
     /// Total number of lattice points for `domain`.
     pub fn total_points(&self, domain: &BoxDomain) -> usize {
         self.points_per_dim.pow(domain.dim() as u32)
-    }
-
-    /// Evaluates the full lattice and returns every point — the raw data
-    /// behind cost-surface figures.
-    ///
-    /// Runs on the configured number of threads when the objective is
-    /// `Sync`.
-    ///
-    /// # Errors
-    ///
-    /// Returns configuration errors; non-finite objective values are kept
-    /// in the output (marked points) rather than treated as errors.
-    pub fn evaluate<F>(&self, objective: &F, domain: &BoxDomain) -> Result<Vec<GridPoint>>
-    where
-        F: Objective + Sync,
-    {
-        self.validate()?;
-        let total = self.total_points(domain);
-        if self.threads <= 1 || total < 1024 {
-            return Ok((0..total)
-                .map(|i| {
-                    let x = self.point(domain, i);
-                    let value = objective.eval(&x);
-                    GridPoint { x, value }
-                })
-                .collect());
-        }
-        let chunk = total.div_ceil(self.threads);
-        let mut results: Vec<Vec<GridPoint>> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..self.threads {
-                let start = t * chunk;
-                let end = ((t + 1) * chunk).min(total);
-                if start >= end {
-                    break;
-                }
-                handles.push(scope.spawn(move || {
-                    (start..end)
-                        .map(|i| {
-                            let x = self.point(domain, i);
-                            let value = objective.eval(&x);
-                            GridPoint { x, value }
-                        })
-                        .collect::<Vec<_>>()
-                }));
-            }
-            for h in handles {
-                results.push(h.join().expect("grid worker panicked"));
-            }
-        });
-        Ok(results.into_iter().flatten().collect())
     }
 }
 
@@ -205,14 +126,13 @@ impl Minimizer for GridSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testfns::{booth, rastrigin};
+    use crate::testfns::rastrigin;
 
     #[test]
     fn lattice_covers_endpoints() {
         let domain = BoxDomain::from_bounds(&[(0.0, 1.0)]).unwrap();
         let grid = GridSearch::new(5);
-        let pts = grid.evaluate(&|x: &[f64]| x[0], &domain).unwrap();
-        let xs: Vec<f64> = pts.iter().map(|p| p.x[0]).collect();
+        let xs: Vec<f64> = (0..5).map(|i| grid.point(&domain, i)[0]).collect();
         assert_eq!(xs, vec![0.0, 0.25, 0.5, 0.75, 1.0]);
     }
 
@@ -224,20 +144,6 @@ mod tests {
         assert!(out.best_value < 0.1, "best = {}", out.best_value);
         assert_eq!(out.termination, TerminationReason::Exhausted);
         assert_eq!(out.evaluations, 65 * 65);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let domain = BoxDomain::from_bounds(&[(-10.0, 10.0), (-10.0, 10.0)]).unwrap();
-        let seq = GridSearch::new(64).evaluate(&booth, &domain).unwrap();
-        let par = GridSearch::new(64)
-            .threads(4)
-            .evaluate(&booth, &domain)
-            .unwrap();
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a, b);
-        }
     }
 
     #[test]

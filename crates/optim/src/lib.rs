@@ -4,25 +4,27 @@
 //! III-B): *"Find (x₁, …, x_l) such that f_cost(x₁, …, x_l) =
 //! min f_cost"*, with the real-valued domains restricted to **compact
 //! intervals** so the minimum exists. It names gradient descent, general
-//! nonlinear programming, brute-force combination testing, and 3-D-plot
-//! inspection as admissible solution strategies — this crate implements all
-//! of them, from scratch:
+//! nonlinear programming and brute-force combination testing as
+//! admissible solution strategies; this crate implements them from
+//! scratch:
 //!
 //! * [`domain`] — compact [`Interval`](domain::Interval)s and
-//!   [`domain::BoxDomain`]s with projection and sampling.
-//! * [`grid`] — exhaustive (optionally parallel) grid search: the paper's
-//!   "test large numbers of combinations in very short time".
-//! * [`nelder_mead`] — the derivative-free simplex workhorse.
-//! * [`hooke_jeeves`] — pattern search.
-//! * [`gradient`] — projected gradient descent with numerical gradients and
-//!   Armijo backtracking: the paper's "most simple" method.
+//!   [`domain::BoxDomain`]s with projection.
 //! * [`quasi_newton`] — projected BFGS with an active set on analytic
 //!   value + gradient pairs: the gradient method that converges on flat
-//!   valleys.
-//! * [`anneal`] / [`de`] — stochastic global search (simulated annealing,
-//!   differential evolution) for non-smooth or multimodal cost functions.
+//!   valleys, and (four starts under [`multistart`]) the system default.
 //! * [`multistart`] — restart wrapper that upgrades any local
-//!   [`Minimizer`] into a global heuristic.
+//!   [`Minimizer`] into a global heuristic, with lockstep batch drivers
+//!   for quasi-Newton and gradient descent.
+//! * [`grid`] — exhaustive grid search: the paper's "test large numbers
+//!   of combinations in very short time", and the dense cross-check.
+//! * [`nelder_mead`] — the derivative-free downhill simplex.
+//! * [`gradient`] — projected gradient descent with numerical or
+//!   analytic gradients and Armijo backtracking: the paper's "most
+//!   simple" method.
+//!
+//! Every method is deterministic: there is no random number generator in
+//! the crate, and restart points come from a Halton sequence.
 //!
 //! All algorithms implement the object-safe [`Minimizer`] trait, report a
 //! structured [`OptimizationOutcome`] (best point, value, evaluation
@@ -50,13 +52,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod anneal;
-pub mod de;
 pub mod domain;
 mod error;
 pub mod gradient;
 pub mod grid;
-pub mod hooke_jeeves;
 pub mod multistart;
 pub mod nelder_mead;
 mod objective;

@@ -1,10 +1,11 @@
 //! Multi-start wrapper: restart any local minimizer from scattered
 //! starting points and keep the best result.
 //!
-//! The practical recipe for the paper's setting — cost surfaces are cheap
-//! to evaluate and low-dimensional, so a handful of Nelder–Mead runs from
-//! a deterministic low-discrepancy scatter reliably finds the global
-//! optimum without the tuning burden of the stochastic methods.
+//! The system default is four quasi-Newton starts,
+//! `MultiStart::new(QuasiNewton::default(), 4)`, whose `minimize_batch`
+//! runs the restarts in lockstep. The cost surfaces are smooth and
+//! low-dimensional, so a few converging local runs from a deterministic
+//! low-discrepancy scatter find the global optimum.
 
 use crate::domain::BoxDomain;
 use crate::gradient::{GdState, GradientDescent};
@@ -47,17 +48,6 @@ pub struct MultiStart<M> {
     inner: M,
     starts: usize,
     hook: HookHandle,
-}
-
-impl Default for MultiStart<NelderMead> {
-    /// Eight Nelder–Mead restarts — a solid general-purpose default.
-    fn default() -> Self {
-        Self {
-            inner: NelderMead::default(),
-            starts: 8,
-            hook: HookHandle::none(),
-        }
-    }
 }
 
 impl<M> MultiStart<M> {
@@ -438,12 +428,6 @@ impl StartablePoint for NelderMead {
     }
 }
 
-impl StartablePoint for crate::hooke_jeeves::HookeJeeves {
-    fn with_start(self, x0: Vec<f64>) -> Self {
-        self.start(x0)
-    }
-}
-
 impl StartablePoint for crate::gradient::GradientDescent {
     fn with_start(self, x0: Vec<f64>) -> Self {
         self.start(x0)
@@ -486,7 +470,7 @@ mod tests {
     #[test]
     fn finds_global_minimum_among_himmelblau_basins() {
         let domain = BoxDomain::from_bounds(&[(-5.0, 5.0), (-5.0, 5.0)]).unwrap();
-        let out = MultiStart::default()
+        let out = MultiStart::new(NelderMead::default(), 8)
             .minimize(&himmelblau, &domain)
             .unwrap();
         assert!(out.best_value < 1e-8, "best = {}", out.best_value);

@@ -1,9 +1,9 @@
 //! Nelder–Mead downhill simplex with box constraints.
 //!
-//! The default optimizer of the safety-optimization front-end: derivative
-//! free (cost functions built from deep normal tails have vanishing
-//! gradients almost everywhere, which starves gradient methods), robust,
-//! and fast on the low-dimensional problems safety models produce.
+//! A derivative-free alternative to the default quasi-Newton, for cost
+//! functions whose gradients vanish or cannot be computed (deep normal
+//! tails underflow to zero slope). Robust and fast on the
+//! low-dimensional problems safety models produce.
 //! Box constraints are enforced by projecting trial points onto the
 //! domain, which preserves convergence on these landscapes while
 //! guaranteeing no out-of-domain evaluation.
@@ -19,6 +19,14 @@ use crate::trace::HookHandle;
 use crate::{
     Minimizer, Objective, OptimError, OptimizationOutcome, Result, TerminationReason, TracePoint,
 };
+
+/// Function-value spread at which the simplex counts as converged.
+const F_TOL: f64 = 1e-12;
+/// Simplex diameter, relative to the widest domain dimension, at which
+/// the simplex counts as converged.
+const X_TOL: f64 = 1e-10;
+/// Initial simplex edge as a fraction of each dimension width.
+const INITIAL_SCALE: f64 = 0.10;
 
 /// Nelder–Mead configuration (standard coefficients, adaptive by default).
 ///
@@ -37,13 +45,7 @@ use crate::{
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct NelderMead {
-    /// Function-value spread tolerance.
-    f_tol: f64,
-    /// Simplex-size tolerance (relative to domain width).
-    x_tol: f64,
     max_iterations: u64,
-    /// Initial simplex edge length as a fraction of each dimension width.
-    initial_scale: f64,
     /// Optional explicit start point (defaults to the domain center).
     start: Option<Vec<f64>>,
     record_trace: bool,
@@ -53,10 +55,7 @@ pub struct NelderMead {
 impl Default for NelderMead {
     fn default() -> Self {
         Self {
-            f_tol: 1e-12,
-            x_tol: 1e-10,
             max_iterations: 2000,
-            initial_scale: 0.10,
             start: None,
             record_trace: false,
             hook: HookHandle::none(),
@@ -70,28 +69,9 @@ impl NelderMead {
         Self::default()
     }
 
-    /// Sets the function-value spread tolerance.
-    pub fn f_tol(mut self, tol: f64) -> Self {
-        self.f_tol = tol;
-        self
-    }
-
-    /// Sets the simplex-diameter tolerance (relative to the domain width).
-    pub fn x_tol(mut self, tol: f64) -> Self {
-        self.x_tol = tol;
-        self
-    }
-
     /// Sets the iteration budget.
     pub fn max_iterations(mut self, n: u64) -> Self {
         self.max_iterations = n;
-        self
-    }
-
-    /// Sets the initial simplex edge as a fraction of the domain width per
-    /// dimension (default 0.10).
-    pub fn initial_scale(mut self, s: f64) -> Self {
-        self.initial_scale = s;
         self
     }
 
@@ -121,23 +101,6 @@ impl NelderMead {
     }
 
     fn validate(&self, domain: &BoxDomain) -> Result<()> {
-        for (option, v) in [("f_tol", self.f_tol), ("x_tol", self.x_tol)] {
-            if !(v.is_finite() && v > 0.0) {
-                return Err(OptimError::InvalidConfig {
-                    option,
-                    requirement: "must be finite and > 0",
-                });
-            }
-        }
-        if !(self.initial_scale.is_finite()
-            && self.initial_scale > 0.0
-            && self.initial_scale <= 1.0)
-        {
-            return Err(OptimError::InvalidConfig {
-                option: "initial_scale",
-                requirement: "must lie in (0, 1]",
-            });
-        }
         if self.max_iterations == 0 {
             return Err(OptimError::InvalidConfig {
                 option: "max_iterations",
@@ -217,8 +180,6 @@ enum Phase {
 /// loop step for step.
 #[derive(Debug, Clone)]
 pub(crate) struct NmState {
-    f_tol: f64,
-    x_tol: f64,
     max_iterations: u64,
     record_trace: bool,
     hook: HookHandle,
@@ -258,7 +219,7 @@ impl NmState {
         simplex.push(x0.clone());
         for i in 0..n {
             let mut v = x0.clone();
-            let step = config.initial_scale * widths[i];
+            let step = INITIAL_SCALE * widths[i];
             // Step towards whichever side has room.
             let iv = domain.interval(i);
             v[i] = if v[i] + step <= iv.hi() {
@@ -270,8 +231,6 @@ impl NmState {
         }
         let pending = simplex.clone();
         Ok(Self {
-            f_tol: config.f_tol,
-            x_tol: config.x_tol,
             max_iterations: config.max_iterations,
             record_trace: config.record_trace,
             hook: config.hook.clone(),
@@ -437,9 +396,7 @@ impl NmState {
             .iter()
             .flat_map(|v| self.simplex[best].iter().zip(v).map(|(a, b)| (a - b).abs()))
             .fold(0.0, f64::max);
-        if (spread.is_finite() && spread <= self.f_tol)
-            || diameter <= self.x_tol * self.domain_scale
-        {
+        if (spread.is_finite() && spread <= F_TOL) || diameter <= X_TOL * self.domain_scale {
             self.termination = TerminationReason::Converged;
             self.phase = Phase::Done;
             return;

@@ -6,7 +6,11 @@ use safety_optimization::fta::quant::ProbabilityMap;
 use safety_optimization::fta::tree::FaultTree;
 use safety_optimization::fta::FtaError;
 use safety_optimization::optim::domain::BoxDomain;
+use safety_optimization::optim::gradient::GradientDescent;
+use safety_optimization::optim::grid::GridSearch;
+use safety_optimization::optim::multistart::MultiStart;
 use safety_optimization::optim::nelder_mead::NelderMead;
+use safety_optimization::optim::quasi_newton::QuasiNewton;
 use safety_optimization::optim::{Minimizer, OptimError};
 use safety_optimization::safeopt::model::{Hazard, SafetyModel};
 use safety_optimization::safeopt::optimize::SafetyOptimizer;
@@ -46,10 +50,23 @@ fn optim_rejects_degenerate_domains() {
 #[test]
 fn optimizer_reports_fully_infeasible_objective() {
     let domain = BoxDomain::from_bounds(&[(0.0, 1.0)]).unwrap();
-    let err = NelderMead::default()
-        .minimize(&|_: &[f64]| f64::NAN, &domain)
-        .unwrap_err();
-    assert!(matches!(err, OptimError::NoFiniteValue { .. }));
+    let optimizers: [Box<dyn Minimizer>; 5] = [
+        Box::new(NelderMead::default()),
+        Box::new(QuasiNewton::default()),
+        Box::new(GradientDescent::default()),
+        Box::new(GridSearch::new(5)),
+        Box::new(MultiStart::new(QuasiNewton::default(), 4)),
+    ];
+    for optimizer in &optimizers {
+        let err = optimizer
+            .minimize(&|_: &[f64]| f64::NAN, &domain)
+            .unwrap_err();
+        assert!(
+            matches!(err, OptimError::NoFiniteValue { .. }),
+            "{}: {err:?}",
+            optimizer.name()
+        );
+    }
 }
 
 #[test]

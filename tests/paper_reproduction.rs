@@ -1,5 +1,6 @@
 //! End-to-end reproduction checkpoints for every quantitative claim of
-//! the paper's evaluation (experiments E1–E6 of DESIGN.md).
+//! the paper's evaluation (experiments E1–E6 of the README's experiment
+//! index).
 
 use safety_optimization::elbtunnel::analytic::{scaling, ElbtunnelModel, Variant};
 use safety_optimization::elbtunnel::constants as c;

@@ -1,4 +1,4 @@
-//! E7 — simulator vs analytic model agreement (DESIGN.md experiment
+//! E7 — simulator vs analytic model agreement (the README's experiment
 //! index). The discrete-event simulator and the closed-form model were
 //! written independently; their agreement on the Fig. 6 quantities and
 //! the overtime probabilities is the evidence that the substitution of

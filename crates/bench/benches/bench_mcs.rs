@@ -1,11 +1,14 @@
 //! A2 — minimal-cut-set engine comparison: MOCUS vs bottom-up vs BDD on
-//! parametric tree families (sweeping size), plus subsumption
-//! minimization in isolation.
+//! parametric tree families (sweeping size), the `industrial_query`
+//! modular tree at workload size, plus subsumption minimization in
+//! isolation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use safety_opt_fta::bdd::TreeBdd;
 use safety_opt_fta::mcs;
-use safety_opt_fta::synth::{and_of_ors, or_of_ands, random_tree, RandomTreeConfig};
+use safety_opt_fta::synth::{
+    and_of_ors, modular_tree, or_of_ands, random_tree, ModularTreeConfig, RandomTreeConfig,
+};
 use safety_opt_fta::{CutSet, CutSetCollection};
 
 fn bench_engines_on_families(c: &mut Criterion) {
@@ -62,6 +65,21 @@ fn bench_random_trees(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_workload_size(c: &mut Criterion) {
+    // 48×12×4: 1105 gates, 2400 leaves (38 bit-set blocks), 2784 cut sets
+    // of order ≤ 3 — where the lowest-leaf subsumption index pays.
+    let tree = modular_tree(ModularTreeConfig {
+        modules: 48,
+        sections_per_module: 12,
+        leaves_per_section: 4,
+        leaf_probability: 1e-3,
+    });
+    let mut group = c.benchmark_group("mcs_modular_48x12x4");
+    group.bench_function("bottom_up", |b| b.iter(|| mcs::bottom_up(&tree).unwrap()));
+    group.bench_function("mocus", |b| b.iter(|| mcs::mocus(&tree).unwrap()));
+    group.finish();
+}
+
 fn bench_minimization(c: &mut Criterion) {
     // Subsumption minimization over many random sets.
     let sets: Vec<CutSet> = (0..2000u64)
@@ -80,6 +98,6 @@ fn bench_minimization(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_engines_on_families, bench_random_trees, bench_minimization
+    targets = bench_engines_on_families, bench_random_trees, bench_workload_size, bench_minimization
 );
 criterion_main!(benches);

@@ -186,22 +186,7 @@ fn node_cut_sets(
             match kind {
                 GateKind::Or => or_combine(&input_sets, budget)?,
                 GateKind::And | GateKind::Inhibit => and_combine(&input_sets, budget)?,
-                GateKind::KOfN(k) => {
-                    check_combination_budget(
-                        input_sets.len(),
-                        *k,
-                        budget,
-                        "bottom-up k-of-n expansion",
-                    )?;
-                    let mut alternatives = Vec::new();
-                    for combo in combinations(input_sets.len(), *k) {
-                        let chosen: Vec<&CutSetCollection> =
-                            combo.iter().map(|&i| input_sets[i]).collect();
-                        alternatives.push(and_combine(&chosen, budget)?);
-                    }
-                    let refs: Vec<&CutSetCollection> = alternatives.iter().collect();
-                    or_combine(&refs, budget)?
-                }
+                GateKind::KOfN(k) => k_of_n_combine(&input_sets, *k, budget)?,
             }
         }
     };
@@ -210,36 +195,70 @@ fn node_cut_sets(
 }
 
 fn or_combine(collections: &[&CutSetCollection], budget: usize) -> Result<CutSetCollection> {
-    let total: usize = collections.iter().map(|c| c.len()).sum();
+    check_or_budget(collections.iter().map(|c| c.len()).sum(), budget)?;
+    Ok(collections.iter().flat_map(|c| c.iter().cloned()).collect())
+}
+
+fn check_or_budget(total: usize, budget: usize) -> Result<()> {
     if total > budget {
         return Err(FtaError::BudgetExceeded {
             what: "OR-combined cut sets",
             limit: budget,
         });
     }
-    Ok(collections.iter().flat_map(|c| c.iter().cloned()).collect())
+    Ok(())
 }
 
+/// The k-of-n gate: the OR over the AND of every `k`-subset of inputs.
+fn k_of_n_combine(
+    input_sets: &[&CutSetCollection],
+    k: usize,
+    budget: usize,
+) -> Result<CutSetCollection> {
+    check_combination_budget(input_sets.len(), k, budget, "bottom-up k-of-n expansion")?;
+    let mut alternatives = Vec::new();
+    for combo in combinations(input_sets.len(), k) {
+        let chosen: Vec<&CutSetCollection> = combo.iter().map(|&i| input_sets[i]).collect();
+        alternatives.push(and_combine(&chosen, budget)?);
+    }
+    check_or_budget(alternatives.iter().map(CutSetCollection::len).sum(), budget)?;
+    Ok(CutSetCollection::from_sets(
+        alternatives
+            .into_iter()
+            .flat_map(CutSetCollection::into_sets)
+            .collect(),
+    ))
+}
+
+/// The AND gate: the cross-product of unions, minimized after each fold.
+/// Every input collection is already a minimized antichain, so the first
+/// one seeds the fold as it stands.
 fn and_combine(collections: &[&CutSetCollection], budget: usize) -> Result<CutSetCollection> {
-    let mut acc = vec![CutSet::empty()];
-    for c in collections {
+    let exceeded = || FtaError::BudgetExceeded {
+        what: "AND-combined cut sets",
+        limit: budget,
+    };
+    let Some((first, rest)) = collections.split_first() else {
+        return Ok(CutSetCollection::from_sets(vec![CutSet::empty()]));
+    };
+    if first.len() > budget {
+        return Err(exceeded());
+    }
+    let mut acc = (*first).clone();
+    for c in rest {
         let mut next = Vec::with_capacity(acc.len() * c.len());
         for a in &acc {
             for b in c.iter() {
                 next.push(a.union(b));
                 if next.len() > budget {
-                    return Err(FtaError::BudgetExceeded {
-                        what: "AND-combined cut sets",
-                        limit: budget,
-                    });
+                    return Err(exceeded());
                 }
             }
         }
         // Minimize between folds to keep intermediate products small.
-        let collection = CutSetCollection::from_sets(next);
-        acc = collection.iter().cloned().collect();
+        acc = CutSetCollection::from_sets(next);
     }
-    Ok(CutSetCollection::from_sets(acc))
+    Ok(acc)
 }
 
 /// Refuses a k-of-n expansion whose subset count alone already exceeds
@@ -520,6 +539,24 @@ mod tests {
             mocus_with_budget(&ft, 100),
             Err(FtaError::BudgetExceeded { .. })
         ));
+    }
+
+    /// The `industrial_query` tree: both engines agree at workload size,
+    /// where the lowest-leaf index carries the time.
+    #[test]
+    fn engines_agree_on_the_workload_size_modular_tree() {
+        let ft = crate::synth::modular_tree(crate::synth::ModularTreeConfig {
+            modules: 48,
+            sections_per_module: 12,
+            leaves_per_section: 4,
+            leaf_probability: 1e-3,
+        });
+        let a = bottom_up(&ft).unwrap();
+        let b = mocus(&ft).unwrap();
+        assert_eq!(a.len(), 2784);
+        assert_eq!(a.max_order(), 3);
+        assert_eq!(a, b);
+        assert!(a.is_minimal());
     }
 
     #[test]

@@ -96,8 +96,8 @@ fn parse_quant_override(value: Option<&str>) -> Option<QuantMethod> {
 #[derive(Debug)]
 pub struct ExactHazard {
     pub(crate) plan: ModularPlan,
-    /// Per leaf index: the substituted expression (`None` for leaves the
-    /// minimal cut sets never reach).
+    /// Per leaf index: the substituted expression (`None` for leaves
+    /// the root does not reach, see [`FaultTree::reachable_leaves`]).
     pub(crate) leaf_exprs: Vec<Option<ProbExpr>>,
     /// Per leaf index: the tree's leaf name.
     pub(crate) leaf_names: Vec<String>,

@@ -11,8 +11,9 @@
 //!
 //! Zero-dependency and zero-cost when off: the disarmed fast path is
 //! one relaxed atomic load and a predictable branch (the telemetry
-//! crate's read-once pattern), enforced ≤1% overhead by
-//! `BENCH_robustness.json`.
+//! crate's read-once pattern). No gate times it on its own: every batch
+//! sweep pays it, so it sits inside both sides of the `gates` bench's
+//! deadline gate (`robustness.deadline_vs_plain` in `BENCH_gates.json`).
 //!
 //! # Configuration
 //!

@@ -41,18 +41,15 @@
 //!    and per-model reachability masks keep single-model evaluation
 //!    bit-identical to standalone compilation.
 //! 6. **Memoization** ([`cache::QuantizedCache`]) — optional
-//!    quantized-point memo for optimizer reuse (restarts and pattern
-//!    searches revisit points constantly).
+//!    quantized-point memo for pointwise optimizer objectives (a
+//!    minimizer that revisits points across restarts).
 //!
-//! Run `cargo run --release -p safety_opt_bench --bin engine_throughput`
-//! for points/sec of the scalar interpreter vs. the compiled tape vs.
-//! compiled + parallel on the Elbtunnel model (written to
-//! `BENCH_engine.json`), `... --bin fleet_throughput` for
-//! models·points/sec of the per-model loop vs. the fleet on the
-//! Elbtunnel uncertainty workload (written to `BENCH_fleet.json`), and
-//! `... --bin soa_throughput` for points/sec of a point-at-a-time loop
-//! vs. the SoA batch sweep on the Elbtunnel surface grid (written to
-//! `BENCH_soa.json`).
+//! Run `cargo run --release -p safety_opt_bench --bin gates` for the
+//! gated speedups of these layers on one worker: the SoA sweep vs. a
+//! point-at-a-time loop on the Elbtunnel surface grid, the fleet vs. a
+//! per-model loop on the Elbtunnel uncertainty workload, and adjoint
+//! vs. central-difference gradients, among others (written to
+//! `BENCH_gates.json`).
 
 // Special-function coefficients are transcribed at full published
 // precision; the extra digits are intentional.

@@ -212,7 +212,7 @@ impl Default for ModularTreeConfig {
 
 /// A large synthetic tree with known modular structure — the
 /// industrial-scale workload for the preprocessing + module-wise BDD
-/// pipeline (and the `bdd_throughput` bench).
+/// pipeline (and the `bdd` section of the `gates` bench).
 ///
 /// Each module owns a disjoint leaf set (so every module top is a true
 /// independent module) and mixes the shapes the preprocessing passes

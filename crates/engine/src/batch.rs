@@ -15,16 +15,17 @@
 //! [`EvalDeadline`] (set with [`BatchEvaluator::deadline`]) is checked
 //! before each chunk starts.
 //!
-//! Within a chunk, full lane blocks of points run through the
-//! op-at-a-time SoA sweeps (see [`crate::exec`]) and the ragged tail
-//! through the point-at-a-time [`Tape::eval_into`] /
-//! [`Tape::eval_grad_into`] — bit-identical by construction.
+//! Within a chunk, lane blocks of points run through the op-at-a-time
+//! SoA sweeps (see [`crate::exec`]), narrowing 16 → 8 → 4 → 2 as fewer
+//! points remain; the one point a chunk may leave over runs through the
+//! point-at-a-time [`Tape::eval_into`] / [`Tape::eval_grad_into`] —
+//! bit-identical by construction.
 //!
 //! Workers own their scratch buffers; steady-state evaluation performs no
 //! allocation beyond the output vectors.
 
 use crate::error::{EngineError, EvalDeadline};
-use crate::exec::{dispatch_lanes, supported_lanes, LaneFile, DEFAULT_LANES};
+use crate::exec::{supported_lanes, sweep_lane_blocks, LaneFile, DEFAULT_LANES};
 use crate::faultinject;
 use crate::grad::{AdjointFile, GradWorkspace};
 use crate::tape::Tape;
@@ -34,10 +35,10 @@ use std::sync::{Mutex, PoisonError};
 
 use safety_opt_telemetry as telemetry;
 
-/// Points swept by full SoA lane blocks.
+/// Points swept by SoA lane blocks, of any width.
 static SOA_POINTS: telemetry::Counter = telemetry::Counter::new("engine.batch.soa_points");
-/// Points run point-at-a-time because fewer than a lane block remained
-/// (the ragged tail).
+/// Points run point-at-a-time: the single point a chunk's narrowing
+/// lane blocks leave over, at most one per chunk.
 static TAIL_POINTS: telemetry::Counter = telemetry::Counter::new("engine.batch.tail_points");
 /// Work chunks executed by tape/grad runners (sequential or pooled).
 static CHUNKS: telemetry::Counter = telemetry::Counter::new("engine.batch.chunks");
@@ -91,9 +92,10 @@ impl<'t> BatchEvaluator<'t> {
         self
     }
 
-    /// Overrides the SoA lane-block width, rounded down to the nearest
-    /// monomorphized width (1, 2, 4, 8, or 16; results are
-    /// bit-identical for every width).
+    /// Overrides the widest SoA lane-block width, rounded down to the
+    /// nearest monomorphized width (1, 2, 4, 8, or 16; results are
+    /// bit-identical for every width). Narrower blocks sweep what
+    /// remains of a chunk.
     pub fn lanes(mut self, lanes: usize) -> Self {
         self.lanes = supported_lanes(lanes);
         self
@@ -161,11 +163,11 @@ impl<'t> BatchEvaluator<'t> {
     ///
     /// Points shard across the same deterministic chunked pool as plain
     /// evaluation, so gradients are bit-identical for every thread
-    /// count. Every full lane block runs the lane-blocked forward sweep
+    /// count. Every lane block runs the lane-blocked forward sweep
     /// **and** the lane-blocked adjoint sweep
-    /// (`grad::AdjointFile`); the ragged tail runs the
-    /// point-at-a-time adjoint — 0-ULP bit-identical by the per-lane
-    /// op-order contract.
+    /// (`grad::AdjointFile`); the one point a chunk may leave over runs
+    /// the point-at-a-time adjoint — 0-ULP bit-identical by the
+    /// per-lane op-order contract.
     ///
     /// # Errors
     ///
@@ -244,10 +246,10 @@ impl<'t> GradRunner<'t> {
         let _chunk_span = telemetry::span(&CHUNK_NANOS);
         CHUNKS.add(1);
         let dim = self.tape.n_inputs();
-        let start = dispatch_lanes!(self.lanes, L => self.run_blocks::<L, P>(pts, costs, grads));
-        SOA_POINTS.add(start as u64);
-        TAIL_POINTS.add((pts.len() - start) as u64);
-        // The ragged tail: fewer than `lanes` points remain.
+        let start = sweep_lane_blocks!(self.lanes, pts.len(), start, L => {
+            self.run_blocks::<L, P>(pts, start, costs, grads)
+        });
+        // The ragged tail: at most one point remains.
         for (i, p) in pts.iter().enumerate().skip(start) {
             costs[i] = self.tape.eval_grad_into(
                 p.as_ref(),
@@ -258,17 +260,17 @@ impl<'t> GradRunner<'t> {
         }
     }
 
-    /// Sweeps every full `L`-wide block of `pts` through the SoA
-    /// forward + adjoint sweeps, returning the number of points
-    /// processed (the tail is the caller's).
+    /// Sweeps every full `L`-wide block of `pts` from `start` through
+    /// the SoA forward + adjoint sweeps, returning the first point not
+    /// swept.
     fn run_blocks<const L: usize, P: AsRef<[f64]>>(
         &mut self,
         pts: &[P],
+        mut start: usize,
         costs: &mut [f64],
         grads: &mut [f64],
     ) -> usize {
         let dim = self.tape.n_inputs();
-        let mut start = 0;
         while start + L <= pts.len() {
             self.tape.eval_grad_block::<L, P>(
                 &pts[start..start + L],
@@ -324,12 +326,10 @@ impl<'t> TapeRunner<'t> {
         let _chunk_span = telemetry::span(&CHUNK_NANOS);
         CHUNKS.add(1);
         let n_out = self.tape.n_outputs();
-        let start = dispatch_lanes!(self.lanes, L => {
-            self.run_blocks::<L, P>(pts, costs, rows.as_deref_mut())
+        let start = sweep_lane_blocks!(self.lanes, pts.len(), start, L => {
+            self.run_blocks::<L, P>(pts, start, costs, rows.as_deref_mut())
         });
-        SOA_POINTS.add(start as u64);
-        TAIL_POINTS.add((pts.len() - start) as u64);
-        // The ragged tail: fewer than `lanes` points remain.
+        // The ragged tail: at most one point remains.
         for (i, p) in pts.iter().enumerate().skip(start) {
             let out = match rows.as_deref_mut() {
                 Some(rows) => &mut rows[i * n_out..(i + 1) * n_out],
@@ -339,16 +339,16 @@ impl<'t> TapeRunner<'t> {
         }
     }
 
-    /// Sweeps every full `L`-wide block of `pts` op-at-a-time, returning
-    /// the number of points processed (the tail is the caller's).
+    /// Sweeps every full `L`-wide block of `pts` from `start`
+    /// op-at-a-time, returning the first point not swept.
     fn run_blocks<const L: usize, P: AsRef<[f64]>>(
         &mut self,
         pts: &[P],
+        mut start: usize,
         costs: &mut [f64],
         mut rows: Option<&mut [f64]>,
     ) -> usize {
         let n_out = self.tape.n_outputs();
-        let mut start = 0;
         while start + L <= pts.len() {
             let block = &pts[start..start + L];
             self.file.load::<L, P>(self.tape, block);
@@ -373,6 +373,13 @@ impl<'t> TapeRunner<'t> {
         }
         start
     }
+}
+
+/// Counts one chunk's split between lane blocks (`swept` points) and
+/// the point-at-a-time tail (the rest of its `n`).
+pub(crate) fn record_lane_split(swept: usize, n: usize) {
+    SOA_POINTS.add(swept as u64);
+    TAIL_POINTS.add((n - swept) as u64);
 }
 
 /// The chunked pool behind every batch entry point of

@@ -7,9 +7,11 @@
 //! match, argument-table walk, bounds checks) amortizes over the block,
 //! and the lane loops are monomorphized over the block width so the
 //! fused n-ary product/sum kernels compile to fully unrolled,
-//! vectorizable straight-line code. Opaque [`Op::Closure`] ops and
-//! ragged tail blocks (fewer points than the lane count remain) fall
-//! back to the point-at-a-time sweep ([`Tape::eval_into`]).
+//! vectorizable straight-line code. When fewer points than the lane
+//! count remain, the block narrows to the widest width that fits, so at
+//! most one point per chunk falls back to the point-at-a-time sweep
+//! ([`Tape::eval_into`]); opaque [`Op::Closure`] ops run per point
+//! inside a block.
 //!
 //! Determinism contract: for every point the lane-blocked sweep
 //! performs **the same floating-point operations in the same order** as
@@ -112,6 +114,31 @@ macro_rules! dispatch_lanes {
     };
 }
 pub(crate) use dispatch_lanes;
+
+/// Sweeps a chunk of `$n` points in lane blocks: `$blocks`, expanded
+/// with the const `$L` bound to a block width and `$start` to the first
+/// point not yet swept, runs every full `$L`-wide block from `$start`
+/// and returns the point after the last one it swept. The width starts
+/// at `$lanes` (a [`supported_lanes`] value) and narrows to the widest
+/// supported block that fits what remains, until at most one point is
+/// left. Evaluates to the number of points swept, counted in
+/// `engine.batch.soa_points` (the rest in `engine.batch.tail_points`);
+/// the caller runs the one point left, if any, point-at-a-time. Every
+/// width gives the same bits, so only the speed depends on where the
+/// blocks fall.
+macro_rules! sweep_lane_blocks {
+    ($lanes:expr, $n:expr, $start:ident, $L:ident => $blocks:expr) => {{
+        let (lanes, n): (usize, usize) = ($lanes, $n);
+        let mut $start = 0;
+        while n - $start > 1 {
+            let width = $crate::exec::supported_lanes((n - $start).min(lanes));
+            $start = $crate::exec::dispatch_lanes!(width, $L => $blocks);
+        }
+        $crate::batch::record_lane_split($start, n);
+        $start
+    }};
+}
+pub(crate) use sweep_lane_blocks;
 
 /// Lane-blocked SoA register file: register `r`'s value for lane `l`
 /// lives at `r * L + l`, inputs first, then one row per op — the

@@ -53,7 +53,7 @@
 
 use crate::batch::{row_chunks, run_pool};
 use crate::error::{EngineError, EvalDeadline};
-use crate::exec::{dispatch_lanes, supported_lanes, LaneFile, DEFAULT_LANES};
+use crate::exec::{supported_lanes, sweep_lane_blocks, LaneFile, DEFAULT_LANES};
 use crate::faultinject;
 use crate::grad::{AdjointFile, GradWorkspace};
 use crate::tape::{Op, Tape, TapeBuilder, Value};
@@ -435,9 +435,10 @@ const DEFAULT_CHUNK: usize = 256;
 /// [`crate::batch::BatchEvaluator`]: points are cut into fixed-length
 /// chunks assigned to workers round-robin, each point's results go to
 /// its own output indices, so results are bit-identical for every thread
-/// count. Within a chunk, full lane blocks run lane-blocked op-at-a-time
-/// SoA sweeps (see [`crate::exec`]) and the ragged tail per-point arena
-/// sweeps — also bit-identical by construction.
+/// count. Within a chunk, lane blocks that narrow as fewer points
+/// remain run lane-blocked op-at-a-time SoA sweeps (see
+/// [`crate::exec`]) and the one point left over, if any, a per-point
+/// arena sweep — also bit-identical by construction.
 ///
 /// Every entry point is fallible, with the same panic-isolation,
 /// deadline, all-or-nothing and lowest-chunk-wins contract as
@@ -477,9 +478,10 @@ impl<'f> FleetEvaluator<'f> {
         self
     }
 
-    /// Overrides the SoA lane-block width, rounded down to the nearest
-    /// monomorphized width (1, 2, 4, 8, or 16; results are
-    /// bit-identical for every width).
+    /// Overrides the widest SoA lane-block width, rounded down to the
+    /// nearest monomorphized width (1, 2, 4, 8, or 16; results are
+    /// bit-identical for every width). Narrower blocks sweep what
+    /// remains of a chunk.
     pub fn lanes(mut self, lanes: usize) -> Self {
         self.lanes = supported_lanes(lanes);
         self
@@ -727,10 +729,10 @@ impl<'f> FleetRunner<'f> {
         let fleet = self.fleet;
         let n_models = fleet.n_models();
         let width = fleet.total_outputs();
-        let start = dispatch_lanes!(self.lanes, L => {
-            self.run_all_blocks::<L, P>(pts, costs, rows.as_deref_mut())
+        let start = sweep_lane_blocks!(self.lanes, pts.len(), start, L => {
+            self.run_all_blocks::<L, P>(pts, start, costs, rows.as_deref_mut())
         });
-        // The ragged tail.
+        // The ragged tail: at most one point remains.
         for (i, p) in pts.iter().enumerate().skip(start) {
             let c = &mut costs[i * n_models..(i + 1) * n_models];
             let o = match rows.as_deref_mut() {
@@ -741,18 +743,18 @@ impl<'f> FleetRunner<'f> {
         }
     }
 
-    /// Sweeps every full `L`-wide block of `pts` through the whole
-    /// arena, returning the number of points processed.
+    /// Sweeps every full `L`-wide block of `pts` from `start` through
+    /// the whole arena, returning the first point not swept.
     fn run_all_blocks<const L: usize, P: AsRef<[f64]>>(
         &mut self,
         pts: &[P],
+        mut start: usize,
         costs: &mut [f64],
         mut rows: Option<&mut [f64]>,
     ) -> usize {
         let fleet = self.fleet;
         let n_models = fleet.n_models();
         let width = fleet.total_outputs();
-        let mut start = 0;
         while start + L <= pts.len() {
             let block = &pts[start..start + L];
             self.buf.file.load::<L, P>(&fleet.tape, block);
@@ -800,8 +802,9 @@ impl<'f> FleetRunner<'f> {
         if faultinject::should_fail(faultinject::sites::FLEET_CHUNK) {
             panic!("fault injected: fleet.chunk");
         }
-        let start =
-            dispatch_lanes!(self.lanes, L => self.run_model_blocks::<L, P>(model, pts, costs));
+        let start = sweep_lane_blocks!(self.lanes, pts.len(), start, L => {
+            self.run_model_blocks::<L, P>(model, pts, start, costs)
+        });
         let fleet = self.fleet;
         let n_out = fleet.n_outputs(model);
         for (p, c) in pts.iter().zip(costs.iter_mut()).skip(start) {
@@ -827,8 +830,8 @@ impl<'f> FleetRunner<'f> {
         if faultinject::should_fail(faultinject::sites::FLEET_CHUNK) {
             panic!("fault injected: fleet.chunk");
         }
-        let start = dispatch_lanes!(self.lanes, L => {
-            self.run_model_grad_blocks::<L, P>(model, pts, costs, grads)
+        let start = sweep_lane_blocks!(self.lanes, pts.len(), start, L => {
+            self.run_model_grad_blocks::<L, P>(model, pts, start, costs, grads)
         });
         let fleet = self.fleet;
         let n_out = fleet.n_outputs(model);
@@ -844,13 +847,14 @@ impl<'f> FleetRunner<'f> {
         }
     }
 
-    /// Sweeps every full `L`-wide block of `pts` through one model's
-    /// masked SoA forward + adjoint sweeps, returning the number of
-    /// points processed.
+    /// Sweeps every full `L`-wide block of `pts` from `start` through
+    /// one model's masked SoA forward + adjoint sweeps, returning the
+    /// first point not swept.
     fn run_model_grad_blocks<const L: usize, P: AsRef<[f64]>>(
         &mut self,
         model: usize,
         pts: &[P],
+        mut start: usize,
         costs: &mut [f64],
         grads: &mut [f64],
     ) -> usize {
@@ -858,7 +862,6 @@ impl<'f> FleetRunner<'f> {
         let range = fleet.output_range(model);
         let n_out = range.len();
         let dim = fleet.n_inputs();
-        let mut start = 0;
         while start + L <= pts.len() {
             let block = &pts[start..start + L];
             self.buf.file.load::<L, P>(&fleet.tape, block);
@@ -907,18 +910,19 @@ impl<'f> FleetRunner<'f> {
         start
     }
 
-    /// Sweeps every full `L`-wide block of `pts` through one model's
-    /// reachability mask, returning the number of points processed.
+    /// Sweeps every full `L`-wide block of `pts` from `start` through
+    /// one model's reachability mask, returning the first point not
+    /// swept.
     fn run_model_blocks<const L: usize, P: AsRef<[f64]>>(
         &mut self,
         model: usize,
         pts: &[P],
+        mut start: usize,
         costs: &mut [f64],
     ) -> usize {
         let fleet = self.fleet;
         let range = fleet.output_range(model);
         let n_out = range.len();
-        let mut start = 0;
         while start + L <= pts.len() {
             let block = &pts[start..start + L];
             self.buf.file.load::<L, P>(&fleet.tape, block);

@@ -52,8 +52,9 @@
 //! the `a == 0` dead-op skip as a real per-lane branch, so signed
 //! zeros and NaN adjoints behave identically), which makes SoA
 //! gradients 0-ULP bit-identical to the scalar adjoint for every lane
-//! width, thread count, and chunk size. [`Op::Closure`] VJPs and ragged
-//! tails fall back to the scalar path exactly like the forward sweep.
+//! width, thread count, and chunk size. [`Op::Closure`] VJPs and the
+//! single point a chunk may leave over fall back to the scalar path
+//! exactly like the forward sweep.
 
 use crate::exec::LaneFile;
 use crate::tape::{Op, Tape, Value};

@@ -25,8 +25,8 @@
 //!    sweeps** ([`exec`]), which amortize op dispatch over a whole block
 //!    of points and expose the fused n-ary kernels to the vectorizer —
 //!    bit-identical by construction to the point-at-a-time
-//!    [`Tape::eval_into`], which runs the ragged tail of each chunk and
-//!    remains the single-point API.
+//!    [`Tape::eval_into`], which runs the one point a chunk's narrowing
+//!    blocks may leave over and remains the single-point API.
 //! 4. **Adjoint gradients** ([`grad`]) — a reverse-mode sweep over the
 //!    same op-tape: one forward + one backward pass yields the full
 //!    cost gradient at a cost independent of the input dimension

@@ -156,20 +156,65 @@ pub fn bottom_up(tree: &FaultTree) -> Result<CutSetCollection> {
 /// See [`bottom_up`].
 pub fn bottom_up_with_budget(tree: &FaultTree, budget: usize) -> Result<CutSetCollection> {
     let root = tree.root()?;
-    let mut memo: Vec<Option<CutSetCollection>> = vec![None; tree.len()];
+    let mut memo = Memo::new(tree, root);
     node_cut_sets(tree, root, budget, &mut memo)?;
-    Ok(memo[root.index()].take().expect("computed"))
+    Ok(memo.sets[root.index()].take().expect("computed"))
 }
 
-fn node_cut_sets(
-    tree: &FaultTree,
-    id: NodeId,
-    budget: usize,
-    memo: &mut Vec<Option<CutSetCollection>>,
-) -> Result<()> {
-    if memo[id.index()].is_some() {
+/// The bottom-up engine's memo: each computed node's collection, kept
+/// only until the last gate that reads it has computed.
+struct Memo {
+    sets: Vec<Option<CutSetCollection>>,
+    /// Per node: reads by gates reachable from the root that have not
+    /// computed yet, an input listed twice counting twice.
+    readers: Vec<usize>,
+}
+
+impl Memo {
+    fn new(tree: &FaultTree, root: NodeId) -> Self {
+        let mut readers = vec![0; tree.len()];
+        let mut seen = vec![false; tree.len()];
+        let mut stack = vec![root];
+        seen[root.index()] = true;
+        while let Some(id) = stack.pop() {
+            if let NodeKind::Gate { inputs, .. } = tree.node(id).kind() {
+                for &input in inputs {
+                    readers[input.index()] += 1;
+                    if !std::mem::replace(&mut seen[input.index()], true) {
+                        stack.push(input);
+                    }
+                }
+            }
+        }
+        Self {
+            sets: vec![None; tree.len()],
+            readers,
+        }
+    }
+
+    /// Counts one gate's reads of `inputs`, dropping every collection
+    /// that has no reader left.
+    fn release(&mut self, inputs: &[NodeId]) {
+        for input in inputs {
+            let readers = &mut self.readers[input.index()];
+            *readers -= 1;
+            if *readers == 0 {
+                self.sets[input.index()] = None;
+            }
+        }
+    }
+}
+
+fn node_cut_sets(tree: &FaultTree, id: NodeId, budget: usize, memo: &mut Memo) -> Result<()> {
+    if memo.sets[id.index()].is_some() {
         return Ok(());
     }
+    // Only the root has no reader; any other node computes here once,
+    // for its first reader, and is never asked for after its release.
+    debug_assert!(
+        memo.readers[id.index()] > 0 || tree.root() == Ok(id),
+        "node {id:?} recomputed after its memo entry was freed"
+    );
     let result = match tree.node(id).kind() {
         NodeKind::BasicEvent { .. } | NodeKind::Condition { .. } => {
             let slot = tree.leaf_index(id).expect("leaf has slot");
@@ -181,16 +226,18 @@ fn node_cut_sets(
             }
             let input_sets: Vec<&CutSetCollection> = inputs
                 .iter()
-                .map(|&i| memo[i.index()].as_ref().expect("computed"))
+                .map(|&i| memo.sets[i.index()].as_ref().expect("computed"))
                 .collect();
-            match kind {
+            let result = match kind {
                 GateKind::Or => or_combine(&input_sets, budget)?,
                 GateKind::And | GateKind::Inhibit => and_combine(&input_sets, budget)?,
                 GateKind::KOfN(k) => k_of_n_combine(&input_sets, *k, budget)?,
-            }
+            };
+            memo.release(inputs);
+            result
         }
     };
-    memo[id.index()] = Some(result);
+    memo.sets[id.index()] = Some(result);
     Ok(())
 }
 
@@ -557,6 +604,124 @@ mod tests {
         assert_eq!(a.max_order(), 3);
         assert_eq!(a, b);
         assert!(a.is_minimal());
+    }
+
+    /// Both engines return `expected` (leaf names per set, in
+    /// collection order); the bottom-up memo frees entries as their last
+    /// reader computes, which must not change a single set.
+    fn assert_engines_give(ft: &FaultTree, expected: &[&[&str]]) {
+        let bu = bottom_up(ft).unwrap();
+        assert_eq!(bu, mocus(ft).unwrap());
+        assert_eq!(names_of(ft, &bu), expected);
+        assert!(bu.is_minimal());
+    }
+
+    #[test]
+    fn memo_release_keeps_a_diamond_exact() {
+        // top = (s OR a) AND (s OR b), s = x AND y: both sides read s.
+        let mut ft = FaultTree::new("t");
+        let x = ft.basic_event("x").unwrap();
+        let y = ft.basic_event("y").unwrap();
+        let a = ft.basic_event("a").unwrap();
+        let b = ft.basic_event("b").unwrap();
+        let s = ft.and_gate("s", [x, y]).unwrap();
+        let left = ft.or_gate("left", [s, a]).unwrap();
+        let right = ft.or_gate("right", [s, b]).unwrap();
+        let top = ft.and_gate("top", [left, right]).unwrap();
+        ft.set_root(top).unwrap();
+        assert_engines_give(&ft, &[&["x", "y"], &["a", "b"]]);
+        // A budget below the first OR's two sets fails at that gate,
+        // with the same typed error as before entries were freed.
+        assert_eq!(
+            bottom_up_with_budget(&ft, 1),
+            Err(FtaError::BudgetExceeded {
+                what: "OR-combined cut sets",
+                limit: 1,
+            })
+        );
+    }
+
+    #[test]
+    fn memo_release_counts_an_input_listed_twice() {
+        // and(a, b, a) and or(c, d, c): each duplicate is one more read,
+        // so `a` survives `g` for the root's own read of it.
+        let mut ft = FaultTree::new("t");
+        let a = ft.basic_event("a").unwrap();
+        let b = ft.basic_event("b").unwrap();
+        let c = ft.basic_event("c").unwrap();
+        let d = ft.basic_event("d").unwrap();
+        let g = ft.and_gate("g", [a, b]).unwrap();
+        let h = ft.or_gate("h", [c, d]).unwrap();
+        ft.push_input_unchecked(g, a);
+        ft.push_input_unchecked(h, c);
+        let top = ft.and_gate("top", [g, h, a]).unwrap();
+        ft.set_root(top).unwrap();
+        assert_engines_give(&ft, &[&["a", "b", "c"], &["a", "b", "d"]]);
+        assert_eq!(
+            bottom_up_with_budget(&ft, 1),
+            Err(FtaError::BudgetExceeded {
+                what: "OR-combined cut sets",
+                limit: 1,
+            })
+        );
+    }
+
+    #[test]
+    fn memo_release_serves_a_subtree_read_by_three_parents() {
+        let mut ft = FaultTree::new("t");
+        let x = ft.basic_event("x").unwrap();
+        let y = ft.basic_event("y").unwrap();
+        let s = ft.or_gate("s", [x, y]).unwrap();
+        let parents: Vec<_> = ["a", "b", "c"]
+            .iter()
+            .map(|name| {
+                let leaf = ft.basic_event(*name).unwrap();
+                ft.and_gate(format!("p{name}"), [s, leaf]).unwrap()
+            })
+            .collect();
+        let top = ft.or_gate("top", parents).unwrap();
+        ft.set_root(top).unwrap();
+        assert_engines_give(
+            &ft,
+            &[
+                &["x", "a"],
+                &["y", "a"],
+                &["x", "b"],
+                &["y", "b"],
+                &["x", "c"],
+                &["y", "c"],
+            ],
+        );
+        assert_eq!(
+            bottom_up_with_budget(&ft, 5),
+            Err(FtaError::BudgetExceeded {
+                what: "OR-combined cut sets",
+                limit: 5,
+            })
+        );
+    }
+
+    #[test]
+    fn memo_release_ignores_gates_unreachable_from_the_root() {
+        // Two orphan gates read the shared s, and one reads the root
+        // itself; none of them is ever computed.
+        let mut ft = FaultTree::new("t");
+        let x = ft.basic_event("x").unwrap();
+        let y = ft.basic_event("y").unwrap();
+        let z = ft.basic_event("z").unwrap();
+        let s = ft.or_gate("s", [x, y]).unwrap();
+        let top = ft.and_gate("top", [s, z]).unwrap();
+        let orphan = ft.and_gate("orphan", [s, y]).unwrap();
+        ft.or_gate("orphan of orphan", [orphan, s, top]).unwrap();
+        ft.set_root(top).unwrap();
+        assert_engines_give(&ft, &[&["x", "z"], &["y", "z"]]);
+        assert_eq!(
+            bottom_up_with_budget(&ft, 1),
+            Err(FtaError::BudgetExceeded {
+                what: "OR-combined cut sets",
+                limit: 1,
+            })
+        );
     }
 
     #[test]

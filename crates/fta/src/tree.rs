@@ -180,6 +180,16 @@ impl FaultTree {
         Ok(id)
     }
 
+    /// Appends `input` to `gate`'s inputs without the builder's checks,
+    /// the shape a hand-edited serialized tree can hold (for example an
+    /// input listed twice).
+    #[cfg(test)]
+    pub(crate) fn push_input_unchecked(&mut self, gate: NodeId, input: NodeId) {
+        if let NodeKind::Gate { inputs, .. } = &mut self.nodes[gate.0].kind {
+            inputs.push(input);
+        }
+    }
+
     /// Adds a primary failure leaf without a stored probability.
     ///
     /// # Errors

@@ -748,9 +748,9 @@ mod tests {
 
     #[test]
     fn batch_objective_reuses_scratch_bit_identically() {
-        // One objective, batch sizes alternating across the ragged tail
-        // (1, 3), one full SoA block (16), a block plus a ragged tail
-        // (17) and the pooled path (300 > one chunk, two threads), with
+        // One objective, batch sizes alternating across the tail (1: one
+        // pointwise point; 3: a 2-lane block and one point), one full SoA
+        // block (16), a block plus one point (17) and the pooled path (300 > one chunk, two threads), with
         // value and gradient calls interleaved: every call must match a
         // fresh evaluator bit for bit.
         let models = family(4);

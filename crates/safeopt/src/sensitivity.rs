@@ -226,7 +226,7 @@ pub fn local_gradient(model: &SafetyModel, x: &[f64], h: f64) -> Result<Vec<f64>
     // Routed through `gradient_batch` — the lane-blocked batch seam —
     // instead of the pointwise `value_grad`, so this entry point shares
     // the SoA adjoint path with every other gradient consumer (a single
-    // point runs the ragged tail and stays bit-identical to
+    // point runs the point-at-a-time tail and stays bit-identical to
     // `value_grad`).
     let (values, grad) = compiled.gradient_batch(std::slice::from_ref(&x.to_vec()))?;
     let value = values[0];

@@ -351,13 +351,13 @@ impl<'t> TapeRunner<'t> {
         let n_out = self.tape.n_outputs();
         while start + L <= pts.len() {
             let block = &pts[start..start + L];
-            self.file.load::<L, P>(self.tape, block);
+            self.file.load::<L, false, P>(self.tape, block);
             let mut timer = crate::profile::OpTimer::new();
             for slot in 0..self.tape.n_ops() {
-                self.file.sweep_op::<L, P>(self.tape, slot, block);
+                self.file.sweep_op::<L, false, P>(self.tape, slot, block);
                 timer.lap(
                     &self.tape.profiler,
-                    self.tape.ops[slot].kind_index(),
+                    &self.tape.ops[slot],
                     crate::profile::PATH_SOA,
                     crate::profile::SWEEP_FORWARD,
                     L as u64,

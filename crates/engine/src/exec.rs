@@ -7,11 +7,14 @@
 //! match, argument-table walk, bounds checks) amortizes over the block,
 //! and the lane loops are monomorphized over the block width so the
 //! fused n-ary product/sum kernels compile to fully unrolled,
-//! vectorizable straight-line code. When fewer points than the lane
-//! count remain, the block narrows to the widest width that fits, so at
-//! most one point per chunk falls back to the point-at-a-time sweep
-//! ([`Tape::eval_into`]); opaque [`Op::Closure`] ops run per point
-//! inside a block.
+//! vectorizable straight-line code. An [`Op::Chain`] keeps its running
+//! value in a local lane block across all its Shannon steps and writes
+//! only its result to the register file; the gradient's forward pass
+//! also keeps each step's incoming value for the chain VJP. When fewer
+//! points than the lane count remain, the block narrows to the widest
+//! width that fits, so at most one point per chunk falls back to the
+//! point-at-a-time sweep ([`Tape::eval_into`]); opaque [`Op::Closure`]
+//! ops run per point inside a block.
 //!
 //! Determinism contract: for every point the lane-blocked sweep
 //! performs **the same floating-point operations in the same order** as
@@ -21,7 +24,7 @@
 //! [`Tape::eval_into`] for every lane count, thread count, and chunk
 //! size (enforced by the `soa_equivalence` property suite).
 
-use crate::tape::{Op, Reg, Tape, Value};
+use crate::tape::{ChainStep, Op, Reg, StepRange, Tape, Value};
 use std::ops::Range;
 
 use safety_opt_telemetry as telemetry;
@@ -141,8 +144,9 @@ macro_rules! sweep_lane_blocks {
 pub(crate) use sweep_lane_blocks;
 
 /// Lane-blocked SoA register file: register `r`'s value for lane `l`
-/// lives at `r * L + l`, inputs first, then one row per op — the
-/// structure-of-arrays transpose of [`Tape::eval_into`]'s scratch. All
+/// lives at `r * L + l`, inputs first, then one row per op, then one row
+/// per later chain step (written only by the gradient's forward pass) —
+/// the structure-of-arrays transpose of [`Tape::eval_into`]'s scratch. All
 /// methods are monomorphized over the block width `L` so every lane
 /// loop has a compile-time trip count.
 #[derive(Debug, Default)]
@@ -159,14 +163,26 @@ impl LaneFile {
     }
 
     /// Loads a full block of `L` points into the input registers,
-    /// (re)sizing the file for `tape`.
+    /// (re)sizing the file for `tape`'s registers. With `KEEP` (the
+    /// gradient's forward pass) the file also gets the chain-step rows
+    /// [`sweep_op`](Self::sweep_op) writes with `KEEP`; sweep a file with
+    /// the `KEEP` it was loaded with.
     ///
     /// # Panics
     ///
     /// Panics if any point's arity mismatches the tape.
-    pub(crate) fn load<const L: usize, P: AsRef<[f64]>>(&mut self, tape: &Tape, points: &[P]) {
+    pub(crate) fn load<const L: usize, const KEEP: bool, P: AsRef<[f64]>>(
+        &mut self,
+        tape: &Tape,
+        points: &[P],
+    ) {
         debug_assert_eq!(points.len(), L);
-        let want = tape.scratch_len() * L;
+        let rows = if KEEP {
+            tape.scratch_len()
+        } else {
+            tape.n_regs()
+        };
+        let want = rows * L;
         if self.regs.len() != want {
             self.regs.clear();
             self.regs.resize(want, 0.0);
@@ -182,7 +198,10 @@ impl LaneFile {
 
     /// Sweeps op `slot` across the whole lane block. `points` carries
     /// the original input rows for the [`Op::Closure`] scalar fallback.
-    pub(crate) fn sweep_op<const L: usize, P: AsRef<[f64]>>(
+    /// With `KEEP` (the gradient's forward pass, on a file loaded with
+    /// `KEEP`) a chain also stores the running value entering each later
+    /// step in the step's row, after the op registers, for the chain VJP.
+    pub(crate) fn sweep_op<const L: usize, const KEEP: bool, P: AsRef<[f64]>>(
         &mut self,
         tape: &Tape,
         slot: usize,
@@ -192,7 +211,8 @@ impl LaneFile {
         // Ops only read registers of strictly earlier slots, so the
         // split hands the compiler provably disjoint read/write slices.
         let (prior, rest) = self.regs.split_at_mut(out_base);
-        let out: &mut [f64; L] = (&mut rest[..L]).try_into().expect("lane block");
+        let (out, later) = rest.split_at_mut(L);
+        let out: &mut [f64; L] = out.try_into().expect("lane block");
         let arg = |r: Reg| -> &[f64; L] {
             prior[r.index() * L..r.index() * L + L]
                 .try_into()
@@ -255,7 +275,7 @@ impl LaneFile {
                     out[l] = if acc[l] > 1.0 { 1.0 } else { acc[l] };
                 }
             }
-            Op::MulAdd { p, hi, lo } => {
+            Op::Chain { p, hi, lo, steps } => {
                 // Constants broadcast across the block; per lane the
                 // multiply/complement/multiply/add sequence is exactly
                 // the scalar kernel's, so results stay bit-identical.
@@ -270,6 +290,13 @@ impl LaneFile {
                 let lv = block(*lo);
                 for l in 0..L {
                     out[l] = pv[l] * hv[l] + (1.0 - pv[l]) * lv[l];
+                }
+                if !steps.is_empty() {
+                    // Step rows follow the op registers: `later` starts
+                    // one row after this op's.
+                    let step_base = tape.n_regs() * L - out_base - L;
+                    let step_rows = &mut later[step_base..];
+                    sweep_chain_steps::<L, KEEP>(tape, out, *steps, prior, step_rows);
                 }
             }
         }
@@ -335,6 +362,60 @@ impl LaneFile {
             }
         }
     }
+}
+
+/// A chain's later steps swept across the lane block, from the first
+/// node's value in `out` to the chain's value in `out`. Per lane each
+/// step's multiply/complement/multiply/add sequence is exactly the scalar
+/// kernel's, so results stay bit-identical. The running value stays in
+/// a local; with `KEEP` each step's incoming value also goes to its row
+/// of `step_rows` (the file's chain-step rows). Kept out of line so the
+/// per-op dispatch of [`LaneFile::sweep_op`] stays small for the
+/// one-node ops.
+#[inline(never)]
+fn sweep_chain_steps<const L: usize, const KEEP: bool>(
+    tape: &Tape,
+    out: &mut [f64; L],
+    steps: StepRange,
+    prior: &[f64],
+    step_rows: &mut [f64],
+) {
+    let block = |v: Value| -> [f64; L] {
+        match v {
+            Value::Const(c) => [c; L],
+            Value::Reg(r) => prior[r.index() * L..r.index() * L + L]
+                .try_into()
+                .expect("lane block"),
+        }
+    };
+    let mut acc = *out;
+    for (i, step) in tape.chain_steps(steps).iter().enumerate() {
+        if KEEP {
+            let row = (steps.start() + i) * L;
+            step_rows[row..row + L].copy_from_slice(&acc);
+        }
+        match *step {
+            ChainStep::Or { p } => {
+                let pv = block(p);
+                for l in 0..L {
+                    acc[l] = pv[l] + (1.0 - pv[l]) * acc[l];
+                }
+            }
+            ChainStep::Hi { p, lo } => {
+                let (pv, lv) = (block(p), block(lo));
+                for l in 0..L {
+                    acc[l] = pv[l] * acc[l] + (1.0 - pv[l]) * lv[l];
+                }
+            }
+            ChainStep::Lo { p, hi } => {
+                let (pv, hv) = (block(p), block(hi));
+                for l in 0..L {
+                    acc[l] = pv[l] * hv[l] + (1.0 - pv[l]) * acc[l];
+                }
+            }
+        }
+    }
+    *out = acc;
 }
 
 #[cfg(test)]

@@ -12,6 +12,13 @@
 //! precomputed reachability mask, sweeping exactly the ops a standalone
 //! compilation of that model would contain.
 //!
+//! Shannon chains fuse per model: each model's nodes merge into
+//! [`Op::Chain`]s exactly as its standalone build would merge them, and
+//! the arena holds the hash-consed union of the models' fused ops (a
+//! node two models share but feed into different nodes is merged into
+//! both models' chains). So every model sweeps the op set of its
+//! standalone tape.
+//!
 //! Determinism contract: every result is **bit-identical** to compiling
 //! and evaluating each model's tape individually, for every thread count
 //! and chunk size of the [`FleetEvaluator`] pool (the builder re-anchors
@@ -56,7 +63,7 @@ use crate::error::{EngineError, EvalDeadline};
 use crate::exec::{supported_lanes, sweep_lane_blocks, LaneFile, DEFAULT_LANES};
 use crate::faultinject;
 use crate::grad::{AdjointFile, GradWorkspace};
-use crate::tape::{Op, Tape, TapeBuilder, Value};
+use crate::tape::{ModelOps, Op, Tape, TapeBuilder, Value};
 use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
 
@@ -84,6 +91,9 @@ pub struct FleetBuilder {
     tape: TapeBuilder,
     /// Per finished model: one-past-the-end output index.
     output_ends: Vec<u32>,
+    /// Per finished model: its op slots in its standalone build order
+    /// (the plan of its chain fusion).
+    orders: Vec<Vec<u32>>,
 }
 
 impl FleetBuilder {
@@ -92,6 +102,7 @@ impl FleetBuilder {
         Self {
             tape: TapeBuilder::new(n_inputs),
             output_ends: Vec::new(),
+            orders: Vec::new(),
         }
     }
 
@@ -113,22 +124,26 @@ impl FleetBuilder {
     /// the previous boundary) and returns its fleet index.
     pub fn finish_model(&mut self) -> usize {
         self.output_ends.push(self.tape.outputs_len() as u32);
+        self.orders.push(self.tape.model_order());
         self.tape.reset_model_order();
         self.output_ends.len() - 1
     }
 
     /// Discards the model currently being built (outputs declared since
     /// the last boundary are dropped) — rollback for callers that
-    /// tolerate per-model lowering failures. Ops the aborted model
-    /// interned stay in the arena; they are excluded from every model's
-    /// reachability mask unless a later model demands them again.
+    /// tolerate per-model lowering failures. Ops only the aborted model
+    /// demanded are left out of the arena.
     pub fn abort_model(&mut self) {
         let keep = self.output_ends.last().copied().unwrap_or(0) as usize;
         self.tape.truncate_outputs(keep);
         self.tape.reset_model_order();
     }
 
-    /// Finalizes the fleet, computing each model's reachability mask.
+    /// Finalizes the fleet: fuses each model's Shannon chains as its
+    /// standalone build would (a node two models share but feed into
+    /// different nodes is merged into both models' chains), hash-conses
+    /// the fused ops across models into the arena, and computes each
+    /// model's reachability mask.
     ///
     /// # Panics
     ///
@@ -141,7 +156,18 @@ impl FleetBuilder {
             last,
             "outputs declared after the last finish_model() call"
         );
-        let tape = self.tape.build();
+        let mut start = 0;
+        let models: Vec<ModelOps> = self
+            .orders
+            .into_iter()
+            .zip(&self.output_ends)
+            .map(|(order, &end)| {
+                let outputs = start..end as usize;
+                start = end as usize;
+                ModelOps { order, outputs }
+            })
+            .collect();
+        let tape = self.tape.build_models(&models);
         let n_inputs = tape.n_inputs();
         let n_ops = tape.n_ops();
         let mut masks = Vec::with_capacity(self.output_ends.len());
@@ -178,10 +204,12 @@ impl FleetBuilder {
                             mark(r);
                         }
                     }
-                    Op::MulAdd { p, hi, lo } => {
-                        for v in [p, hi, lo] {
+                    Op::Chain { p, hi, lo, steps } => {
+                        let later = tape.chain_steps(*steps);
+                        let operands = later.iter().flat_map(|s| [s.p(), s.other()]);
+                        for v in [*p, *hi, *lo].into_iter().chain(operands) {
                             if let Value::Reg(r) = v {
-                                mark(*r);
+                                mark(r);
                             }
                         }
                     }
@@ -312,7 +340,7 @@ impl Fleet {
             scratch[n_inputs + i as usize] = self.tape.op_value(op, scratch);
             timer.lap(
                 &self.tape.profiler,
-                op.kind_index(),
+                op,
                 crate::profile::PATH_SCALAR,
                 crate::profile::SWEEP_FORWARD,
                 1,
@@ -360,7 +388,7 @@ impl Fleet {
                 scratch[n_inputs + i as usize] = self.tape.op_value(op, scratch);
                 timer.lap(
                     &self.tape.profiler,
-                    op.kind_index(),
+                    op,
                     crate::profile::PATH_SCALAR,
                     crate::profile::SWEEP_FORWARD,
                     1,
@@ -369,14 +397,14 @@ impl Fleet {
             self.tape.read_outputs(scratch, range.clone(), outputs)
         };
         ws.adjoint.clear();
-        ws.adjoint.resize(self.tape.scratch_len(), 0.0);
+        ws.adjoint.resize(self.tape.n_regs(), 0.0);
         self.tape.seed_output_adjoints(range, &mut ws.adjoint);
         let mut timer = crate::profile::OpTimer::new();
         for &i in self.masks[model].iter().rev() {
             self.tape.backward_slot(i as usize, ws);
             timer.lap(
                 &self.tape.profiler,
-                self.tape.ops[i as usize].kind_index(),
+                &self.tape.ops[i as usize],
                 crate::profile::PATH_SCALAR,
                 crate::profile::SWEEP_ADJOINT,
                 1,
@@ -412,7 +440,7 @@ impl Fleet {
             scratch[n_inputs + slot] = self.tape.op_value(op, scratch);
             timer.lap(
                 &self.tape.profiler,
-                op.kind_index(),
+                op,
                 crate::profile::PATH_SCALAR,
                 crate::profile::SWEEP_FORWARD,
                 1,
@@ -757,13 +785,13 @@ impl<'f> FleetRunner<'f> {
         let width = fleet.total_outputs();
         while start + L <= pts.len() {
             let block = &pts[start..start + L];
-            self.buf.file.load::<L, P>(&fleet.tape, block);
+            self.buf.file.load::<L, false, P>(&fleet.tape, block);
             let mut timer = crate::profile::OpTimer::new();
             for slot in 0..fleet.tape.n_ops() {
-                self.buf.file.sweep_op::<L, P>(&fleet.tape, slot, block);
+                self.buf.file.sweep_op::<L, false, P>(&fleet.tape, slot, block);
                 timer.lap(
                     &fleet.tape.profiler,
-                    fleet.tape.ops[slot].kind_index(),
+                    &fleet.tape.ops[slot],
                     crate::profile::PATH_SOA,
                     crate::profile::SWEEP_FORWARD,
                     L as u64,
@@ -864,15 +892,15 @@ impl<'f> FleetRunner<'f> {
         let dim = fleet.n_inputs();
         while start + L <= pts.len() {
             let block = &pts[start..start + L];
-            self.buf.file.load::<L, P>(&fleet.tape, block);
+            self.buf.file.load::<L, true, P>(&fleet.tape, block);
             let mut timer = crate::profile::OpTimer::new();
             for &slot in fleet.masks[model].iter() {
                 self.buf
                     .file
-                    .sweep_op::<L, P>(&fleet.tape, slot as usize, block);
+                    .sweep_op::<L, true, P>(&fleet.tape, slot as usize, block);
                 timer.lap(
                     &fleet.tape.profiler,
-                    fleet.tape.ops[slot as usize].kind_index(),
+                    &fleet.tape.ops[slot as usize],
                     crate::profile::PATH_SOA,
                     crate::profile::SWEEP_FORWARD,
                     L as u64,
@@ -884,7 +912,7 @@ impl<'f> FleetRunner<'f> {
                 &mut costs[start..start + L],
                 &mut self.buf.lane_rows[..L * n_out],
             );
-            self.buf.adj.reset(fleet.tape.scratch_len() * L);
+            self.buf.adj.reset(fleet.tape.n_regs() * L);
             self.buf.adj.seed::<L>(&fleet.tape, range.clone());
             let mut timer = crate::profile::OpTimer::new();
             for &slot in fleet.masks[model].iter().rev() {
@@ -895,7 +923,7 @@ impl<'f> FleetRunner<'f> {
                 );
                 timer.lap(
                     &fleet.tape.profiler,
-                    fleet.tape.ops[slot as usize].kind_index(),
+                    &fleet.tape.ops[slot as usize],
                     crate::profile::PATH_SOA,
                     crate::profile::SWEEP_ADJOINT,
                     L as u64,
@@ -925,15 +953,15 @@ impl<'f> FleetRunner<'f> {
         let n_out = range.len();
         while start + L <= pts.len() {
             let block = &pts[start..start + L];
-            self.buf.file.load::<L, P>(&fleet.tape, block);
+            self.buf.file.load::<L, false, P>(&fleet.tape, block);
             let mut timer = crate::profile::OpTimer::new();
             for &slot in fleet.masks[model].iter() {
                 self.buf
                     .file
-                    .sweep_op::<L, P>(&fleet.tape, slot as usize, block);
+                    .sweep_op::<L, false, P>(&fleet.tape, slot as usize, block);
                 timer.lap(
                     &fleet.tape.profiler,
-                    fleet.tape.ops[slot as usize].kind_index(),
+                    &fleet.tape.ops[slot as usize],
                     crate::profile::PATH_SOA,
                     crate::profile::SWEEP_FORWARD,
                     L as u64,

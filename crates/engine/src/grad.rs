@@ -24,10 +24,13 @@
 //! * [`Op::SumClamp`] — pass-through below the clamp, **subgradient 0**
 //!   once `bias + Σ args > 1` (the forward branch condition, re-checked
 //!   bit-for-bit in the backward sweep).
-//! * [`Op::MulAdd`] — Shannon/ITE node `p·h + (1−p)·l`: `∂/∂p = h − l`,
-//!   `∂/∂h = p`, `∂/∂l = 1 − p`. On a tape whose inputs are leaf
-//!   probabilities this is exactly the Birnbaum-importance recursion, so
-//!   one backward sweep yields every `∂P/∂qᵢ` at once.
+//! * [`Op::Chain`] — a run of Shannon/ITE nodes `p·h + (1−p)·l`, each
+//!   with `∂/∂p = h − l`, `∂/∂h = p`, `∂/∂l = 1 − p`. The VJP walks the
+//!   steps in reverse from each step's kept incoming value and carries
+//!   the chain's adjoint in a local, exactly as the per-node registers
+//!   would hold it (`0.0 + a·q`, dead once 0). On a tape whose inputs are
+//!   leaf probabilities this is exactly the Birnbaum-importance
+//!   recursion, so one backward sweep yields every `∂P/∂qᵢ` at once.
 //! * [`Op::Closure`] — opaque functions have no structure to
 //!   differentiate; the backward pass falls back to **per-op central
 //!   differences** of just that closure (`2·dim` closure calls, not
@@ -49,15 +52,15 @@
 //! sweeps each op's VJP across the block in an `AdjointFile` of the
 //! same `[n_regs × LANES]` layout. Per lane the backward kernels
 //! perform the scalar VJP's float sequence in the same order (including
-//! the `a == 0` dead-op skip as a real per-lane branch, so signed
-//! zeros and NaN adjoints behave identically), which makes SoA
+//! the `a == 0` dead-op skip per lane, so signed zeros and NaN
+//! adjoints behave identically), which makes SoA
 //! gradients 0-ULP bit-identical to the scalar adjoint for every lane
 //! width, thread count, and chunk size. [`Op::Closure`] VJPs and the
 //! single point a chunk may leave over fall back to the scalar path
 //! exactly like the forward sweep.
 
 use crate::exec::LaneFile;
-use crate::tape::{Op, Tape, Value};
+use crate::tape::{ChainStep, Op, StepRange, Tape, Value};
 use std::ops::Range;
 
 use safety_opt_telemetry as telemetry;
@@ -172,7 +175,7 @@ impl Tape {
         // Seed: ∂cost/∂outputᵢ = weightᵢ. Constant outputs have no
         // register and no derivative.
         ws.adjoint.clear();
-        ws.adjoint.resize(self.scratch_len(), 0.0);
+        ws.adjoint.resize(self.n_regs(), 0.0);
         self.seed_output_adjoints(0..self.n_outputs(), &mut ws.adjoint);
 
         self.backward(ws);
@@ -211,7 +214,7 @@ impl Tape {
             self.backward_slot(slot, ws);
             timer.lap(
                 &self.profiler,
-                self.ops[slot].kind_index(),
+                &self.ops[slot],
                 crate::profile::PATH_SCALAR,
                 crate::profile::SWEEP_ADJOINT,
                 1,
@@ -290,20 +293,66 @@ impl Tape {
                     suffix *= ws.scratch[r.index()];
                 }
             }
-            Op::MulAdd { p, hi, lo } => {
-                // y = p·h + (1−p)·l: ∂y/∂p = h − l, ∂y/∂h = p,
+            Op::Chain { p, hi, lo, steps } => {
+                // Each node y = p·h + (1−p)·l: ∂y/∂p = h − l, ∂y/∂h = p,
                 // ∂y/∂l = 1 − p. Constant operands have no register
-                // and receive no adjoint.
+                // and receive no adjoint. The walk back reads each
+                // step's incoming value from its step slot and carries
+                // the chain's adjoint, which for a merged node is
+                // exactly its per-node register: `0.0 + a·q` (the
+                // `0.0 +` turns −0 into +0), with a dead node ending
+                // the walk.
+                let base = self.n_regs() + steps.start();
+                let steps = self.chain_steps(*steps);
+                let mut a = a;
+                for (i, step) in steps.iter().enumerate().rev() {
+                    let acc = ws.scratch[base + i];
+                    let q = match *step {
+                        ChainStep::Or { p } => {
+                            let pv = Tape::value_at(p, &ws.scratch);
+                            if let Value::Reg(r) = p {
+                                ws.adjoint[r.index()] += a * (1.0 - acc);
+                            }
+                            1.0 - pv
+                        }
+                        ChainStep::Hi { p, lo } => {
+                            let pv = Tape::value_at(p, &ws.scratch);
+                            let lv = Tape::value_at(lo, &ws.scratch);
+                            if let Value::Reg(r) = p {
+                                ws.adjoint[r.index()] += a * (acc - lv);
+                            }
+                            if let Value::Reg(r) = lo {
+                                ws.adjoint[r.index()] += a * (1.0 - pv);
+                            }
+                            pv
+                        }
+                        ChainStep::Lo { p, hi } => {
+                            let pv = Tape::value_at(p, &ws.scratch);
+                            let hv = Tape::value_at(hi, &ws.scratch);
+                            if let Value::Reg(r) = p {
+                                ws.adjoint[r.index()] += a * (hv - acc);
+                            }
+                            if let Value::Reg(r) = hi {
+                                ws.adjoint[r.index()] += a * pv;
+                            }
+                            1.0 - pv
+                        }
+                    };
+                    a = 0.0 + a * q;
+                    if a == 0.0 {
+                        return;
+                    }
+                }
                 let pv = Tape::value_at(*p, &ws.scratch);
                 let hv = Tape::value_at(*hi, &ws.scratch);
                 let lv = Tape::value_at(*lo, &ws.scratch);
-                if let crate::tape::Value::Reg(r) = p {
+                if let Value::Reg(r) = p {
                     ws.adjoint[r.index()] += a * (hv - lv);
                 }
-                if let crate::tape::Value::Reg(r) = hi {
+                if let Value::Reg(r) = hi {
                     ws.adjoint[r.index()] += a * pv;
                 }
-                if let crate::tape::Value::Reg(r) = lo {
+                if let Value::Reg(r) = lo {
                     ws.adjoint[r.index()] += a * (1.0 - pv);
                 }
             }
@@ -344,27 +393,27 @@ impl Tape {
         lane_rows: &mut [f64],
         grads: &mut [f64],
     ) {
-        file.load::<L, P>(self, points);
+        file.load::<L, true, P>(self, points);
         let mut timer = crate::profile::OpTimer::new();
         for slot in 0..self.n_ops() {
-            file.sweep_op::<L, P>(self, slot, points);
+            file.sweep_op::<L, true, P>(self, slot, points);
             timer.lap(
                 &self.profiler,
-                self.ops[slot].kind_index(),
+                &self.ops[slot],
                 crate::profile::PATH_SOA,
                 crate::profile::SWEEP_FORWARD,
                 L as u64,
             );
         }
         file.read_outputs::<L>(self, 0..self.n_outputs(), costs, lane_rows);
-        adjoint.reset(self.scratch_len() * L);
+        adjoint.reset(self.n_regs() * L);
         adjoint.seed::<L>(self, 0..self.n_outputs());
         let mut timer = crate::profile::OpTimer::new();
         for slot in (0..self.n_ops()).rev() {
             adjoint.backward_slot_block::<L>(self, slot, file.regs());
             timer.lap(
                 &self.profiler,
-                self.ops[slot].kind_index(),
+                &self.ops[slot],
                 crate::profile::PATH_SOA,
                 crate::profile::SWEEP_ADJOINT,
                 L as u64,
@@ -392,7 +441,7 @@ pub(crate) struct AdjointFile {
 }
 
 impl AdjointFile {
-    /// Zeroes the file for a `len`-slot sweep (`scratch_len · L`).
+    /// Zeroes the file for a `len`-slot sweep (`n_regs · L`).
     pub(crate) fn reset(&mut self, len: usize) {
         self.adj.clear();
         self.adj.resize(len, 0.0);
@@ -424,13 +473,14 @@ impl AdjointFile {
 
     /// One op's VJP swept across the whole lane block: the lane-blocked
     /// twin of [`Tape::backward_slot`]. `regs` is the forward sweep's
-    /// retained register file. Per lane each kernel performs the scalar
-    /// VJP's float sequence in the same order — including the
-    /// `a == 0.0` dead-lane skip as a real branch, so signed zeros stay
-    /// put and NaN adjoints propagate identically — which is what makes
-    /// the SoA adjoint 0-ULP bit-identical to the scalar one. Blocks
-    /// whose every lane is dead skip the op entirely (the scalar
-    /// sweep's dead-op skip, amortized).
+    /// retained register file, chain steps included. Per lane each kernel
+    /// performs the scalar VJP's float sequence in the same order —
+    /// including the `a == 0.0` dead-lane skip, as a real branch or, in
+    /// the chain kernel, as the equivalent computed select
+    /// ([`add_live`]), so signed zeros stay put and NaN adjoints
+    /// propagate identically — which is what makes the SoA adjoint 0-ULP
+    /// bit-identical to the scalar one. Blocks whose every lane is dead
+    /// skip the op entirely (the scalar sweep's dead-op skip, amortized).
     pub(crate) fn backward_slot_block<const L: usize>(
         &mut self,
         tape: &Tape,
@@ -541,41 +591,35 @@ impl AdjointFile {
                     }
                 }
             }
-            Op::MulAdd { p, hi, lo } => {
-                // Constants broadcast; the three operand adjoints land
-                // in the scalar VJP's order (p, hi, lo).
-                let block = |v: &Value| -> [f64; L] {
+            Op::Chain { p, hi, lo, steps } => {
+                let a = if steps.is_empty() {
+                    a
+                } else {
+                    self.backward_chain_steps::<L>(tape, regs, a, *steps)
+                };
+                // The first node; constants broadcast, and the three
+                // operand adjoints land in the scalar VJP's order
+                // (p, hi, lo).
+                let block = |v: Value| -> [f64; L] {
                     match v {
-                        Value::Const(c) => [*c; L],
+                        Value::Const(c) => [c; L],
                         Value::Reg(r) => regs_block::<L>(regs, r.index() * L),
                     }
                 };
-                let pv = block(p);
-                let hv = block(hi);
-                let lv = block(lo);
+                let pv = block(*p);
+                let hv = block(*hi);
+                let lv = block(*lo);
                 if let Value::Reg(r) = p {
                     let adj = lane_window::<L>(&mut self.adj, r.index() * L);
-                    for l in 0..L {
-                        if a[l] != 0.0 {
-                            adj[l] += a[l] * (hv[l] - lv[l]);
-                        }
-                    }
+                    add_live(adj, &a, |l| a[l] * (hv[l] - lv[l]));
                 }
                 if let Value::Reg(r) = hi {
                     let adj = lane_window::<L>(&mut self.adj, r.index() * L);
-                    for l in 0..L {
-                        if a[l] != 0.0 {
-                            adj[l] += a[l] * pv[l];
-                        }
-                    }
+                    add_live(adj, &a, |l| a[l] * pv[l]);
                 }
                 if let Value::Reg(r) = lo {
                     let adj = lane_window::<L>(&mut self.adj, r.index() * L);
-                    for l in 0..L {
-                        if a[l] != 0.0 {
-                            adj[l] += a[l] * (1.0 - pv[l]);
-                        }
-                    }
+                    add_live(adj, &a, |l| a[l] * (1.0 - pv[l]));
                 }
             }
             Op::SumClamp { bias, args } => {
@@ -603,6 +647,91 @@ impl AdjointFile {
                 }
             }
         }
+    }
+
+    /// The VJP of a chain's later steps across the lane block, in
+    /// reverse, each reading its incoming value from its chain-step row
+    /// of `regs`; returns the adjoint of the chain's first node. The
+    /// chain's adjoint is carried in `a` as the per-node register would
+    /// hold it, `0.0 + a·q` on live lanes and 0 on dead ones. Operand
+    /// adjoints land in the scalar VJP's order (p, then the other
+    /// operand). Kept out of line so the per-op dispatch of
+    /// [`backward_slot_block`](Self::backward_slot_block) stays small for
+    /// the one-node ops.
+    #[inline(never)]
+    fn backward_chain_steps<const L: usize>(
+        &mut self,
+        tape: &Tape,
+        regs: &[f64],
+        mut a: [f64; L],
+        steps: StepRange,
+    ) -> [f64; L] {
+        let block = |v: Value| -> [f64; L] {
+            match v {
+                Value::Const(c) => [c; L],
+                Value::Reg(r) => regs_block::<L>(regs, r.index() * L),
+            }
+        };
+        let base = tape.n_regs() + steps.start();
+        for (i, step) in tape.chain_steps(steps).iter().enumerate().rev() {
+            let acc: [f64; L] = regs_block::<L>(regs, (base + i) * L);
+            let mut q = [0.0; L];
+            match *step {
+                ChainStep::Or { p } => {
+                    if let Value::Reg(r) = p {
+                        let adj = lane_window::<L>(&mut self.adj, r.index() * L);
+                        add_live(adj, &a, |l| a[l] * (1.0 - acc[l]));
+                    }
+                    let pv = block(p);
+                    for l in 0..L {
+                        q[l] = 1.0 - pv[l];
+                    }
+                }
+                ChainStep::Hi { p, lo } => {
+                    let (pv, lv) = (block(p), block(lo));
+                    if let Value::Reg(r) = p {
+                        let adj = lane_window::<L>(&mut self.adj, r.index() * L);
+                        add_live(adj, &a, |l| a[l] * (acc[l] - lv[l]));
+                    }
+                    if let Value::Reg(r) = lo {
+                        let adj = lane_window::<L>(&mut self.adj, r.index() * L);
+                        add_live(adj, &a, |l| a[l] * (1.0 - pv[l]));
+                    }
+                    q = pv;
+                }
+                ChainStep::Lo { p, hi } => {
+                    let (pv, hv) = (block(p), block(hi));
+                    if let Value::Reg(r) = p {
+                        let adj = lane_window::<L>(&mut self.adj, r.index() * L);
+                        add_live(adj, &a, |l| a[l] * (hv[l] - acc[l]));
+                    }
+                    if let Value::Reg(r) = hi {
+                        let adj = lane_window::<L>(&mut self.adj, r.index() * L);
+                        add_live(adj, &a, |l| a[l] * pv[l]);
+                    }
+                    for l in 0..L {
+                        q[l] = 1.0 - pv[l];
+                    }
+                }
+            }
+            for l in 0..L {
+                let carried = 0.0 + a[l] * q[l];
+                a[l] = if a[l] != 0.0 { carried } else { 0.0 };
+            }
+        }
+        a
+    }
+}
+
+/// `adj[l] += d(l)` on every live lane (`a[l] != 0`), written as a
+/// computed select — `s = adj + d; adj = if live { s } else { adj }` —
+/// which gives the per-lane branch's bits (a dead lane keeps its
+/// adjoint exactly) and lets the compiler vectorize the lane loop.
+#[inline(always)]
+fn add_live<const L: usize>(adj: &mut [f64; L], a: &[f64; L], d: impl Fn(usize) -> f64) {
+    for l in 0..L {
+        let s = adj[l] + d(l);
+        adj[l] = if a[l] != 0.0 { s } else { adj[l] };
     }
 }
 

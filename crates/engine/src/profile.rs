@@ -12,13 +12,16 @@
 //!
 //! Cells are keyed by `(op kind, path, sweep)`:
 //!
-//! * **op kind** — the eight [`Op`](crate::Op) variants;
+//! * **op kind** — the eight [`Op`](crate::Op) variants (`chain` for
+//!   fused Shannon chains);
 //! * **path** — `scalar` (point-at-a-time) vs `soa` (lane-blocked);
 //! * **sweep** — `forward` (value) vs `adjoint` (backward VJP).
 //!
 //! Each cell accumulates wall nanoseconds, timed op executions
 //! (`calls`), and point-lanes processed (`units`: 1 per scalar op, `L`
-//! per lane-blocked op), all with relaxed atomics — the profile is a
+//! per lane-blocked op, times the chain's length for a `chain` op, so
+//! op shares stay comparable with a per-node tape), all with relaxed
+//! atomics — the profile is a
 //! diagnostic aggregate, not a synchronization point. Timing uses a
 //! lap-style clock (the previous op's end is the next op's start), so
 //! a profiled sweep pays one `Instant::now` per op, not two.
@@ -124,7 +127,7 @@ impl TapeProfiler {
 /// One non-empty profile cell in a [`ProfileReport`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfileRow {
-    /// Op kind name (`exposure`, `mul_add`, …).
+    /// Op kind name (`exposure`, `chain`, …).
     pub op: &'static str,
     /// Execution path: `"scalar"` or `"soa"`.
     pub path: &'static str,
@@ -134,7 +137,8 @@ pub struct ProfileRow {
     pub nanos: u64,
     /// Timed op executions (one lane-blocked op counts once).
     pub calls: u64,
-    /// Point-lanes processed (1 per scalar call, `L` per SoA call).
+    /// Point-lanes processed (1 per scalar call, `L` per SoA call;
+    /// times the steps of a `chain` op).
     pub units: u64,
 }
 
@@ -199,21 +203,22 @@ impl OpTimer {
     }
 
     /// Records the lap since the previous [`lap`](Self::lap)/
-    /// [`new`](Self::new) into `(kind, path, sweep)`; a no-op when the
-    /// clock never started.
+    /// [`new`](Self::new) into `op`'s `(kind, path, sweep)` cell, with
+    /// `lanes` points per Shannon node it ran; a no-op when the clock
+    /// never started.
     #[inline]
     pub(crate) fn lap(
         &mut self,
         prof: &TapeProfiler,
-        kind: usize,
+        op: &crate::tape::Op,
         path: usize,
         sweep: usize,
-        units: u64,
+        lanes: u64,
     ) {
         if let Some(start) = self.last {
             let now = Instant::now();
             let nanos = u64::try_from(now.duration_since(start).as_nanos()).unwrap_or(u64::MAX);
-            prof.record(kind, path, sweep, nanos, units);
+            prof.record(op.kind_index(), path, sweep, nanos, op.units() * lanes);
             self.last = Some(now);
         }
     }
@@ -249,8 +254,10 @@ mod tests {
         // The suite runs with telemetry off unless a leg forces it; in
         // either case the timer's laps must agree with the mode.
         let prof = TapeProfiler::new();
+        let mut b = crate::tape::TapeBuilder::new(1);
+        b.exposure(0.5, b.input(0));
         let mut timer = OpTimer::new();
-        timer.lap(&prof, 0, PATH_SCALAR, SWEEP_FORWARD, 1);
+        timer.lap(&prof, &b.ops()[0], PATH_SCALAR, SWEEP_FORWARD, 1);
         let rows = prof.report().rows.len();
         if safety_opt_telemetry::profile_enabled() {
             assert_eq!(rows, 1);

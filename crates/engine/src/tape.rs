@@ -12,18 +12,26 @@
 //!   constant cut sets fold into their hazard's bias, constant factors of
 //!   a product fold into one scale coefficient;
 //! * **op fusion** — cut-set products and hazard sums are n-ary ops over
-//!   a shared argument table, not chains of binaries.
+//!   a shared argument table, not chains of binaries;
+//! * **chain fusion** — BDD-exact hazards lower to one Shannon node
+//!   `p·hi + (1−p)·lo` per BDD node, and [`TapeBuilder::build`] merges
+//!   every run in which a node's only reader is the next node's `hi` or
+//!   `lo` into one [`Op::Chain`] whose running value stays in a local,
+//!   bit-identical to the per-node tape in value and gradient.
 //!
 //! One evaluation is a single allocation-free sweep over `Vec<Op>` with a
 //! caller-provided scratch buffer, so batch evaluation amortizes to pure
 //! arithmetic.
 
 use crate::fast_erf;
+pub(crate) use fuse::ModelOps;
 use safety_opt_stats::dist::{ContinuousDistribution, TruncatedNormal};
 use safety_opt_stats::special;
 use safety_opt_telemetry as telemetry;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+mod fuse;
 
 /// Telemetry: tapes finalized by [`TapeBuilder::build`].
 static TAPE_BUILDS: telemetry::Counter = telemetry::Counter::new("engine.tape.builds");
@@ -37,7 +45,8 @@ static TAPE_CONST_FOLDED: telemetry::Counter = telemetry::Counter::new("engine.t
 /// Telemetry: requests deduplicated against an already-interned op.
 static TAPE_INTERNED_HITS: telemetry::Counter =
     telemetry::Counter::new("engine.tape.interned_hits");
-/// Telemetry: emitted fused n-ary/ternary ops (Product, SumClamp, MulAdd).
+/// Telemetry: emitted fused n-ary ops and Shannon nodes (Product,
+/// SumClamp, one per `mul_add` node before chain fusion).
 static TAPE_FUSED_OPS: telemetry::Counter = telemetry::Counter::new("engine.tape.fused_ops");
 
 /// Opaque scalar function over the full input point (the closure
@@ -141,7 +150,7 @@ impl TruncNormSf {
     /// Reuses the forward plan's precomputed normalization mass; only
     /// the normal pdf is new work per point.
     #[inline]
-    pub(crate) fn deriv(&self, x: f64) -> f64 {
+    pub fn deriv(&self, x: f64) -> f64 {
         if x <= self.lower || x >= self.upper {
             0.0
         } else {
@@ -241,20 +250,116 @@ pub enum Op {
         /// Range into the tape's argument table.
         args: ArgRange,
     },
-    /// `p·hi + (1−p)·lo`: fused Shannon/ITE node — the kernel of
-    /// BDD-exact hazard quantification (one op per BDD node; shared
-    /// subgraphs hash-cons within and across hazards). The float
-    /// sequence is exactly the BDD oracle's
+    /// A fused run of Shannon/ITE nodes — the kernel of BDD-exact hazard
+    /// quantification. The first node is generic, `acc = p·hi + (1−p)·lo`;
+    /// each later [`ChainStep`] folds the running value `acc` into one
+    /// more node whose other operands are registers or constants. Only
+    /// the last node's value gets a register. [`TapeBuilder::mul_add`]
+    /// emits one node per call; [`TapeBuilder::build`] merges every run
+    /// in which a node's only reader is the next node's `hi` or `lo`
+    /// (so a chain of no later steps is a single node). Every step runs
+    /// exactly the BDD oracle's float sequence
     /// (`fta::bdd::TreeBdd::probability`): multiply high, complement,
     /// multiply low, add.
-    MulAdd {
-        /// Branch probability (the BDD variable's leaf probability).
+    Chain {
+        /// Branch probability of the first node (its BDD variable's leaf
+        /// probability).
         p: Value,
-        /// Value of the high cofactor (the variable failed).
+        /// High cofactor of the first node (the variable failed).
         hi: Value,
-        /// Value of the low cofactor (the variable works).
+        /// Low cofactor of the first node (the variable works).
+        lo: Value,
+        /// The later nodes, in evaluation order.
+        steps: StepRange,
+    },
+}
+
+/// One later node of an [`Op::Chain`]: combines the running value `acc`
+/// of the nodes below it with its own operands.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ChainStep {
+    /// `p + (1−p)·acc`: the high cofactor is the constant 1 (an OR node
+    /// of a coherent tree), so `p·1.0 = p` is skipped — it is exact.
+    Or {
+        /// Branch probability.
+        p: Value,
+    },
+    /// `p·acc + (1−p)·lo`: the chain runs through the high branch.
+    Hi {
+        /// Branch probability.
+        p: Value,
+        /// Low cofactor.
         lo: Value,
     },
+    /// `p·hi + (1−p)·acc`: the chain runs through the low branch.
+    Lo {
+        /// Branch probability.
+        p: Value,
+        /// High cofactor.
+        hi: Value,
+    },
+}
+
+impl ChainStep {
+    /// The step's branch probability.
+    pub(crate) fn p(self) -> Value {
+        match self {
+            ChainStep::Or { p } | ChainStep::Hi { p, .. } | ChainStep::Lo { p, .. } => p,
+        }
+    }
+
+    /// The step's cofactor on the side the chain does not run through.
+    pub(crate) fn other(self) -> Value {
+        match self {
+            ChainStep::Or { .. } => Value::Const(1.0),
+            ChainStep::Hi { lo, .. } => lo,
+            ChainStep::Lo { hi, .. } => hi,
+        }
+    }
+
+    /// The node's value given the value `acc` of the nodes below it.
+    #[inline]
+    pub(crate) fn apply(self, acc: f64, scratch: &[f64]) -> f64 {
+        match self {
+            ChainStep::Or { p } => {
+                let pv = Tape::value_at(p, scratch);
+                pv + (1.0 - pv) * acc
+            }
+            ChainStep::Hi { p, lo } => {
+                let pv = Tape::value_at(p, scratch);
+                pv * acc + (1.0 - pv) * Tape::value_at(lo, scratch)
+            }
+            ChainStep::Lo { p, hi } => {
+                let pv = Tape::value_at(p, scratch);
+                pv * Tape::value_at(hi, scratch) + (1.0 - pv) * acc
+            }
+        }
+    }
+}
+
+/// Range `[start, start + len)` into the tape's chain-step table.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct StepRange {
+    start: u32,
+    len: u32,
+}
+
+impl StepRange {
+    /// Index of the first step in the tape's step table (and of its
+    /// slot after the registers of an evaluation scratch).
+    pub(crate) fn start(self) -> usize {
+        self.start as usize
+    }
+
+    /// Number of later steps.
+    pub(crate) fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the chain is a single node.
+    pub(crate) fn is_empty(self) -> bool {
+        self.len == 0
+    }
 }
 
 impl Op {
@@ -271,7 +376,7 @@ impl Op {
         "scale",
         "product",
         "sum_clamp",
-        "mul_add",
+        "chain",
     ];
 
     /// Dense kind index for profiler cells.
@@ -285,7 +390,17 @@ impl Op {
             Op::Scale { .. } => 4,
             Op::Product { .. } => 5,
             Op::SumClamp { .. } => 6,
-            Op::MulAdd { .. } => 7,
+            Op::Chain { .. } => 7,
+        }
+    }
+
+    /// Shannon nodes the op evaluates: a chain's length, 1 for every
+    /// other op (the profiler's `units` per lane).
+    #[inline]
+    pub(crate) fn units(&self) -> u64 {
+        match self {
+            Op::Chain { steps, .. } => 1 + steps.len as u64,
+            _ => 1,
         }
     }
 }
@@ -302,7 +417,9 @@ impl std::fmt::Debug for Op {
             Op::Scale { c, x } => write!(f, "Scale({c}, r{})", x.0),
             Op::Product { c, args } => write!(f, "Product({c}, {args:?})"),
             Op::SumClamp { bias, args } => write!(f, "SumClamp({bias}, {args:?})"),
-            Op::MulAdd { p, hi, lo } => write!(f, "MulAdd({p:?}, {hi:?}, {lo:?})"),
+            Op::Chain { p, hi, lo, steps } => {
+                write!(f, "Chain({p:?}, {hi:?}, {lo:?}, +{} steps)", steps.len)
+            }
         }
     }
 }
@@ -324,7 +441,7 @@ enum OpKey {
     Scale(u64, Reg),
     Product(u64, Vec<Reg>),
     SumClamp(u64, Vec<Reg>),
-    MulAdd([ValueKey; 3]),
+    Shannon([ValueKey; 3]),
 }
 
 /// Hashable identity of a [`Value`] (constants by bit pattern).
@@ -350,6 +467,16 @@ pub enum Value {
     Reg(Reg),
 }
 
+impl Value {
+    /// The register, if the value is computed at evaluation time.
+    pub(crate) fn reg(self) -> Option<Reg> {
+        match self {
+            Value::Reg(r) => Some(r),
+            Value::Const(_) => None,
+        }
+    }
+}
+
 /// Compile-time statistics of one [`TapeBuilder`] run — how much work
 /// folding, hash-consing, and fusion saved. Recorded unconditionally
 /// (independent of the telemetry mode) and stored on the built [`Tape`],
@@ -360,7 +487,10 @@ pub struct CompileStats {
     /// fusions count per constructor reached (a product degrading to a
     /// scale counts both).
     pub ops_requested: u64,
-    /// Ops actually emitted onto the tape.
+    /// Ops the op constructors emitted, before chain fusion: one per
+    /// Shannon node (the count [`TapeBuilder::compile_stats`] reports
+    /// while lowering, so compile budgets and pinned stats keep their
+    /// meaning).
     pub ops_emitted: u64,
     /// Requests resolved entirely at compile time (constant folding and
     /// identity shortcuts).
@@ -368,9 +498,13 @@ pub struct CompileStats {
     /// Requests deduplicated against an already-interned op
     /// (hash-consing hits).
     pub interned_hits: u64,
-    /// Emitted fused n-ary/ternary ops ([`Op::Product`],
-    /// [`Op::SumClamp`], [`Op::MulAdd`]).
+    /// Emitted fused n-ary ops and Shannon nodes ([`Op::Product`],
+    /// [`Op::SumClamp`], one per [`TapeBuilder::mul_add`] node).
     pub fused_ops: u64,
+    /// Shannon nodes merged into the chain of the node they feed (the
+    /// later steps of every [`Op::Chain`] on the built tape). On a
+    /// single-model tape `n_ops() == ops_emitted − chain_steps`.
+    pub chain_steps: u64,
 }
 
 /// A compiled weighted-sum-of-clamped-sums evaluation plan.
@@ -384,6 +518,9 @@ pub struct Tape {
     pub(crate) n_inputs: usize,
     pub(crate) ops: Vec<Op>,
     pub(crate) args: Vec<Reg>,
+    /// The later steps of every [`Op::Chain`], indexed by its
+    /// [`StepRange`].
+    pub(crate) steps: Vec<ChainStep>,
     pub(crate) outputs: Vec<Value>,
     pub(crate) weights: Vec<f64>,
     pub(crate) stats: CompileStats,
@@ -404,8 +541,10 @@ impl Tape {
         self.outputs.len()
     }
 
-    /// Number of ops after folding and deduplication (a proxy for
+    /// Number of ops the sweeps run, after folding, deduplication and
+    /// chain fusion — a run of Shannon nodes counts once (a proxy for
     /// evaluation cost; exposed for tests and diagnostics).
+    /// [`CompileStats::ops_emitted`] counts the ops before fusion.
     pub fn n_ops(&self) -> usize {
         self.ops.len()
     }
@@ -434,8 +573,15 @@ impl Tape {
         &self.weights
     }
 
-    /// Scratch length required by [`eval_into`](Self::eval_into).
+    /// Scratch length required by [`eval_into`](Self::eval_into): the
+    /// inputs, one register per op, then one slot per later chain step
+    /// (the running value entering it, which the chain VJP reads).
     pub fn scratch_len(&self) -> usize {
+        self.n_regs() + self.steps.len()
+    }
+
+    /// Registers: the inputs, then one per op (the adjoint's length).
+    pub(crate) fn n_regs(&self) -> usize {
         self.n_inputs + self.ops.len()
     }
 
@@ -459,7 +605,7 @@ impl Tape {
             scratch[self.n_inputs + slot] = self.op_value(op, scratch);
             timer.lap(
                 &self.profiler,
-                op.kind_index(),
+                op,
                 crate::profile::PATH_SCALAR,
                 crate::profile::SWEEP_FORWARD,
                 1,
@@ -468,11 +614,13 @@ impl Tape {
         self.read_outputs(scratch, 0..self.outputs.len(), outputs)
     }
 
-    /// Value of one op given the current scratch (ops only read slots of
-    /// earlier ops, so a partial scratch with every dependency written is
-    /// sufficient — the masked fleet sweeps rely on that).
+    /// Value of one op given the current scratch; a chain also writes
+    /// the running value entering each later step into its step slot.
+    /// Ops only read slots of earlier ops, so a partial scratch with
+    /// every dependency written is sufficient — the masked fleet sweeps
+    /// rely on that.
     #[inline]
-    pub(crate) fn op_value(&self, op: &Op, scratch: &[f64]) -> f64 {
+    pub(crate) fn op_value(&self, op: &Op, scratch: &mut [f64]) -> f64 {
         match op {
             Op::Exposure { rate, t } => {
                 let w = scratch[t.index()].max(0.0);
@@ -502,13 +650,32 @@ impl Tape {
                     acc
                 }
             }
-            Op::MulAdd { p, hi, lo } => {
+            Op::Chain { p, hi, lo, steps } => {
                 let pv = Self::value_at(*p, scratch);
                 let hv = Self::value_at(*hi, scratch);
                 let lv = Self::value_at(*lo, scratch);
-                pv * hv + (1.0 - pv) * lv
+                let acc = pv * hv + (1.0 - pv) * lv;
+                if steps.is_empty() {
+                    acc
+                } else {
+                    self.chain_steps_value(acc, *steps, scratch)
+                }
             }
         }
+    }
+
+    /// Runs a chain's later steps from the first node's value `acc` and
+    /// returns the chain's value; writes the running value entering each
+    /// step into its step slot. Kept out of line so the per-op match of
+    /// [`op_value`](Self::op_value) stays small enough to inline.
+    #[inline(never)]
+    fn chain_steps_value(&self, mut acc: f64, steps: StepRange, scratch: &mut [f64]) -> f64 {
+        let base = self.n_regs() + steps.start();
+        for (i, step) in self.chain_steps(steps).iter().enumerate() {
+            scratch[base + i] = acc;
+            acc = step.apply(acc, scratch);
+        }
+        acc
     }
 
     /// Resolves a [`Value`] against an evaluation scratch.
@@ -552,6 +719,11 @@ impl Tape {
 
     pub(crate) fn arg_slice(&self, range: ArgRange) -> &[Reg] {
         &self.args[range.start as usize..(range.start + range.len) as usize]
+    }
+
+    /// The later steps of a chain.
+    pub(crate) fn chain_steps(&self, range: StepRange) -> &[ChainStep] {
+        &self.steps[range.start()..range.start() + range.len()]
     }
 }
 
@@ -652,7 +824,7 @@ impl TapeBuilder {
         self.stats.ops_emitted += 1;
         if matches!(
             op,
-            Op::Product { .. } | Op::SumClamp { .. } | Op::MulAdd { .. }
+            Op::Product { .. } | Op::SumClamp { .. } | Op::Chain { .. }
         ) {
             self.stats.fused_ops += 1;
         }
@@ -807,8 +979,9 @@ impl TapeBuilder {
         Value::Reg(self.push(key, Op::SumClamp { bias: b, args }))
     }
 
-    /// `p·hi + (1−p)·lo`: the fused Shannon/ITE node of BDD-exact
-    /// quantification. An all-constant node folds at build time with the
+    /// `p·hi + (1−p)·lo`: one Shannon/ITE node of BDD-exact
+    /// quantification ([`build`](Self::build) merges single-reader runs
+    /// of them into [`Op::Chain`]s). An all-constant node folds at build time with the
     /// same float sequence the runtime kernel (and the BDD oracle) uses;
     /// everything else — including a constant selector over computed
     /// cofactors — stays one op, so NaN cofactors propagate exactly as
@@ -830,8 +1003,14 @@ impl TapeBuilder {
                 self.touch_key(r);
             }
         }
-        let key = OpKey::MulAdd([value_key(p), value_key(hi), value_key(lo)]);
-        Value::Reg(self.push(key, Op::MulAdd { p, hi, lo }))
+        let key = OpKey::Shannon([value_key(p), value_key(hi), value_key(lo)]);
+        let node = Op::Chain {
+            p,
+            hi,
+            lo,
+            steps: StepRange::default(),
+        };
+        Value::Reg(self.push(key, node))
     }
 
     fn intern_args(&mut self, regs: &[Reg]) -> ArgRange {
@@ -856,9 +1035,9 @@ impl TapeBuilder {
     }
 
     /// Discards outputs declared after the first `len` (fleet-builder
-    /// rollback of a model whose lowering failed part-way; already
-    /// interned ops stay — unreachable ops are excluded by the
-    /// per-model masks).
+    /// rollback of a model whose lowering failed part-way; its interned
+    /// ops stay in the builder, and the fleet build leaves out those no
+    /// finished model touched).
     pub(crate) fn truncate_outputs(&mut self, len: usize) {
         self.outputs.truncate(len);
         self.weights.truncate(len);
@@ -869,22 +1048,91 @@ impl TapeBuilder {
         self.stats
     }
 
-    /// Finalizes the tape, publishing its compile statistics to the
+    /// The ops emitted so far, before chain fusion: every Shannon node
+    /// is an [`Op::Chain`] of no later steps. A read-only view for tests
+    /// and diagnostics; op `i` writes register `n_inputs + i`.
+    pub fn ops(&self) -> &[Op] {
+        &self.ops
+    }
+
+    /// The argument registers of an n-ary op of [`ops`](Self::ops).
+    pub fn arg_regs(&self, range: ArgRange) -> &[Reg] {
+        &self.args[range.start as usize..(range.start + range.len) as usize]
+    }
+
+    /// The outputs declared so far and their weights.
+    pub fn declared_outputs(&self) -> (&[Value], &[f64]) {
+        (&self.outputs, &self.weights)
+    }
+
+    /// The current model's op slots in the order it first touched them —
+    /// the order its standalone build emits them (the fleet builder's
+    /// per-model plan for chain fusion).
+    pub(crate) fn model_order(&self) -> Vec<u32> {
+        let mut touched: Vec<(u32, u32)> = self
+            .touch
+            .iter()
+            .filter(|(r, _)| r.index() >= self.n_inputs)
+            .map(|(r, &k)| (k, (r.index() - self.n_inputs) as u32))
+            .collect();
+        touched.sort_unstable();
+        touched.into_iter().map(|(_, slot)| slot).collect()
+    }
+
+    /// Finalizes the tape: merges single-reader runs of Shannon nodes
+    /// into [`Op::Chain`]s and publishes the compile statistics to the
     /// telemetry registry (a per-build event — never on the eval path).
+    ///
+    /// A node merges into the node above it when that node is its only
+    /// reader (outputs count as readers) and reads it as `hi` or `lo`.
+    /// The backward sweep runs a chain's steps together at the chain's
+    /// slot, so a chain also stops before an op that reads a register
+    /// an earlier step of the chain reads: every register then gets its
+    /// adjoint additions in the per-node order, and values and
+    /// gradients stay bit-identical to the per-node tape.
     pub fn build(self) -> Tape {
+        let model = ModelOps {
+            order: (0..self.ops.len() as u32).collect(),
+            outputs: 0..self.outputs.len(),
+        };
+        self.build_models(&[model])
+    }
+
+    /// [`build`](Self::build) for a fleet arena: each model's ops are
+    /// fused as its standalone build would fuse them, and the arena is
+    /// their hash-consed union (ops no model touched are dropped).
+    pub(crate) fn build_models(self, models: &[ModelOps]) -> Tape {
         TAPE_BUILDS.add(1);
         TAPE_OPS_REQUESTED.add(self.stats.ops_requested);
         TAPE_OPS_EMITTED.add(self.stats.ops_emitted);
         TAPE_CONST_FOLDED.add(self.stats.const_folded);
         TAPE_INTERNED_HITS.add(self.stats.interned_hits);
         TAPE_FUSED_OPS.add(self.stats.fused_ops);
+        let Self {
+            n_inputs,
+            ops,
+            args,
+            outputs,
+            weights,
+            stats,
+            interned,
+            touch,
+            ..
+        } = self;
+        // Dead once lowering ends: freed before the fused copy is made.
+        drop((interned, touch));
+        let fused = fuse::fuse(n_inputs, &ops, &args, &outputs, models);
         Tape {
-            n_inputs: self.n_inputs,
-            ops: self.ops,
-            args: self.args,
-            outputs: self.outputs,
-            weights: self.weights,
-            stats: self.stats,
+            n_inputs,
+            ops: fused.ops,
+            args: fused.args,
+            stats: CompileStats {
+                chain_steps: fused.steps.len() as u64,
+                ..stats
+            },
+            steps: fused.steps,
+            outputs: fused.outputs,
+            weights,
             profiler: Arc::new(crate::profile::TapeProfiler::new()),
         }
     }

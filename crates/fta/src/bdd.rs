@@ -561,7 +561,8 @@ impl ShannonPlan {
 
     /// Compiles the decomposition onto an engine op-tape whose **inputs
     /// are the leaf probabilities** (`num_leaves` coordinates, tree leaf
-    /// numbering): one fused `MulAdd` op per BDD node, output weight 1.
+    /// numbering): one Shannon node per BDD node, output weight 1; the
+    /// built tape fuses single-parent runs of them into `Chain` ops.
     ///
     /// Evaluating the tape reproduces [`TreeBdd::probability`]
     /// bit-for-bit (same per-node float sequence over the same reduced

@@ -15,8 +15,8 @@
 //! multilinear in each module-top probability and substituting
 //! `P(module)` for the pseudo-variable is the Shannon decomposition of
 //! the full function. On the tape this costs nothing — a child module's
-//! root value simply feeds the parent's fused `MulAdd` chain where a
-//! leaf input would have been.
+//! root value simply feeds the parent's Shannon chain (the engine's
+//! fused `Chain` op) where a leaf input would have been.
 
 use crate::bdd::{ShannonPlan, ShannonRef, TreeBdd};
 use crate::preprocess::detect_modules;
@@ -202,8 +202,9 @@ impl ModularPlan {
 
     /// Compiles the whole composition onto one engine op-tape whose
     /// inputs are the **original** leaf probabilities: per module one
-    /// fused `MulAdd` per Shannon node, with nested module roots wired
-    /// straight into their parents' chains. For a single-module plan
+    /// Shannon node per plan node (fused into `Chain` ops when the tape
+    /// is built), with nested module roots wired straight into their
+    /// parents' chains. For a single-module plan
     /// this emits exactly [`ShannonPlan::leaf_tape`]'s op sequence.
     pub fn leaf_tape(&self) -> safety_opt_engine::Tape {
         use safety_opt_engine::{TapeBuilder, Value};

@@ -458,8 +458,9 @@ pub(crate) fn infinite_if_not_finite(values: &mut [f64]) {
 ///   structure function): each cut set fuses into an n-ary product, the
 ///   hazard into one clamped sum — the paper's Eq. 3.
 /// * [`QuantMethod::BddExact`]: the hazard's Shannon decomposition
-///   lowers node-by-node into fused `p·hi + (1−p)·lo` ops
-///   ([`TapeBuilder::mul_add`]), leaf expressions lowering through the
+///   lowers node-by-node into `p·hi + (1−p)·lo` Shannon nodes
+///   ([`TapeBuilder::mul_add`]; the built tape fuses single-parent runs
+///   into `Chain` ops), leaf expressions lowering through the
 ///   same expression memo as the rare-event path. Hash-consing dedups
 ///   shared BDD subgraphs **within and across hazards** (and across
 ///   fleet models) for free, because structurally identical nodes
@@ -931,7 +932,7 @@ mod tests {
                 (scalar - fast).abs() <= 1e-12 * scale.max(1.0),
                 "exact cost mismatch at {x:?}: {scalar} vs {fast}"
             );
-            // Adjoint gradient through the MulAdd chain vs central
+            // Adjoint gradient through the Shannon chains vs central
             // differences on the compiled cost.
             let (value, grad) = compiled.value_grad(&x).unwrap();
             assert_eq!(value.to_bits(), fast.to_bits());

@@ -154,7 +154,7 @@ impl ExactHazard {
     /// BDD leaf's expression once, then folds each module's Shannon
     /// nodes bottom-up, substituting already-folded child-module tops
     /// where the plan references them — the scalar twin of the compiled
-    /// `MulAdd` lowering and of
+    /// Shannon-chain lowering and of
     /// [`safety_opt_fta::bdd::TreeBdd::probability`]'s float sequence.
     pub(crate) fn probability(&self, params: &ParamValues<'_>) -> Result<f64> {
         let mut leaf_vals: Vec<Option<f64>> = vec![None; self.leaf_exprs.len()];

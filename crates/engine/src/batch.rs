@@ -1,4 +1,5 @@
-//! Parallel batch evaluation of a compiled [`Tape`].
+//! Parallel batch evaluation of a compiled [`Tape`], and the one sweep
+//! runner behind every batch entry point.
 //!
 //! Shards a slice of parameter points across a `std::thread` scoped
 //! worker pool. Points are cut into fixed-length chunks and assigned to
@@ -6,8 +7,7 @@
 //! chunk length only, never of timing — and every point's result is
 //! written to its own output index, so batch results are **bit-identical
 //! for every thread count** (asserted by the equivalence property tests).
-//! One crate-private driver, `run_pool`, owns that contract for every
-//! batch entry point of this module and of [`crate::fleet`].
+//! One crate-private driver, `run_pool`, owns that contract.
 //!
 //! Every entry point is fallible: each chunk runs under
 //! [`std::panic::catch_unwind`], so a worker panic comes back as
@@ -15,20 +15,27 @@
 //! [`EvalDeadline`] (set with [`BatchEvaluator::deadline`]) is checked
 //! before each chunk starts.
 //!
-//! Within a chunk, lane blocks of points run through the op-at-a-time
-//! SoA sweeps (see [`crate::exec`]), narrowing 16 → 8 → 4 → 2 as fewer
-//! points remain; the one point a chunk may leave over runs through the
-//! point-at-a-time [`Tape::eval_into`] / [`Tape::eval_grad_into`] —
-//! bit-identical by construction.
+//! [`BatchEvaluator`] and [`crate::fleet::FleetEvaluator`] do the same
+//! work: sweep a set of op slots of one tape — every op, or one fleet
+//! model's reachability mask — and reduce one or more output ranges
+//! into weighted costs. A crate-private `Sweep` names that work, and
+//! one runner sweeps each chunk of points through it: lane blocks
+//! narrowing 16 → 8 → 4 → 2 through the op-at-a-time SoA forward (and,
+//! for gradients, adjoint) loops of [`crate::exec`] and [`crate::grad`],
+//! then the one point a chunk may leave over through the scalar loops
+//! behind [`Tape::eval_into`] / [`Tape::eval_grad_into`] — bit-identical
+//! by construction. Every chunk, of either evaluator, checks its
+//! failpoint and counts `engine.batch.chunks` and the
+//! `engine.batch.chunk_nanos` span.
 //!
 //! Workers own their scratch buffers; steady-state evaluation performs no
 //! allocation beyond the output vectors.
 
 use crate::error::{EngineError, EvalDeadline};
-use crate::exec::{supported_lanes, sweep_lane_blocks, LaneFile, DEFAULT_LANES};
+use crate::exec::{dispatch_lanes, supported_lanes, LaneFile, DEFAULT_LANES};
 use crate::faultinject;
 use crate::grad::{AdjointFile, GradWorkspace};
-use crate::tape::Tape;
+use crate::tape::{Slots, Tape};
 
 use std::panic::AssertUnwindSafe;
 use std::sync::{Mutex, PoisonError};
@@ -40,7 +47,8 @@ static SOA_POINTS: telemetry::Counter = telemetry::Counter::new("engine.batch.so
 /// Points run point-at-a-time: the single point a chunk's narrowing
 /// lane blocks leave over, at most one per chunk.
 static TAIL_POINTS: telemetry::Counter = telemetry::Counter::new("engine.batch.tail_points");
-/// Work chunks executed by tape/grad runners (sequential or pooled).
+/// Work chunks swept by the runner, for both evaluators (sequential or
+/// pooled).
 static CHUNKS: telemetry::Counter = telemetry::Counter::new("engine.batch.chunks");
 /// Wall-clock nanoseconds per evaluated chunk (`profile` mode only).
 static CHUNK_NANOS: telemetry::Histogram = telemetry::Histogram::new("engine.batch.chunk_nanos");
@@ -60,10 +68,7 @@ const DEFAULT_CHUNK: usize = 256;
 #[derive(Debug, Clone)]
 pub struct BatchEvaluator<'t> {
     tape: &'t Tape,
-    threads: usize,
-    chunk: usize,
-    lanes: usize,
-    deadline: Option<EvalDeadline>,
+    pool: Pool,
 }
 
 impl<'t> BatchEvaluator<'t> {
@@ -72,23 +77,13 @@ impl<'t> BatchEvaluator<'t> {
     pub fn new(tape: &'t Tape, threads: usize) -> Self {
         Self {
             tape,
-            threads: threads.max(1),
-            chunk: DEFAULT_CHUNK,
-            lanes: DEFAULT_LANES,
-            deadline: None,
+            pool: Pool::new(threads),
         }
-    }
-
-    /// Evaluator sized by [`crate::default_threads`]: the
-    /// `SAFETY_OPT_THREADS` override when set, the machine's available
-    /// parallelism otherwise.
-    pub fn with_available_parallelism(tape: &'t Tape) -> Self {
-        Self::new(tape, crate::default_threads())
     }
 
     /// Overrides the deterministic chunk length (points per work unit).
     pub fn chunk_size(mut self, chunk: usize) -> Self {
-        self.chunk = chunk.max(1);
+        self.pool.chunk = chunk.max(1);
         self
     }
 
@@ -97,7 +92,7 @@ impl<'t> BatchEvaluator<'t> {
     /// bit-identical for every width). Narrower blocks sweep what
     /// remains of a chunk.
     pub fn lanes(mut self, lanes: usize) -> Self {
-        self.lanes = supported_lanes(lanes);
+        self.pool.lanes = supported_lanes(lanes);
         self
     }
 
@@ -105,13 +100,13 @@ impl<'t> BatchEvaluator<'t> {
     /// an expired one fails the call with
     /// [`EngineError::DeadlineExceeded`].
     pub fn deadline(mut self, deadline: EvalDeadline) -> Self {
-        self.deadline = Some(deadline);
+        self.pool.deadline = Some(deadline);
         self
     }
 
     /// Configured worker count.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.pool.threads
     }
 
     /// Evaluates the weighted cost at every point.
@@ -124,9 +119,13 @@ impl<'t> BatchEvaluator<'t> {
     /// [`deadline`](Self::deadline) has passed.
     pub fn costs<P: AsRef<[f64]> + Sync>(&self, points: &[P]) -> Result<Vec<f64>, EngineError> {
         let mut costs = vec![0.0; points.len()];
-        let units = points.chunks(self.chunk).zip(costs.chunks_mut(self.chunk));
-        let runner = || TapeRunner::new(self.tape, self.lanes);
-        self.pool(units, runner, |r, (pts, out)| r.run(pts, out, None))?;
+        self.run(
+            faultinject::sites::POOL_CHUNK,
+            points,
+            &mut costs,
+            None,
+            None,
+        )?;
         Ok(costs)
     }
 
@@ -141,17 +140,10 @@ impl<'t> BatchEvaluator<'t> {
         &self,
         points: &[P],
     ) -> Result<(Vec<f64>, Vec<f64>), EngineError> {
-        let n_out = self.tape.n_outputs();
         let mut costs = vec![0.0; points.len()];
-        let mut outputs = vec![0.0; points.len() * n_out];
-        let units = points
-            .chunks(self.chunk)
-            .zip(costs.chunks_mut(self.chunk))
-            .zip(row_chunks(&mut outputs, points.len(), self.chunk, n_out));
-        let runner = || TapeRunner::new(self.tape, self.lanes);
-        self.pool(units, runner, |r, ((pts, out), rows)| {
-            r.run(pts, out, Some(rows))
-        })?;
+        let mut outputs = vec![0.0; points.len() * self.tape.n_outputs()];
+        let site = faultinject::sites::POOL_CHUNK;
+        self.run(site, points, &mut costs, Some(&mut outputs), None)?;
         Ok((costs, outputs))
     }
 
@@ -176,210 +168,282 @@ impl<'t> BatchEvaluator<'t> {
         &self,
         points: &[P],
     ) -> Result<(Vec<f64>, Vec<f64>), EngineError> {
-        let dim = self.tape.n_inputs();
         let mut costs = vec![0.0; points.len()];
-        let mut grads = vec![0.0; points.len() * dim];
-        let units = points
-            .chunks(self.chunk)
-            .zip(costs.chunks_mut(self.chunk))
-            .zip(row_chunks(&mut grads, points.len(), self.chunk, dim));
-        let runner = || GradRunner::new(self.tape, self.lanes);
-        self.pool(units, runner, |r, ((pts, out), grads)| {
-            r.run(pts, out, grads)
-        })?;
+        let mut grads = vec![0.0; points.len() * self.tape.n_inputs()];
+        let site = faultinject::sites::GRAD_CHUNK;
+        self.run(site, points, &mut costs, None, Some(&mut grads))?;
         Ok((costs, grads))
     }
 
-    /// Runs `units` through [`run_pool`], the inline path and every
-    /// worker on a fresh runner.
-    fn pool<U: Send, R>(
+    /// Sweeps every op of the tape at `points`, reducing all its outputs
+    /// into one cost per point, on fresh runner buffers.
+    fn run<P: AsRef<[f64]> + Sync>(
         &self,
-        units: impl ExactSizeIterator<Item = U>,
-        runner: impl Fn() -> R + Sync,
-        run: impl Fn(&mut R, U) + Sync,
+        failpoint: &'static str,
+        points: &[P],
+        costs: &mut [f64],
+        rows: Option<&mut [f64]>,
+        grads: Option<&mut [f64]>,
     ) -> Result<(), EngineError> {
-        let deadline = self.deadline.as_ref();
-        run_pool(self.threads, deadline, units, &runner, &runner, run).map(drop)
+        let ends = [self.tape.n_outputs() as u32];
+        let sweep = Sweep {
+            tape: self.tape,
+            slots: 0..self.tape.n_ops(),
+            start: 0,
+            ends: &ends,
+            failpoint,
+        };
+        let buffers = SweepBuffers::default;
+        self.pool
+            .run(&sweep, points, buffers, costs, rows, grads)
+            .map(drop)
     }
 }
 
-/// Per-worker adjoint-sweep state: evaluates cost + gradient per point
-/// or per lane block, owning the forward/backward workspaces (steady
-/// state allocates nothing). Shared by the sequential and worker paths
-/// of [`BatchEvaluator::eval_grad_batch`].
+/// The worker-pool settings both evaluators share.
+#[derive(Debug, Clone)]
+pub(crate) struct Pool {
+    pub(crate) threads: usize,
+    pub(crate) chunk: usize,
+    pub(crate) lanes: usize,
+    pub(crate) deadline: Option<EvalDeadline>,
+}
+
+impl Pool {
+    pub(crate) fn new(threads: usize) -> Self {
+        Self {
+            threads: threads.max(1),
+            chunk: DEFAULT_CHUNK,
+            lanes: DEFAULT_LANES,
+            deadline: None,
+        }
+    }
+
+    /// Runs `sweep` at every point through [`run_pool`], one unit per
+    /// chunk: `costs` gets one cost per output group per point, `rows`
+    /// (when kept) the point-major output rows and `grads` (when asked
+    /// for) the point-major gradient rows. The inline path runs on
+    /// `buffers()`, which are handed back on success only (`None` when
+    /// the pool ran); pool workers use buffers of their own.
+    pub(crate) fn run<S: Slots, P: AsRef<[f64]> + Sync>(
+        &self,
+        sweep: &Sweep<'_, S>,
+        points: &[P],
+        buffers: impl FnOnce() -> SweepBuffers,
+        costs: &mut [f64],
+        rows: Option<&mut [f64]>,
+        grads: Option<&mut [f64]>,
+    ) -> Result<Option<SweepBuffers>, EngineError> {
+        let (n, chunk) = (points.len(), self.chunk);
+        let (keep_rows, keep_grads) = (rows.is_some(), grads.is_some());
+        // Buffers not asked for split into empty rows, one per chunk.
+        let width = if keep_rows { sweep.width() } else { 0 };
+        let dim = if keep_grads { sweep.tape.n_inputs() } else { 0 };
+        let units = points
+            .chunks(chunk)
+            .zip(row_chunks(costs, n, chunk, sweep.ends.len()))
+            .zip(row_chunks(rows.unwrap_or_default(), n, chunk, width))
+            .zip(row_chunks(grads.unwrap_or_default(), n, chunk, dim));
+        let runner = |buf| Runner {
+            lanes: self.lanes,
+            buf,
+        };
+        let inline = run_pool(
+            self.threads,
+            self.deadline.as_ref(),
+            units,
+            || runner(buffers()),
+            || runner(SweepBuffers::default()),
+            |r, (((pts, costs), rows), grads)| {
+                let rows = keep_rows.then_some(rows);
+                r.run(sweep, pts, costs, rows, keep_grads.then_some(grads))
+            },
+        )?;
+        Ok(inline.map(|r| r.buf))
+    }
+}
+
+/// One sweep over a tape: the op `slots` to visit and the output groups
+/// to reduce. The groups are consecutive output ranges from `start`, the
+/// `g`-th ending at `ends[g]`; each yields one weighted cost per point,
+/// and a kept output row holds every group's outputs side by side.
 #[derive(Debug)]
-struct GradRunner<'t> {
-    tape: &'t Tape,
-    lanes: usize,
+pub(crate) struct Sweep<'a, S> {
+    pub(crate) tape: &'a Tape,
+    pub(crate) slots: S,
+    pub(crate) start: usize,
+    pub(crate) ends: &'a [u32],
+    /// The failpoint every chunk of this sweep checks.
+    pub(crate) failpoint: &'static str,
+}
+
+impl<S: Slots> Sweep<'_, S> {
+    /// Width of one output row: every output the groups span.
+    fn width(&self) -> usize {
+        self.span().len()
+    }
+
+    /// The outputs the groups span; a gradient differentiates their
+    /// weighted sum.
+    fn span(&self) -> std::ops::Range<usize> {
+        self.start..self.ends.last().map_or(self.start, |&e| e as usize)
+    }
+
+    /// Reduces an evaluated scalar `scratch`: one weighted cost per group
+    /// into `costs`, every output of the span into `row`.
+    pub(crate) fn reduce(&self, scratch: &[f64], costs: &mut [f64], row: &mut [f64]) {
+        let mut from = self.start;
+        for (cost, &end) in costs.iter_mut().zip(self.ends) {
+            let range = from..end as usize;
+            let cols = range.start - self.start..range.end - self.start;
+            *cost = self.tape.read_outputs(scratch, range, &mut row[cols]);
+            from = end as usize;
+        }
+    }
+
+    /// [`reduce`](Self::reduce) for a lane block: `costs` holds `L`
+    /// point-major cost rows, `rows` `L` output rows. Per lane each
+    /// group reduces exactly as the scalar reduction does.
+    fn reduce_block<const L: usize>(&self, file: &LaneFile, costs: &mut [f64], rows: &mut [f64]) {
+        let (groups, width) = (self.ends.len(), self.width());
+        let mut from = self.start;
+        for (g, &end) in self.ends.iter().enumerate() {
+            let range = from..end as usize;
+            let mut lane_costs = [0.0; L];
+            let col = range.start - self.start;
+            file.read_outputs::<L>(self.tape, range, width, col, &mut lane_costs, rows);
+            for (lane, c) in lane_costs.into_iter().enumerate() {
+                costs[lane * groups + g] = c;
+            }
+            from = end as usize;
+        }
+    }
+}
+
+/// Every scratch buffer of one [`Runner`]: owned and lifetime-free, so
+/// a [`crate::fleet::FleetScratch`] can keep it between calls. Each
+/// buffer sizes itself on first use.
+#[derive(Debug, Default)]
+pub(crate) struct SweepBuffers {
     /// Ragged-tail forward + adjoint workspace.
     ws: GradWorkspace,
-    /// One output row (the gradient path discards output values).
+    /// One discarded output row of the ragged tail.
     out_row: Vec<f64>,
-    /// SoA register file of the lane-blocked forward sweep.
+    /// SoA register file.
     file: LaneFile,
-    /// Lane-blocked adjoint file of the backward sweep.
+    /// Lane-blocked adjoint file of the SoA backward sweep.
     adj: AdjointFile,
     /// One lane block of discarded output rows.
     lane_rows: Vec<f64>,
 }
 
-impl<'t> GradRunner<'t> {
-    fn new(tape: &'t Tape, lanes: usize) -> Self {
-        let lanes = supported_lanes(lanes);
-        Self {
-            tape,
-            lanes,
-            ws: GradWorkspace::new(),
-            out_row: vec![0.0; tape.n_outputs()],
-            file: LaneFile::default(),
-            adj: AdjointFile::default(),
-            lane_rows: vec![0.0; tape.n_outputs() * lanes],
-        }
-    }
+/// Per-worker execution state of [`run_pool`]: sweeps chunks of points
+/// on the [`SweepBuffers`] it owns (steady state allocates nothing).
+#[derive(Debug)]
+struct Runner {
+    lanes: usize,
+    buf: SweepBuffers,
+}
 
-    /// Evaluates `pts`, writing one cost per point and the point-major
-    /// gradient rows (`pts.len() × n_inputs`).
-    fn run<P: AsRef<[f64]>>(&mut self, pts: &[P], costs: &mut [f64], grads: &mut [f64]) {
-        if faultinject::should_fail(faultinject::sites::GRAD_CHUNK) {
-            panic!("fault injected: grad.chunk");
+impl Runner {
+    /// Sweeps the chunk `pts`, writing `costs` (point-major, one per
+    /// output group) and, when given, the point-major output `rows` and
+    /// gradient rows `grads`. Lane blocks narrow as fewer points remain,
+    /// so at most one point runs point-at-a-time.
+    fn run<S: Slots, P: AsRef<[f64]>>(
+        &mut self,
+        sweep: &Sweep<'_, S>,
+        pts: &[P],
+        costs: &mut [f64],
+        mut rows: Option<&mut [f64]>,
+        mut grads: Option<&mut [f64]>,
+    ) {
+        if faultinject::should_fail(sweep.failpoint) {
+            panic!("fault injected: {}", sweep.failpoint);
         }
         let _chunk_span = telemetry::span(&CHUNK_NANOS);
         CHUNKS.add(1);
-        let dim = self.tape.n_inputs();
-        let start = sweep_lane_blocks!(self.lanes, pts.len(), start, L => {
-            self.run_blocks::<L, P>(pts, start, costs, grads)
-        });
+        let n = pts.len();
+        let mut start = 0;
+        while n - start > 1 {
+            let width = supported_lanes((n - start).min(self.lanes));
+            let (rows, grads) = (rows.as_deref_mut(), grads.as_deref_mut());
+            start = dispatch_lanes!(width, L => {
+                self.run_blocks::<L, S, P>(sweep, pts, start, costs, rows, grads)
+            });
+        }
+        SOA_POINTS.add(start as u64);
+        TAIL_POINTS.add((n - start) as u64);
         // The ragged tail: at most one point remains.
+        let (groups, width, dim) = (sweep.ends.len(), sweep.width(), sweep.tape.n_inputs());
+        let buf = &mut self.buf;
         for (i, p) in pts.iter().enumerate().skip(start) {
-            costs[i] = self.tape.eval_grad_into(
-                p.as_ref(),
-                &mut self.ws,
-                &mut self.out_row,
-                &mut grads[i * dim..(i + 1) * dim],
+            let row = match rows.as_deref_mut() {
+                Some(rows) => &mut rows[i * width..(i + 1) * width],
+                None => {
+                    buf.out_row.resize(width, 0.0);
+                    &mut buf.out_row[..]
+                }
+            };
+            sweep
+                .tape
+                .forward(sweep.slots.clone(), p.as_ref(), &mut buf.ws.scratch);
+            sweep.reduce(
+                &buf.ws.scratch,
+                &mut costs[i * groups..(i + 1) * groups],
+                row,
             );
+            if let Some(grads) = grads.as_deref_mut() {
+                let grad = &mut grads[i * dim..(i + 1) * dim];
+                sweep
+                    .tape
+                    .backward(sweep.slots.clone(), sweep.span(), &mut buf.ws, grad);
+            }
         }
     }
 
     /// Sweeps every full `L`-wide block of `pts` from `start` through
-    /// the SoA forward + adjoint sweeps, returning the first point not
-    /// swept.
-    fn run_blocks<const L: usize, P: AsRef<[f64]>>(
+    /// the SoA forward sweep, the reduction and, for gradients, the SoA
+    /// adjoint sweep; returns the first point not swept.
+    fn run_blocks<const L: usize, S: Slots, P: AsRef<[f64]>>(
         &mut self,
-        pts: &[P],
-        mut start: usize,
-        costs: &mut [f64],
-        grads: &mut [f64],
-    ) -> usize {
-        let dim = self.tape.n_inputs();
-        while start + L <= pts.len() {
-            self.tape.eval_grad_block::<L, P>(
-                &pts[start..start + L],
-                &mut self.file,
-                &mut self.adj,
-                &mut costs[start..start + L],
-                &mut self.lane_rows,
-                &mut grads[start * dim..(start + L) * dim],
-            );
-            start += L;
-        }
-        start
-    }
-}
-
-/// Per-worker execution state: sweeps chunks of points, owning every
-/// scratch buffer (steady state allocates nothing). Shared by the
-/// sequential and worker paths.
-#[derive(Debug)]
-struct TapeRunner<'t> {
-    tape: &'t Tape,
-    lanes: usize,
-    /// Ragged-tail scratch ([`Tape::eval_into`]).
-    scratch: Vec<f64>,
-    /// One output row for costs-only evaluation.
-    out_row: Vec<f64>,
-    /// SoA register file.
-    file: LaneFile,
-    /// One lane block of output rows for costs-only SoA evaluation.
-    lane_rows: Vec<f64>,
-}
-
-impl<'t> TapeRunner<'t> {
-    fn new(tape: &'t Tape, lanes: usize) -> Self {
-        let n_out = tape.n_outputs();
-        let lanes = supported_lanes(lanes);
-        Self {
-            tape,
-            lanes,
-            scratch: Vec::with_capacity(tape.scratch_len()),
-            out_row: vec![0.0; n_out],
-            file: LaneFile::default(),
-            lane_rows: vec![0.0; n_out * lanes],
-        }
-    }
-
-    /// Evaluates `pts`, writing one cost per point and, when `rows` is
-    /// given, the point-major output rows (`pts.len() × n_outputs`).
-    fn run<P: AsRef<[f64]>>(&mut self, pts: &[P], costs: &mut [f64], mut rows: Option<&mut [f64]>) {
-        if faultinject::should_fail(faultinject::sites::POOL_CHUNK) {
-            panic!("fault injected: pool.chunk");
-        }
-        let _chunk_span = telemetry::span(&CHUNK_NANOS);
-        CHUNKS.add(1);
-        let n_out = self.tape.n_outputs();
-        let start = sweep_lane_blocks!(self.lanes, pts.len(), start, L => {
-            self.run_blocks::<L, P>(pts, start, costs, rows.as_deref_mut())
-        });
-        // The ragged tail: at most one point remains.
-        for (i, p) in pts.iter().enumerate().skip(start) {
-            let out = match rows.as_deref_mut() {
-                Some(rows) => &mut rows[i * n_out..(i + 1) * n_out],
-                None => &mut self.out_row[..],
-            };
-            costs[i] = self.tape.eval_into(p.as_ref(), &mut self.scratch, out);
-        }
-    }
-
-    /// Sweeps every full `L`-wide block of `pts` from `start`
-    /// op-at-a-time, returning the first point not swept.
-    fn run_blocks<const L: usize, P: AsRef<[f64]>>(
-        &mut self,
+        sweep: &Sweep<'_, S>,
         pts: &[P],
         mut start: usize,
         costs: &mut [f64],
         mut rows: Option<&mut [f64]>,
+        mut grads: Option<&mut [f64]>,
     ) -> usize {
-        let n_out = self.tape.n_outputs();
+        let (tape, groups, width) = (sweep.tape, sweep.ends.len(), sweep.width());
+        let dim = tape.n_inputs();
+        let buf = &mut self.buf;
+        buf.lane_rows.resize(L * width, 0.0);
         while start + L <= pts.len() {
             let block = &pts[start..start + L];
-            self.file.load::<L, false, P>(self.tape, block);
-            let mut timer = crate::profile::OpTimer::new();
-            for slot in 0..self.tape.n_ops() {
-                self.file.sweep_op::<L, false, P>(self.tape, slot, block);
-                timer.lap(
-                    &self.tape.profiler,
-                    &self.tape.ops[slot],
-                    crate::profile::PATH_SOA,
-                    crate::profile::SWEEP_FORWARD,
-                    L as u64,
-                );
-            }
             let out = match rows.as_deref_mut() {
-                Some(rows) => &mut rows[start * n_out..(start + L) * n_out],
-                None => &mut self.lane_rows[..],
+                Some(rows) => &mut rows[start * width..(start + L) * width],
+                None => &mut buf.lane_rows[..],
             };
-            self.file
-                .read_outputs::<L>(self.tape, 0..n_out, &mut costs[start..start + L], out);
+            let block_costs = &mut costs[start * groups..(start + L) * groups];
+            let slots = sweep.slots.clone();
+            match grads.as_deref_mut() {
+                None => {
+                    buf.file.forward::<L, false, S, P>(tape, slots, block);
+                    sweep.reduce_block::<L>(&buf.file, block_costs, out);
+                }
+                Some(grads) => {
+                    buf.file
+                        .forward::<L, true, S, P>(tape, slots.clone(), block);
+                    sweep.reduce_block::<L>(&buf.file, block_costs, out);
+                    let grads = &mut grads[start * dim..(start + L) * dim];
+                    buf.adj
+                        .backward::<L, S>(tape, slots, sweep.span(), buf.file.regs(), grads);
+                }
+            }
             start += L;
         }
         start
     }
-}
-
-/// Counts one chunk's split between lane blocks (`swept` points) and
-/// the point-at-a-time tail (the rest of its `n`).
-pub(crate) fn record_lane_split(swept: usize, n: usize) {
-    SOA_POINTS.add(swept as u64);
-    TAIL_POINTS.add((n - swept) as u64);
 }
 
 /// The chunked pool behind every batch entry point of

@@ -1,20 +1,24 @@
 //! Lane-blocked structure-of-arrays (SoA) sweeps of a compiled [`Tape`].
 //!
-//! Batch evaluators sweep a tape **op-at-a-time** over a block of
-//! points: the scratch becomes a lane-blocked register file
-//! (`[n_regs × LANES]`, register-major), and each op processes a whole
-//! block of points before the next op runs. The per-op dispatch (enum
-//! match, argument-table walk, bounds checks) amortizes over the block,
-//! and the lane loops are monomorphized over the block width so the
-//! fused n-ary product/sum kernels compile to fully unrolled,
-//! vectorizable straight-line code. An [`Op::Chain`] keeps its running
-//! value in a local lane block across all its Shannon steps and writes
-//! only its result to the register file; the gradient's forward pass
-//! also keeps each step's incoming value for the chain VJP. When fewer
-//! points than the lane count remain, the block narrows to the widest
-//! width that fits, so at most one point per chunk falls back to the
-//! point-at-a-time sweep ([`Tape::eval_into`]); opaque [`Op::Closure`]
-//! ops run per point inside a block.
+//! The batch runner (see [`crate::batch`]) sweeps a tape
+//! **op-at-a-time** over a block of points: the scratch becomes a
+//! lane-blocked register file (`[n_regs × LANES]`, register-major), and
+//! each op processes a whole block of points before the next op runs.
+//! One forward loop serves every caller: it visits the op slots it is
+//! given — every op of a tape, or one fleet model's reachability mask —
+//! generic over the slot source, so neither form pays a per-op branch.
+//! The per-op dispatch (enum match, argument-table walk, bounds checks)
+//! amortizes over the block, and the lane loops are monomorphized over
+//! the block width so the fused n-ary product/sum kernels compile to
+//! fully unrolled, vectorizable straight-line code. An [`Op::Chain`]
+//! keeps its running value in a local lane block across all its Shannon
+//! steps and writes only its result to the register file; the
+//! gradient's forward pass also keeps each step's incoming value for
+//! the chain VJP. When fewer points than the lane count remain, the
+//! runner narrows the block to the widest width that fits, so at most
+//! one point per chunk falls back to the point-at-a-time sweep
+//! ([`Tape::eval_into`]); opaque [`Op::Closure`] ops run per point
+//! inside a block.
 //!
 //! Determinism contract: for every point the lane-blocked sweep
 //! performs **the same floating-point operations in the same order** as
@@ -24,7 +28,7 @@
 //! [`Tape::eval_into`] for every lane count, thread count, and chunk
 //! size (enforced by the `soa_equivalence` property suite).
 
-use crate::tape::{ChainStep, Op, Reg, StepRange, Tape, Value};
+use crate::tape::{ChainStep, Op, Reg, Slots, StepRange, Tape, Value};
 use std::ops::Range;
 
 use safety_opt_telemetry as telemetry;
@@ -85,8 +89,8 @@ pub(crate) fn supported_lanes(requested: usize) -> usize {
 }
 
 /// Expands `$body` with the const `$L` bound to the monomorphized lane
-/// width matching `$lanes` — the single list of supported widths shared
-/// by every block-sweep dispatch site. `$lanes` must come from
+/// width matching `$lanes` — the single list of supported widths, which
+/// the batch runner's block loop dispatches on. `$lanes` must come from
 /// [`supported_lanes`]; anything else is a bug and fails loudly rather
 /// than silently degrading to a narrower block.
 macro_rules! dispatch_lanes {
@@ -118,31 +122,6 @@ macro_rules! dispatch_lanes {
 }
 pub(crate) use dispatch_lanes;
 
-/// Sweeps a chunk of `$n` points in lane blocks: `$blocks`, expanded
-/// with the const `$L` bound to a block width and `$start` to the first
-/// point not yet swept, runs every full `$L`-wide block from `$start`
-/// and returns the point after the last one it swept. The width starts
-/// at `$lanes` (a [`supported_lanes`] value) and narrows to the widest
-/// supported block that fits what remains, until at most one point is
-/// left. Evaluates to the number of points swept, counted in
-/// `engine.batch.soa_points` (the rest in `engine.batch.tail_points`);
-/// the caller runs the one point left, if any, point-at-a-time. Every
-/// width gives the same bits, so only the speed depends on where the
-/// blocks fall.
-macro_rules! sweep_lane_blocks {
-    ($lanes:expr, $n:expr, $start:ident, $L:ident => $blocks:expr) => {{
-        let (lanes, n): (usize, usize) = ($lanes, $n);
-        let mut $start = 0;
-        while n - $start > 1 {
-            let width = $crate::exec::supported_lanes((n - $start).min(lanes));
-            $start = $crate::exec::dispatch_lanes!(width, $L => $blocks);
-        }
-        $crate::batch::record_lane_split($start, n);
-        $start
-    }};
-}
-pub(crate) use sweep_lane_blocks;
-
 /// Lane-blocked SoA register file: register `r`'s value for lane `l`
 /// lives at `r * L + l`, inputs first, then one row per op, then one row
 /// per later chain step (written only by the gradient's forward pass) —
@@ -162,18 +141,20 @@ impl LaneFile {
         &self.regs
     }
 
-    /// Loads a full block of `L` points into the input registers,
-    /// (re)sizing the file for `tape`'s registers. With `KEEP` (the
-    /// gradient's forward pass) the file also gets the chain-step rows
-    /// [`sweep_op`](Self::sweep_op) writes with `KEEP`; sweep a file with
-    /// the `KEEP` it was loaded with.
+    /// The SoA forward sweep of one full block of `L` points: loads
+    /// them into the input registers, (re)sizing the file for `tape`'s
+    /// registers only when its length changes, then sweeps the op
+    /// `slots` across the block in order. With `KEEP` (the gradient's
+    /// forward pass) the file also gets the chain-step rows that
+    /// [`sweep_op`](Self::sweep_op) writes with `KEEP`.
     ///
     /// # Panics
     ///
     /// Panics if any point's arity mismatches the tape.
-    pub(crate) fn load<const L: usize, const KEEP: bool, P: AsRef<[f64]>>(
+    pub(crate) fn forward<const L: usize, const KEEP: bool, S: Slots, P: AsRef<[f64]>>(
         &mut self,
         tape: &Tape,
+        slots: S,
         points: &[P],
     ) {
         debug_assert_eq!(points.len(), L);
@@ -182,17 +163,25 @@ impl LaneFile {
         } else {
             tape.n_regs()
         };
-        let want = rows * L;
-        if self.regs.len() != want {
-            self.regs.clear();
-            self.regs.resize(want, 0.0);
-        }
+        self.regs.resize(rows * L, 0.0);
         for (lane, p) in points.iter().enumerate() {
             let x = p.as_ref();
             assert_eq!(x.len(), tape.n_inputs, "input arity mismatch");
             for (i, &v) in x.iter().enumerate() {
                 self.regs[i * L + lane] = v;
             }
+        }
+        let mut timer = crate::profile::OpTimer::new();
+        for i in 0..slots.n_slots() {
+            let slot = slots.slot(i);
+            self.sweep_op::<L, KEEP, P>(tape, slot, points);
+            timer.lap(
+                &tape.profiler,
+                &tape.ops[slot],
+                crate::profile::PATH_SOA,
+                crate::profile::SWEEP_FORWARD,
+                L as u64,
+            );
         }
     }
 
@@ -201,7 +190,7 @@ impl LaneFile {
     /// With `KEEP` (the gradient's forward pass, on a file loaded with
     /// `KEEP`) a chain also stores the running value entering each later
     /// step in the step's row, after the op registers, for the chain VJP.
-    pub(crate) fn sweep_op<const L: usize, const KEEP: bool, P: AsRef<[f64]>>(
+    fn sweep_op<const L: usize, const KEEP: bool, P: AsRef<[f64]>>(
         &mut self,
         tape: &Tape,
         slot: usize,
@@ -302,33 +291,13 @@ impl LaneFile {
         }
     }
 
-    /// Reads the declared outputs in `range` for every lane: `costs`
-    /// (length `L`) receives each lane's weighted sum accumulated in
-    /// declaration order — the point-at-a-time sweep's exact reduction — and
-    /// `outputs` the point-major rows (`L × range.len()`).
-    pub(crate) fn read_outputs<const L: usize>(
-        &self,
-        tape: &Tape,
-        range: Range<usize>,
-        costs: &mut [f64],
-        outputs: &mut [f64],
-    ) {
-        costs[..L].fill(0.0);
-        let n_out = range.len();
-        self.read_outputs_strided::<L>(tape, range, n_out, 0, costs, outputs);
-    }
-
-    /// The lane reduction underneath [`read_outputs`](Self::read_outputs)
-    /// with an explicit output-row layout: lane `l`'s value for the
-    /// `j`-th output of `range` goes to
+    /// Reads the declared outputs in `range` for every lane: lane `l`'s
+    /// value for the `j`-th output of `range` goes to
     /// `outputs[l * row_stride + col_offset + j]`, and its weighted sum
     /// **accumulates** into `costs[l]` in declaration order (callers
-    /// zero `costs` first). The fleet's all-models sweep uses this to
-    /// scatter each model's columns into the flat
-    /// [`crate::fleet::Fleet::total_outputs`]-wide row — one
-    /// implementation for every entry point, so the scalar reduction
-    /// contract lives in exactly one place.
-    pub(crate) fn read_outputs_strided<const L: usize>(
+    /// zero `costs` first) — per lane the point-at-a-time reduction
+    /// exactly.
+    pub(crate) fn read_outputs<const L: usize>(
         &self,
         tape: &Tape,
         range: Range<usize>,

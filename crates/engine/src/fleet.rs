@@ -12,6 +12,12 @@
 //! precomputed reachability mask, sweeping exactly the ops a standalone
 //! compilation of that model would contain.
 //!
+//! A fleet adds no sweep loop of its own: the arena is a [`Tape`], and
+//! both forms run the tape's sweep loops and the batch runner of
+//! [`crate::batch`] on a different set of op slots — every arena op
+//! reduced into one cost per model, or one model's mask reduced into
+//! its cost.
+//!
 //! Shannon chains fuse per model: each model's nodes merge into
 //! [`Op::Chain`]s exactly as its standalone build would merge them, and
 //! the arena holds the hash-consed union of the models' fused ops (a
@@ -58,12 +64,12 @@
 //! assert_eq!(costs[1], standalone.build().eval(&[10.0]));
 //! ```
 
-use crate::batch::{row_chunks, run_pool};
+use crate::batch::{Pool, Sweep, SweepBuffers};
 use crate::error::{EngineError, EvalDeadline};
-use crate::exec::{supported_lanes, sweep_lane_blocks, LaneFile, DEFAULT_LANES};
+use crate::exec::supported_lanes;
 use crate::faultinject;
-use crate::grad::{AdjointFile, GradWorkspace};
-use crate::tape::{ModelOps, Op, Tape, TapeBuilder, Value};
+use crate::grad::GradWorkspace;
+use crate::tape::{ModelOps, Op, Slots, Tape, TapeBuilder, Value};
 use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
 
@@ -306,16 +312,6 @@ impl Fleet {
         }
     }
 
-    fn prepare_scratch<'s>(&self, x: &[f64], scratch: &'s mut Vec<f64>) -> &'s mut Vec<f64> {
-        assert_eq!(x.len(), self.n_inputs(), "input arity mismatch");
-        if scratch.len() != self.tape.scratch_len() {
-            scratch.clear();
-            scratch.resize(self.tape.scratch_len(), 0.0);
-        }
-        scratch[..x.len()].copy_from_slice(x);
-        scratch
-    }
-
     /// Evaluates `model` at `x` through its reachability mask, writing
     /// its outputs and returning its weighted cost — the exact ops, in
     /// the exact order, of the model's standalone tape.
@@ -332,20 +328,7 @@ impl Fleet {
     ) -> f64 {
         let range = self.output_range(model);
         assert_eq!(outputs.len(), range.len(), "output arity mismatch");
-        let scratch = self.prepare_scratch(x, scratch);
-        let n_inputs = self.n_inputs();
-        let mut timer = crate::profile::OpTimer::new();
-        for &i in self.masks[model].iter() {
-            let op = &self.tape.ops[i as usize];
-            scratch[n_inputs + i as usize] = self.tape.op_value(op, scratch);
-            timer.lap(
-                &self.tape.profiler,
-                op,
-                crate::profile::PATH_SCALAR,
-                crate::profile::SWEEP_FORWARD,
-                1,
-            );
-        }
+        self.tape.forward(&self.masks[model][..], x, scratch);
         self.tape.read_outputs(scratch, range, outputs)
     }
 
@@ -376,42 +359,9 @@ impl Fleet {
         outputs: &mut [f64],
         grad: &mut [f64],
     ) -> f64 {
-        let range = self.output_range(model);
-        assert_eq!(outputs.len(), range.len(), "output arity mismatch");
-        assert_eq!(grad.len(), self.n_inputs(), "gradient arity mismatch");
-        let n_inputs = self.n_inputs();
-        let cost = {
-            let scratch = self.prepare_scratch(x, &mut ws.scratch);
-            let mut timer = crate::profile::OpTimer::new();
-            for &i in self.masks[model].iter() {
-                let op = &self.tape.ops[i as usize];
-                scratch[n_inputs + i as usize] = self.tape.op_value(op, scratch);
-                timer.lap(
-                    &self.tape.profiler,
-                    op,
-                    crate::profile::PATH_SCALAR,
-                    crate::profile::SWEEP_FORWARD,
-                    1,
-                );
-            }
-            self.tape.read_outputs(scratch, range.clone(), outputs)
-        };
-        ws.adjoint.clear();
-        ws.adjoint.resize(self.tape.n_regs(), 0.0);
-        self.tape.seed_output_adjoints(range, &mut ws.adjoint);
-        let mut timer = crate::profile::OpTimer::new();
-        for &i in self.masks[model].iter().rev() {
-            self.tape.backward_slot(i as usize, ws);
-            timer.lap(
-                &self.tape.profiler,
-                &self.tape.ops[i as usize],
-                crate::profile::PATH_SCALAR,
-                crate::profile::SWEEP_ADJOINT,
-                1,
-            );
-        }
-        crate::grad::record_adjoint_sweeps(1);
-        grad.copy_from_slice(&ws.adjoint[..n_inputs]);
+        let cost = self.eval_model_into(model, x, &mut ws.scratch, outputs);
+        let mask = &self.masks[model][..];
+        self.tape.backward(mask, self.output_range(model), ws, grad);
         cost
     }
 
@@ -433,40 +383,45 @@ impl Fleet {
     ) {
         assert_eq!(costs.len(), self.n_models(), "model arity mismatch");
         assert_eq!(outputs.len(), self.total_outputs(), "output arity mismatch");
-        let scratch = self.prepare_scratch(x, scratch);
-        let n_inputs = self.n_inputs();
-        let mut timer = crate::profile::OpTimer::new();
-        for (slot, op) in self.tape.ops.iter().enumerate() {
-            scratch[n_inputs + slot] = self.tape.op_value(op, scratch);
-            timer.lap(
-                &self.tape.profiler,
-                op,
-                crate::profile::PATH_SCALAR,
-                crate::profile::SWEEP_FORWARD,
-                1,
-            );
+        let sweep = self.sweep_all();
+        self.tape.forward(sweep.slots.clone(), x, scratch);
+        sweep.reduce(scratch, costs, outputs);
+    }
+
+    /// The whole-arena sweep reducing every model's outputs: one cost
+    /// per model per point.
+    fn sweep_all(&self) -> Sweep<'_, Range<usize>> {
+        Sweep {
+            tape: &self.tape,
+            slots: 0..self.tape.n_ops(),
+            start: 0,
+            ends: &self.output_ends,
+            failpoint: faultinject::sites::FLEET_CHUNK,
         }
-        for (model, cost) in costs.iter_mut().enumerate() {
-            let range = self.output_range(model);
-            *cost = self
-                .tape
-                .read_outputs(scratch, range.clone(), &mut outputs[range]);
+    }
+
+    /// `model`'s masked sweep reducing its outputs: one cost per point.
+    fn sweep_model(&self, model: usize) -> Sweep<'_, &[u32]> {
+        Sweep {
+            tape: &self.tape,
+            slots: &self.masks[model],
+            start: self.output_range(model).start,
+            ends: &self.output_ends[model..=model],
+            failpoint: faultinject::sites::FLEET_CHUNK,
         }
     }
 }
 
-/// Default number of points per work unit (matches
-/// [`crate::batch::BatchEvaluator`]).
-const DEFAULT_CHUNK: usize = 256;
-
-/// Parallel fleet evaluation with the same deterministic chunked pool as
-/// [`crate::batch::BatchEvaluator`]: points are cut into fixed-length
-/// chunks assigned to workers round-robin, each point's results go to
-/// its own output indices, so results are bit-identical for every thread
-/// count. Within a chunk, lane blocks that narrow as fewer points
-/// remain run lane-blocked op-at-a-time SoA sweeps (see
-/// [`crate::exec`]) and the one point left over, if any, a per-point
-/// arena sweep — also bit-identical by construction.
+/// Parallel fleet evaluation on the same deterministic chunked pool and
+/// the same sweep runner as [`crate::batch::BatchEvaluator`]: points are
+/// cut into fixed-length chunks assigned to workers round-robin, each
+/// point's results go to its own output indices, so results are
+/// bit-identical for every thread count. The all-models methods sweep
+/// the whole arena and reduce every model's outputs; the one-model
+/// methods sweep that model's reachability mask. Within a chunk, lane
+/// blocks that narrow as fewer points remain run the lane-blocked SoA
+/// sweeps (see [`crate::exec`]) and the one point left over, if any,
+/// the point-at-a-time sweep — also bit-identical by construction.
 ///
 /// Every entry point is fallible, with the same panic-isolation,
 /// deadline, all-or-nothing and lowest-chunk-wins contract as
@@ -474,11 +429,8 @@ const DEFAULT_CHUNK: usize = 256;
 #[derive(Debug, Clone)]
 pub struct FleetEvaluator<'f> {
     fleet: &'f Fleet,
-    threads: usize,
-    chunk: usize,
-    lanes: usize,
+    pool: Pool,
     scratch: Option<&'f FleetScratch>,
-    deadline: Option<EvalDeadline>,
 }
 
 impl<'f> FleetEvaluator<'f> {
@@ -487,22 +439,14 @@ impl<'f> FleetEvaluator<'f> {
     pub fn new(fleet: &'f Fleet, threads: usize) -> Self {
         Self {
             fleet,
-            threads: threads.max(1),
-            chunk: DEFAULT_CHUNK,
-            lanes: DEFAULT_LANES,
+            pool: Pool::new(threads),
             scratch: None,
-            deadline: None,
         }
-    }
-
-    /// Evaluator sized by [`crate::default_threads`].
-    pub fn with_default_threads(fleet: &'f Fleet) -> Self {
-        Self::new(fleet, crate::default_threads())
     }
 
     /// Overrides the deterministic chunk length (points per work unit).
     pub fn chunk_size(mut self, chunk: usize) -> Self {
-        self.chunk = chunk.max(1);
+        self.pool.chunk = chunk.max(1);
         self
     }
 
@@ -511,7 +455,7 @@ impl<'f> FleetEvaluator<'f> {
     /// bit-identical for every width). Narrower blocks sweep what
     /// remains of a chunk.
     pub fn lanes(mut self, lanes: usize) -> Self {
-        self.lanes = supported_lanes(lanes);
+        self.pool.lanes = supported_lanes(lanes);
         self
     }
 
@@ -529,13 +473,13 @@ impl<'f> FleetEvaluator<'f> {
     /// an expired one fails the call with
     /// [`EngineError::DeadlineExceeded`].
     pub fn deadline(mut self, deadline: EvalDeadline) -> Self {
-        self.deadline = Some(deadline);
+        self.pool.deadline = Some(deadline);
         self
     }
 
     /// Configured worker count.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.pool.threads
     }
 
     /// Costs of **every model** at every point: point-major
@@ -548,7 +492,9 @@ impl<'f> FleetEvaluator<'f> {
     /// [`EngineError::DeadlineExceeded`] once the
     /// [`deadline`](Self::deadline) has passed.
     pub fn costs_all<P: AsRef<[f64]> + Sync>(&self, points: &[P]) -> Result<Vec<f64>, EngineError> {
-        Ok(self.sweep_all(points, false)?.0)
+        let mut costs = vec![0.0; points.len() * self.fleet.n_models()];
+        self.run(&self.fleet.sweep_all(), points, &mut costs, None, None)?;
+        Ok(costs)
     }
 
     /// Costs **and** per-output values of every model at every point.
@@ -564,31 +510,10 @@ impl<'f> FleetEvaluator<'f> {
         &self,
         points: &[P],
     ) -> Result<(Vec<f64>, Vec<f64>), EngineError> {
-        self.sweep_all(points, true)
-    }
-
-    fn sweep_all<P: AsRef<[f64]> + Sync>(
-        &self,
-        points: &[P],
-        want_outputs: bool,
-    ) -> Result<(Vec<f64>, Vec<f64>), EngineError> {
-        let n = points.len();
-        let n_models = self.fleet.n_models();
-        // Without kept outputs the rows go to the runner's scratch row.
-        let width = if want_outputs {
-            self.fleet.total_outputs()
-        } else {
-            0
-        };
-        let mut costs = vec![0.0; n * n_models];
-        let mut outputs = vec![0.0; n * width];
-        let units = points
-            .chunks(self.chunk)
-            .zip(row_chunks(&mut costs, n, self.chunk, n_models))
-            .zip(row_chunks(&mut outputs, n, self.chunk, width));
-        self.pool(units, |r, ((pts, c_rows), o_rows)| {
-            r.run_all(pts, c_rows, want_outputs.then_some(o_rows))
-        })?;
+        let mut costs = vec![0.0; points.len() * self.fleet.n_models()];
+        let mut outputs = vec![0.0; points.len() * self.fleet.total_outputs()];
+        let sweep = self.fleet.sweep_all();
+        self.run(&sweep, points, &mut costs, Some(&mut outputs), None)?;
         Ok((costs, outputs))
     }
 
@@ -599,14 +524,23 @@ impl<'f> FleetEvaluator<'f> {
     /// # Errors
     ///
     /// Same conditions as [`costs_all`](Self::costs_all).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model` is not below [`Fleet::n_models`].
     pub fn model_costs<P: AsRef<[f64]> + Sync>(
         &self,
         model: usize,
         points: &[P],
     ) -> Result<Vec<f64>, EngineError> {
         let mut costs = vec![0.0; points.len()];
-        let units = points.chunks(self.chunk).zip(costs.chunks_mut(self.chunk));
-        self.pool(units, |r, (pts, out)| r.run_model(model, pts, out))?;
+        self.run(
+            &self.fleet.sweep_model(model),
+            points,
+            &mut costs,
+            None,
+            None,
+        )?;
         Ok(costs)
     }
 
@@ -623,49 +557,38 @@ impl<'f> FleetEvaluator<'f> {
     /// # Errors
     ///
     /// Same conditions as [`costs_all`](Self::costs_all).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model` is not below [`Fleet::n_models`].
     pub fn model_grads<P: AsRef<[f64]> + Sync>(
         &self,
         model: usize,
         points: &[P],
     ) -> Result<(Vec<f64>, Vec<f64>), EngineError> {
-        let dim = self.fleet.n_inputs();
         let mut costs = vec![0.0; points.len()];
-        let mut grads = vec![0.0; points.len() * dim];
-        let units = points
-            .chunks(self.chunk)
-            .zip(costs.chunks_mut(self.chunk))
-            .zip(row_chunks(&mut grads, points.len(), self.chunk, dim));
-        self.pool(units, |r, ((pts, out), grad_rows)| {
-            r.run_model_grad(model, pts, out, grad_rows)
-        })?;
+        let mut grads = vec![0.0; points.len() * self.fleet.n_inputs()];
+        let sweep = self.fleet.sweep_model(model);
+        self.run(&sweep, points, &mut costs, None, Some(&mut grads))?;
         Ok((costs, grads))
     }
 
-    /// Runs `units` through [`run_pool`]. The inline path runs on the
+    /// Runs `sweep` through [`Pool::run`]. The inline path runs on the
     /// buffers of the [`reuse_scratch`](Self::reuse_scratch) slot when
     /// one is set and puts them back only after every chunk succeeded:
-    /// on an error or caught panic they are dropped instead. Pool
-    /// workers use buffers of their own.
-    fn pool<U: Send>(
+    /// on an error or caught panic they are dropped instead.
+    fn run<S: Slots, P: AsRef<[f64]> + Sync>(
         &self,
-        units: impl ExactSizeIterator<Item = U>,
-        run: impl Fn(&mut FleetRunner<'f>, U) + Sync,
+        sweep: &Sweep<'_, S>,
+        points: &[P],
+        costs: &mut [f64],
+        rows: Option<&mut [f64]>,
+        grads: Option<&mut [f64]>,
     ) -> Result<(), EngineError> {
-        let inline_runner = || {
-            let buf = self.scratch.map(FleetScratch::take).unwrap_or_default();
-            FleetRunner::new(self.fleet, self.lanes, buf)
-        };
-        let worker_runner = || FleetRunner::new(self.fleet, self.lanes, SweepBuffers::default());
-        let inline = run_pool(
-            self.threads,
-            self.deadline.as_ref(),
-            units,
-            inline_runner,
-            worker_runner,
-            run,
-        )?;
-        if let (Some(slot), Some(runner)) = (self.scratch, inline) {
-            slot.put(runner.buf);
+        let buffers = || self.scratch.map(FleetScratch::take).unwrap_or_default();
+        let inline = self.pool.run(sweep, points, buffers, costs, rows, grads)?;
+        if let (Some(slot), Some(buf)) = (self.scratch, inline) {
+            slot.put(buf);
         }
         Ok(())
     }
@@ -698,284 +621,6 @@ impl FleetScratch {
     /// which cannot panic mid-update.
     fn lock(&self) -> std::sync::MutexGuard<'_, Option<SweepBuffers>> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Every scratch buffer of one [`FleetRunner`]: owned and lifetime-free,
-/// so a [`FleetScratch`] can keep it between calls.
-#[derive(Debug, Default)]
-struct SweepBuffers {
-    /// Ragged-tail arena scratch.
-    scratch: Vec<f64>,
-    /// One all-models output row for costs-only tail evaluation, one
-    /// per-model output row for masked tail evaluation.
-    out_row: Vec<f64>,
-    /// SoA register file over the arena.
-    file: LaneFile,
-    /// One lane block of output rows for costs-only SoA evaluation.
-    lane_rows: Vec<f64>,
-    /// One lane block of per-model costs for masked SoA evaluation.
-    lane_costs: Vec<f64>,
-    /// Ragged-tail forward + adjoint workspace of the masked gradient.
-    ws: GradWorkspace,
-    /// Lane-blocked adjoint file of the masked backward sweep.
-    adj: AdjointFile,
-}
-
-/// Per-worker fleet execution state: sweeps chunks of points on the
-/// [`SweepBuffers`] it takes (steady state allocates nothing).
-#[derive(Debug)]
-struct FleetRunner<'f> {
-    fleet: &'f Fleet,
-    lanes: usize,
-    buf: SweepBuffers,
-}
-
-impl<'f> FleetRunner<'f> {
-    /// A runner on `buf`, whose fleet-sized rows are (re)sized for
-    /// `fleet`; every other buffer sizes itself per sweep.
-    fn new(fleet: &'f Fleet, lanes: usize, mut buf: SweepBuffers) -> Self {
-        let lanes = supported_lanes(lanes);
-        buf.out_row.resize(fleet.total_outputs(), 0.0);
-        buf.lane_rows.resize(fleet.total_outputs() * lanes, 0.0);
-        buf.lane_costs.resize(lanes, 0.0);
-        Self { fleet, lanes, buf }
-    }
-
-    /// Evaluates every model at every point of `pts`: `costs` point-major
-    /// (`pts.len() × n_models`), `rows` (when given) point-major
-    /// (`pts.len() × total_outputs`).
-    fn run_all<P: AsRef<[f64]>>(
-        &mut self,
-        pts: &[P],
-        costs: &mut [f64],
-        mut rows: Option<&mut [f64]>,
-    ) {
-        if faultinject::should_fail(faultinject::sites::FLEET_CHUNK) {
-            panic!("fault injected: fleet.chunk");
-        }
-        let fleet = self.fleet;
-        let n_models = fleet.n_models();
-        let width = fleet.total_outputs();
-        let start = sweep_lane_blocks!(self.lanes, pts.len(), start, L => {
-            self.run_all_blocks::<L, P>(pts, start, costs, rows.as_deref_mut())
-        });
-        // The ragged tail: at most one point remains.
-        for (i, p) in pts.iter().enumerate().skip(start) {
-            let c = &mut costs[i * n_models..(i + 1) * n_models];
-            let o = match rows.as_deref_mut() {
-                Some(rows) => &mut rows[i * width..(i + 1) * width],
-                None => &mut self.buf.out_row[..],
-            };
-            fleet.eval_all_into(p.as_ref(), &mut self.buf.scratch, c, o);
-        }
-    }
-
-    /// Sweeps every full `L`-wide block of `pts` from `start` through
-    /// the whole arena, returning the first point not swept.
-    fn run_all_blocks<const L: usize, P: AsRef<[f64]>>(
-        &mut self,
-        pts: &[P],
-        mut start: usize,
-        costs: &mut [f64],
-        mut rows: Option<&mut [f64]>,
-    ) -> usize {
-        let fleet = self.fleet;
-        let n_models = fleet.n_models();
-        let width = fleet.total_outputs();
-        while start + L <= pts.len() {
-            let block = &pts[start..start + L];
-            self.buf.file.load::<L, false, P>(&fleet.tape, block);
-            let mut timer = crate::profile::OpTimer::new();
-            for slot in 0..fleet.tape.n_ops() {
-                self.buf.file.sweep_op::<L, false, P>(&fleet.tape, slot, block);
-                timer.lap(
-                    &fleet.tape.profiler,
-                    &fleet.tape.ops[slot],
-                    crate::profile::PATH_SOA,
-                    crate::profile::SWEEP_FORWARD,
-                    L as u64,
-                );
-            }
-            let out = match rows.as_deref_mut() {
-                Some(rows) => &mut rows[start * width..(start + L) * width],
-                None => &mut self.buf.lane_rows[..],
-            };
-            // Per lane, models read their output ranges in model order —
-            // the scalar `eval_all_into` reduction exactly. Each model's
-            // columns scatter into the flat width-strided output row.
-            for model in 0..n_models {
-                let range = fleet.output_range(model);
-                self.buf.lane_costs.fill(0.0);
-                self.buf.file.read_outputs_strided::<L>(
-                    &fleet.tape,
-                    range.clone(),
-                    width,
-                    range.start,
-                    &mut self.buf.lane_costs,
-                    out,
-                );
-                for lane in 0..L {
-                    costs[(start + lane) * n_models + model] = self.buf.lane_costs[lane];
-                }
-            }
-            start += L;
-        }
-        start
-    }
-
-    /// Evaluates one model at every point of `pts` through its
-    /// reachability mask, writing one cost per point.
-    fn run_model<P: AsRef<[f64]>>(&mut self, model: usize, pts: &[P], costs: &mut [f64]) {
-        if faultinject::should_fail(faultinject::sites::FLEET_CHUNK) {
-            panic!("fault injected: fleet.chunk");
-        }
-        let start = sweep_lane_blocks!(self.lanes, pts.len(), start, L => {
-            self.run_model_blocks::<L, P>(model, pts, start, costs)
-        });
-        let fleet = self.fleet;
-        let n_out = fleet.n_outputs(model);
-        for (p, c) in pts.iter().zip(costs.iter_mut()).skip(start) {
-            *c = fleet.eval_model_into(
-                model,
-                p.as_ref(),
-                &mut self.buf.scratch,
-                &mut self.buf.out_row[..n_out],
-            );
-        }
-    }
-
-    /// Evaluates one model's cost + gradient at every point of `pts`
-    /// through its reachability mask, writing one cost per point and
-    /// the point-major gradient rows.
-    fn run_model_grad<P: AsRef<[f64]>>(
-        &mut self,
-        model: usize,
-        pts: &[P],
-        costs: &mut [f64],
-        grads: &mut [f64],
-    ) {
-        if faultinject::should_fail(faultinject::sites::FLEET_CHUNK) {
-            panic!("fault injected: fleet.chunk");
-        }
-        let start = sweep_lane_blocks!(self.lanes, pts.len(), start, L => {
-            self.run_model_grad_blocks::<L, P>(model, pts, start, costs, grads)
-        });
-        let fleet = self.fleet;
-        let n_out = fleet.n_outputs(model);
-        let dim = fleet.n_inputs();
-        for (i, p) in pts.iter().enumerate().skip(start) {
-            costs[i] = fleet.eval_model_grad_into(
-                model,
-                p.as_ref(),
-                &mut self.buf.ws,
-                &mut self.buf.out_row[..n_out],
-                &mut grads[i * dim..(i + 1) * dim],
-            );
-        }
-    }
-
-    /// Sweeps every full `L`-wide block of `pts` from `start` through
-    /// one model's masked SoA forward + adjoint sweeps, returning the
-    /// first point not swept.
-    fn run_model_grad_blocks<const L: usize, P: AsRef<[f64]>>(
-        &mut self,
-        model: usize,
-        pts: &[P],
-        mut start: usize,
-        costs: &mut [f64],
-        grads: &mut [f64],
-    ) -> usize {
-        let fleet = self.fleet;
-        let range = fleet.output_range(model);
-        let n_out = range.len();
-        let dim = fleet.n_inputs();
-        while start + L <= pts.len() {
-            let block = &pts[start..start + L];
-            self.buf.file.load::<L, true, P>(&fleet.tape, block);
-            let mut timer = crate::profile::OpTimer::new();
-            for &slot in fleet.masks[model].iter() {
-                self.buf
-                    .file
-                    .sweep_op::<L, true, P>(&fleet.tape, slot as usize, block);
-                timer.lap(
-                    &fleet.tape.profiler,
-                    &fleet.tape.ops[slot as usize],
-                    crate::profile::PATH_SOA,
-                    crate::profile::SWEEP_FORWARD,
-                    L as u64,
-                );
-            }
-            self.buf.file.read_outputs::<L>(
-                &fleet.tape,
-                range.clone(),
-                &mut costs[start..start + L],
-                &mut self.buf.lane_rows[..L * n_out],
-            );
-            self.buf.adj.reset(fleet.tape.n_regs() * L);
-            self.buf.adj.seed::<L>(&fleet.tape, range.clone());
-            let mut timer = crate::profile::OpTimer::new();
-            for &slot in fleet.masks[model].iter().rev() {
-                self.buf.adj.backward_slot_block::<L>(
-                    &fleet.tape,
-                    slot as usize,
-                    self.buf.file.regs(),
-                );
-                timer.lap(
-                    &fleet.tape.profiler,
-                    &fleet.tape.ops[slot as usize],
-                    crate::profile::PATH_SOA,
-                    crate::profile::SWEEP_ADJOINT,
-                    L as u64,
-                );
-            }
-            crate::grad::record_adjoint_sweeps(L as u64);
-            self.buf
-                .adj
-                .grad_rows::<L>(dim, &mut grads[start * dim..(start + L) * dim]);
-            start += L;
-        }
-        start
-    }
-
-    /// Sweeps every full `L`-wide block of `pts` from `start` through
-    /// one model's reachability mask, returning the first point not
-    /// swept.
-    fn run_model_blocks<const L: usize, P: AsRef<[f64]>>(
-        &mut self,
-        model: usize,
-        pts: &[P],
-        mut start: usize,
-        costs: &mut [f64],
-    ) -> usize {
-        let fleet = self.fleet;
-        let range = fleet.output_range(model);
-        let n_out = range.len();
-        while start + L <= pts.len() {
-            let block = &pts[start..start + L];
-            self.buf.file.load::<L, false, P>(&fleet.tape, block);
-            let mut timer = crate::profile::OpTimer::new();
-            for &slot in fleet.masks[model].iter() {
-                self.buf
-                    .file
-                    .sweep_op::<L, false, P>(&fleet.tape, slot as usize, block);
-                timer.lap(
-                    &fleet.tape.profiler,
-                    &fleet.tape.ops[slot as usize],
-                    crate::profile::PATH_SOA,
-                    crate::profile::SWEEP_FORWARD,
-                    L as u64,
-                );
-            }
-            self.buf.file.read_outputs::<L>(
-                &fleet.tape,
-                range.clone(),
-                &mut costs[start..start + L],
-                &mut self.buf.lane_rows[..L * n_out],
-            );
-            start += L;
-        }
-        start
     }
 }
 

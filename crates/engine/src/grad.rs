@@ -43,9 +43,12 @@
 //! branch.
 //!
 //! Hash-consed ops shared across hazards accumulate their adjoints
-//! additively, so sharing is handled by construction. Batched gradients
-//! ([`crate::BatchEvaluator::eval_grad_batch`]) shard points across the
-//! same deterministic chunked pool as plain evaluation, and the
+//! additively, so sharing is handled by construction. Each direction's
+//! sweep is one loop over the op slots it is given — every op of a
+//! tape, or one fleet model's reachability mask. Batched gradients
+//! ([`crate::BatchEvaluator::eval_grad_batch`],
+//! [`crate::FleetEvaluator::model_grads`]) run on the same batch runner
+//! and deterministic chunked pool as plain evaluation, and the
 //! adjoint sweep runs **lane-blocked op-at-a-time** like
 //! the forward sweep: the forward pass retains the whole lane-major
 //! register file (`exec::LaneFile`), and the backward pass
@@ -59,8 +62,7 @@
 //! single point a chunk may leave over fall back to the scalar path
 //! exactly like the forward sweep.
 
-use crate::exec::LaneFile;
-use crate::tape::{ChainStep, Op, StepRange, Tape, Value};
+use crate::tape::{ChainStep, Op, Slots, StepRange, Tape, Value};
 use std::ops::Range;
 
 use safety_opt_telemetry as telemetry;
@@ -108,12 +110,6 @@ fn warn_adjoint_closure_fallback_once(lanes: usize) {
             );
         });
     }
-}
-
-/// Records `n` completed adjoint sweeps — shared with the fleet's
-/// masked adjoint path so the counter means the same thing everywhere.
-pub(crate) fn record_adjoint_sweeps(n: u64) {
-    ADJOINT_SWEEPS.add(n);
 }
 
 /// Relative step of the per-op central-difference fallback for opaque
@@ -166,34 +162,52 @@ impl Tape {
         outputs: &mut [f64],
         grad: &mut [f64],
     ) -> f64 {
-        assert_eq!(grad.len(), self.n_inputs(), "gradient arity mismatch");
         // Forward: exactly the plain evaluation (same code path, so the
         // bit-identity contract cannot drift), with the populated
         // scratch kept for the backward sweep.
         let cost = self.eval_into(x, &mut ws.scratch, outputs);
-
-        // Seed: ∂cost/∂outputᵢ = weightᵢ. Constant outputs have no
-        // register and no derivative.
-        ws.adjoint.clear();
-        ws.adjoint.resize(self.n_regs(), 0.0);
-        self.seed_output_adjoints(0..self.n_outputs(), &mut ws.adjoint);
-
-        self.backward(ws);
-        ADJOINT_SWEEPS.add(1);
-        grad.copy_from_slice(&ws.adjoint[..self.n_inputs]);
+        self.backward(0..self.n_ops(), 0..self.n_outputs(), ws, grad);
         cost
     }
 
-    /// Seeds the output-weight adjoints for the declared outputs in
-    /// `range` (`∂cost/∂outputᵢ = weightᵢ`, accumulated in declaration
-    /// order). Shared by the full-tape sweep and the fleet's masked
-    /// per-model sweep, which seeds only one model's output slice.
-    pub(crate) fn seed_output_adjoints(&self, range: Range<usize>, adjoint: &mut [f64]) {
-        for (value, w) in self.outputs[range.clone()].iter().zip(&self.weights[range]) {
+    /// The scalar adjoint sweep over an evaluated `ws.scratch`: seeds
+    /// `∂cost/∂outputᵢ = weightᵢ` for the declared outputs in `outputs`
+    /// (in declaration order; constant outputs have no register and no
+    /// derivative), visits the op `slots` in reverse pushing each
+    /// slot's adjoint through its VJP, and writes the input adjoints
+    /// into `grad`.
+    pub(crate) fn backward<S: Slots>(
+        &self,
+        slots: S,
+        outputs: Range<usize>,
+        ws: &mut GradWorkspace,
+        grad: &mut [f64],
+    ) {
+        assert_eq!(grad.len(), self.n_inputs(), "gradient arity mismatch");
+        ws.adjoint.clear();
+        ws.adjoint.resize(self.n_regs(), 0.0);
+        for (value, w) in self.outputs[outputs.clone()]
+            .iter()
+            .zip(&self.weights[outputs])
+        {
             if let Value::Reg(r) = value {
-                adjoint[r.index()] += *w;
+                ws.adjoint[r.index()] += *w;
             }
         }
+        let mut timer = crate::profile::OpTimer::new();
+        for i in (0..slots.n_slots()).rev() {
+            let slot = slots.slot(i);
+            self.backward_slot(slot, ws);
+            timer.lap(
+                &self.profiler,
+                &self.ops[slot],
+                crate::profile::PATH_SCALAR,
+                crate::profile::SWEEP_ADJOINT,
+                1,
+            );
+        }
+        ADJOINT_SWEEPS.add(1);
+        grad.copy_from_slice(&ws.adjoint[..self.n_inputs]);
     }
 
     /// Convenience wrapper allocating its own buffers: `(cost, ∇cost)`.
@@ -205,29 +219,9 @@ impl Tape {
         (cost, grad)
     }
 
-    /// The backward sweep: visits ops in reverse, pushing each slot's
-    /// accumulated adjoint through the op's local derivative into its
-    /// argument slots.
-    fn backward(&self, ws: &mut GradWorkspace) {
-        let mut timer = crate::profile::OpTimer::new();
-        for slot in (0..self.ops.len()).rev() {
-            self.backward_slot(slot, ws);
-            timer.lap(
-                &self.profiler,
-                &self.ops[slot],
-                crate::profile::PATH_SCALAR,
-                crate::profile::SWEEP_ADJOINT,
-                1,
-            );
-        }
-    }
-
     /// One op's scalar VJP: pushes slot `slot`'s accumulated adjoint
-    /// through the op's local derivative into its argument slots. The
-    /// unit the full-tape [`backward`](Self::backward) loop and the
-    /// fleet's masked per-model sweep share, so the scalar float
-    /// sequences live in exactly one place.
-    pub(crate) fn backward_slot(&self, slot: usize, ws: &mut GradWorkspace) {
+    /// through the op's local derivative into its argument slots.
+    fn backward_slot(&self, slot: usize, ws: &mut GradWorkspace) {
         let op = &self.ops[slot];
         let a = ws.adjoint[self.n_inputs + slot];
         // Dead ops (outputs nothing downstream reads, or a clamped
@@ -374,58 +368,10 @@ impl Tape {
             }
         }
     }
-
-    /// Lane-blocked cost + gradient evaluation of one full `L`-wide
-    /// block: the SoA forward sweep (retaining the whole lane-major
-    /// register file), the output reduction, and the op-at-a-time
-    /// backward sweep over `adjoint`. Per lane every kernel replays
-    /// [`eval_grad_into`](Self::eval_grad_into)'s float sequence, so
-    /// results are 0-ULP bit-identical to the scalar adjoint.
-    ///
-    /// `costs` must hold `L` entries, `lane_rows` `L · n_outputs`, and
-    /// `grads` the `L` point-major gradient rows (`L · n_inputs`).
-    pub(crate) fn eval_grad_block<const L: usize, P: AsRef<[f64]>>(
-        &self,
-        points: &[P],
-        file: &mut LaneFile,
-        adjoint: &mut AdjointFile,
-        costs: &mut [f64],
-        lane_rows: &mut [f64],
-        grads: &mut [f64],
-    ) {
-        file.load::<L, true, P>(self, points);
-        let mut timer = crate::profile::OpTimer::new();
-        for slot in 0..self.n_ops() {
-            file.sweep_op::<L, true, P>(self, slot, points);
-            timer.lap(
-                &self.profiler,
-                &self.ops[slot],
-                crate::profile::PATH_SOA,
-                crate::profile::SWEEP_FORWARD,
-                L as u64,
-            );
-        }
-        file.read_outputs::<L>(self, 0..self.n_outputs(), costs, lane_rows);
-        adjoint.reset(self.n_regs() * L);
-        adjoint.seed::<L>(self, 0..self.n_outputs());
-        let mut timer = crate::profile::OpTimer::new();
-        for slot in (0..self.n_ops()).rev() {
-            adjoint.backward_slot_block::<L>(self, slot, file.regs());
-            timer.lap(
-                &self.profiler,
-                &self.ops[slot],
-                crate::profile::PATH_SOA,
-                crate::profile::SWEEP_ADJOINT,
-                L as u64,
-            );
-        }
-        ADJOINT_SWEEPS.add(L as u64);
-        adjoint.grad_rows::<L>(self.n_inputs, grads);
-    }
 }
 
 /// Lane-blocked adjoint file: the backward-sweep twin of
-/// [`LaneFile`] — one adjoint per register per lane, in the same
+/// [`LaneFile`](crate::exec::LaneFile) — one adjoint per register per lane, in the same
 /// `[n_regs × L]` register-major layout, plus the lane-blocked prefix
 /// stack of the [`Op::Product`] VJP and the scalar probe row of the
 /// [`Op::Closure`] fallback. All methods are monomorphized over the
@@ -441,29 +387,47 @@ pub(crate) struct AdjointFile {
 }
 
 impl AdjointFile {
-    /// Zeroes the file for a `len`-slot sweep (`n_regs · L`).
-    pub(crate) fn reset(&mut self, len: usize) {
+    /// The SoA adjoint sweep of one full `L`-wide block, the lane-blocked
+    /// twin of [`Tape::backward`]: zeroes the file, seeds every lane's
+    /// output-weight adjoints for the declared outputs in `outputs` (per
+    /// lane the scalar seeding order), visits the op `slots` in reverse,
+    /// and copies each lane's input adjoints into the point-major
+    /// gradient rows (`grads[l · dim + j] = ∂cost_l/∂x_j`). `regs` is
+    /// the register file a `KEEP` forward sweep of the same block left.
+    pub(crate) fn backward<const L: usize, S: Slots>(
+        &mut self,
+        tape: &Tape,
+        slots: S,
+        outputs: Range<usize>,
+        regs: &[f64],
+        grads: &mut [f64],
+    ) {
         self.adj.clear();
-        self.adj.resize(len, 0.0);
-    }
-
-    /// Seeds every lane's output-weight adjoints for the declared
-    /// outputs in `range` — per lane the scalar seeding loop's exact
-    /// accumulation order.
-    pub(crate) fn seed<const L: usize>(&mut self, tape: &Tape, range: Range<usize>) {
-        for (value, w) in tape.outputs[range.clone()].iter().zip(&tape.weights[range]) {
+        self.adj.resize(tape.n_regs() * L, 0.0);
+        for (value, w) in tape.outputs[outputs.clone()]
+            .iter()
+            .zip(&tape.weights[outputs])
+        {
             if let Value::Reg(r) = value {
-                let adj = lane_window::<L>(&mut self.adj, r.index() * L);
-                for a in adj.iter_mut() {
+                for a in lane_window::<L>(&mut self.adj, r.index() * L) {
                     *a += *w;
                 }
             }
         }
-    }
-
-    /// Copies each lane's input adjoints into point-major gradient rows
-    /// (`grads[l · dim + j] = ∂cost_l/∂x_j`).
-    pub(crate) fn grad_rows<const L: usize>(&self, dim: usize, grads: &mut [f64]) {
+        let mut timer = crate::profile::OpTimer::new();
+        for i in (0..slots.n_slots()).rev() {
+            let slot = slots.slot(i);
+            self.backward_slot_block::<L>(tape, slot, regs);
+            timer.lap(
+                &tape.profiler,
+                &tape.ops[slot],
+                crate::profile::PATH_SOA,
+                crate::profile::SWEEP_ADJOINT,
+                L as u64,
+            );
+        }
+        ADJOINT_SWEEPS.add(L as u64);
+        let dim = tape.n_inputs;
         for l in 0..L {
             for j in 0..dim {
                 grads[l * dim + j] = self.adj[j * L + l];
@@ -481,12 +445,7 @@ impl AdjointFile {
     /// propagate identically — which is what makes the SoA adjoint 0-ULP
     /// bit-identical to the scalar one. Blocks whose every lane is dead
     /// skip the op entirely (the scalar sweep's dead-op skip, amortized).
-    pub(crate) fn backward_slot_block<const L: usize>(
-        &mut self,
-        tape: &Tape,
-        slot: usize,
-        regs: &[f64],
-    ) {
+    fn backward_slot_block<const L: usize>(&mut self, tape: &Tape, slot: usize, regs: &[f64]) {
         let out_base = (tape.n_inputs + slot) * L;
         let a: [f64; L] = regs_block::<L>(&self.adj, out_base);
         if a.iter().all(|&v| v == 0.0) {

@@ -21,19 +21,23 @@
 //! 3. **Batch evaluation** ([`batch::BatchEvaluator`]) — shards point
 //!    batches across a `std::thread` scoped pool with deterministic
 //!    chunking; results are bit-identical for every thread count.
-//!    Within a chunk the sweep runs lane-blocked **op-at-a-time SoA
+//!    One sweep runner serves this evaluator and the fleet's: a tape
+//!    batch (or an all-models fleet batch) sweeps every op, a one-model
+//!    fleet batch that model's reachability mask. Within a chunk the
+//!    runner runs lane-blocked **op-at-a-time SoA
 //!    sweeps** ([`exec`]), which amortize op dispatch over a whole block
 //!    of points and expose the fused n-ary kernels to the vectorizer —
 //!    bit-identical by construction to the point-at-a-time
 //!    [`Tape::eval_into`], which runs the one point a chunk's narrowing
 //!    blocks may leave over and remains the single-point API.
 //! 4. **Adjoint gradients** ([`grad`]) — a reverse-mode sweep over the
-//!    same op-tape: one forward + one backward pass yields the full
-//!    cost gradient at a cost independent of the input dimension
-//!    (analytic VJPs per op, per-op central differences only for opaque
-//!    closures), replacing the `2·dim` tape sweeps of
+//!    same op-tape and the same op slots: one forward + one backward
+//!    pass yields the full cost gradient at a cost independent of the
+//!    input dimension (analytic VJPs per op, per-op central differences
+//!    only for opaque closures), replacing the `2·dim` tape sweeps of
 //!    central-difference gradients in the optimizer and the sensitivity
-//!    front-ends.
+//!    front-ends. The forward and adjoint loops each exist once per
+//!    path (scalar and SoA), generic over the slots they visit.
 //! 5. **Model fleets** ([`fleet::Fleet`]) — whole families of
 //!    structurally similar models (Monte-Carlo samples, traffic
 //!    scenarios) compile into one shared op arena with hash-consing

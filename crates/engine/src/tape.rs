@@ -507,6 +507,42 @@ pub struct CompileStats {
     pub chain_steps: u64,
 }
 
+/// The op slots one sweep visits, ascending (dependency order): every
+/// op of a tape (`0..n_ops`) or one fleet model's reachability mask
+/// (`&[u32]`). Each sweep loop is generic over it, so the whole-tape
+/// loop monomorphizes to a plain counted loop and no loop branches on
+/// which kind it runs.
+pub(crate) trait Slots: Clone + Sync {
+    /// Number of slots visited.
+    fn n_slots(&self) -> usize;
+    /// The `i`-th slot visited.
+    fn slot(&self, i: usize) -> usize;
+}
+
+impl Slots for std::ops::Range<usize> {
+    #[inline]
+    fn n_slots(&self) -> usize {
+        self.end - self.start
+    }
+
+    #[inline]
+    fn slot(&self, i: usize) -> usize {
+        self.start + i
+    }
+}
+
+impl Slots for &[u32] {
+    #[inline]
+    fn n_slots(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn slot(&self, i: usize) -> usize {
+        self[i] as usize
+    }
+}
+
 /// A compiled weighted-sum-of-clamped-sums evaluation plan.
 ///
 /// Layout of the evaluation scratch: `[inputs… | op outputs…]`. Outputs
@@ -595,13 +631,24 @@ impl Tape {
     /// Panics if `x.len()` differs from [`n_inputs`](Self::n_inputs) or
     /// `outputs.len()` from [`n_outputs`](Self::n_outputs).
     pub fn eval_into(&self, x: &[f64], scratch: &mut Vec<f64>, outputs: &mut [f64]) -> f64 {
-        assert_eq!(x.len(), self.n_inputs, "input arity mismatch");
+        self.forward(0..self.n_ops(), x, scratch);
         assert_eq!(outputs.len(), self.outputs.len(), "output arity mismatch");
-        scratch.clear();
+        self.read_outputs(scratch, 0..self.outputs.len(), outputs)
+    }
+
+    /// The scalar forward sweep: loads `x` into `scratch` (resized only
+    /// when its length changes) and evaluates the op `slots` in order.
+    /// Nothing is zeroed: ops only read the inputs and slots earlier ops
+    /// of the same sweep wrote, so a scratch left over from another
+    /// sweep (another model's mask, say) cannot leak into the result.
+    pub(crate) fn forward<S: Slots>(&self, slots: S, x: &[f64], scratch: &mut Vec<f64>) {
+        assert_eq!(x.len(), self.n_inputs, "input arity mismatch");
         scratch.resize(self.scratch_len(), 0.0);
         scratch[..self.n_inputs].copy_from_slice(x);
         let mut timer = crate::profile::OpTimer::new();
-        for (slot, op) in self.ops.iter().enumerate() {
+        for i in 0..slots.n_slots() {
+            let slot = slots.slot(i);
+            let op = &self.ops[slot];
             scratch[self.n_inputs + slot] = self.op_value(op, scratch);
             timer.lap(
                 &self.profiler,
@@ -611,14 +658,13 @@ impl Tape {
                 1,
             );
         }
-        self.read_outputs(scratch, 0..self.outputs.len(), outputs)
     }
 
     /// Value of one op given the current scratch; a chain also writes
     /// the running value entering each later step into its step slot.
     /// Ops only read slots of earlier ops, so a partial scratch with
-    /// every dependency written is sufficient — the masked fleet sweeps
-    /// rely on that.
+    /// every dependency written is sufficient — the masked sweeps rely
+    /// on that.
     #[inline]
     pub(crate) fn op_value(&self, op: &Op, scratch: &mut [f64]) -> f64 {
         match op {

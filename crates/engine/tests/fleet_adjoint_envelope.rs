@@ -6,7 +6,7 @@
 //! hash-consing can reorder a shared subexpression's consumers, which
 //! reorders the adjoint accumulation and perturbs gradients at the ulp
 //! level. This suite pins that envelope on a **deterministic**
-//! adversarial family — `MulAdd` Shannon nodes, saturating `SumClamp`s,
+//! adversarial family — Shannon chains (`Op::Chain`), saturating `SumClamp`s,
 //! NaN-poisoned opaque closures, heavy cross-model sharing — so the
 //! measured distances are fixed numbers, not a proptest draw: every
 //! fleet gradient component stays within **128 ulps** of the standalone

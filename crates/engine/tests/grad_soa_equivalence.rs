@@ -1,6 +1,6 @@
 //! The SoA **adjoint** sweep's equivalence contract, adversarially:
 //! batched reverse-mode gradients of random tapes and random model
-//! fleets — `MulAdd` Shannon nodes, saturating `SumClamp`s,
+//! fleets — Shannon chains (`Op::Chain`), saturating `SumClamp`s,
 //! NaN-poisoned opaque closures (which drop the whole lane block onto
 //! the scalar fallback) — through the lane-blocked batch evaluators are
 //! **bit-identical** (0 ULP) to the pointwise scalar adjoint

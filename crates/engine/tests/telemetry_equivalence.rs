@@ -230,6 +230,22 @@ fn telemetry_modes_never_change_results() {
         tape.reset_profile();
     }
 
+    // Fleet chunks count like tape chunks: at `counters`, a fleet-only
+    // all-models sweep and a fleet-only masked gradient each record pool
+    // chunks of their own.
+    telemetry::set_mode(TelemetryMode::Counters);
+    for threads in [1usize, 4] {
+        let fe = FleetEvaluator::new(&fleet, threads);
+        telemetry::reset();
+        fe.costs_all(&points).unwrap();
+        let chunks = telemetry::snapshot().counter("engine.batch.chunks");
+        assert!(chunks.unwrap_or(0) > 0, "costs_all, {threads} threads");
+        telemetry::reset();
+        fe.model_grads(0, &points).unwrap();
+        let chunks = telemetry::snapshot().counter("engine.batch.chunks");
+        assert!(chunks.unwrap_or(0) > 0, "model_grads, {threads} threads");
+    }
+
     // Leave the process-global mode where the environment default would
     // have put it for any test binary spawned after this one.
     telemetry::set_mode(TelemetryMode::Off);

@@ -1,10 +1,9 @@
-//! A2 — minimal-cut-set engine comparison: MOCUS vs bottom-up vs BDD on
+//! A2 — minimal-cut-set engine comparison: MOCUS vs bottom-up on
 //! parametric tree families (sweeping size), the `industrial_query`
 //! modular tree at workload size, plus subsumption minimization in
 //! isolation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use safety_opt_fta::bdd::TreeBdd;
 use safety_opt_fta::mcs;
 use safety_opt_fta::synth::{
     and_of_ors, modular_tree, or_of_ands, random_tree, ModularTreeConfig, RandomTreeConfig,
@@ -23,9 +22,6 @@ fn bench_engines_on_families(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("bottom_up", &label), &tree, |b, t| {
             b.iter(|| mcs::bottom_up(t).unwrap())
         });
-        group.bench_with_input(BenchmarkId::new("bdd", &label), &tree, |b, t| {
-            b.iter(|| TreeBdd::build(t).unwrap().minimal_cut_sets().unwrap())
-        });
     }
     // or_of_ands(m, n): m cut sets — the easy, wide case.
     for &(m, n) in &[(32usize, 3usize), (128, 3)] {
@@ -36,9 +32,6 @@ fn bench_engines_on_families(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("bottom_up", &label), &tree, |b, t| {
             b.iter(|| mcs::bottom_up(t).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("bdd", &label), &tree, |b, t| {
-            b.iter(|| TreeBdd::build(t).unwrap().minimal_cut_sets().unwrap())
         });
     }
     group.finish();
@@ -57,9 +50,6 @@ fn bench_random_trees(c: &mut Criterion) {
         let tree = random_tree(config, 42);
         group.bench_with_input(BenchmarkId::new("bottom_up", gates), &tree, |b, t| {
             b.iter(|| mcs::bottom_up(t).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("bdd", gates), &tree, |b, t| {
-            b.iter(|| TreeBdd::build(t).unwrap().minimal_cut_sets().unwrap())
         });
     }
     group.finish();

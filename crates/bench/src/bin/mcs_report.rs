@@ -1,6 +1,6 @@
 //! E6 — Sect. IV-B: the fault trees of both hazards, their minimal cut
-//! sets from all three engines, and quantification/importance reports at
-//! the initial configuration.
+//! sets (MOCUS checked against the bottom-up engine), their BDD sizes, and
+//! quantification/importance reports at the initial configuration.
 //!
 //! Run with: `cargo run --release -p safety-opt-bench --bin mcs_report`
 
@@ -18,14 +18,11 @@ fn report(tree: &FaultTree) -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", to_ascii(tree)?);
     let by_mocus = mcs::mocus(tree)?;
     let by_bottom_up = mcs::bottom_up(tree)?;
-    let bdd = TreeBdd::build(tree)?;
-    let by_bdd = bdd.minimal_cut_sets()?;
     assert_eq!(by_mocus, by_bottom_up);
-    assert_eq!(by_bottom_up, by_bdd);
     println!(
-        "minimal cut sets: {} (MOCUS ≡ bottom-up ≡ BDD; BDD has {} nodes)",
+        "minimal cut sets: {} (MOCUS ≡ bottom-up; BDD has {} nodes)",
         by_mocus.len(),
-        bdd.node_count()
+        TreeBdd::build(tree)?.node_count()
     );
     for cs in by_mocus.iter() {
         println!(

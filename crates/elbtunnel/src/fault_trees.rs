@@ -105,7 +105,6 @@ pub fn false_alarm_tree() -> Result<FaultTree> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use safety_opt_fta::bdd::TreeBdd;
     use safety_opt_fta::mcs;
 
     #[test]
@@ -148,9 +147,7 @@ mod tests {
         for ft in [collision_tree().unwrap(), false_alarm_tree().unwrap()] {
             let a = mcs::mocus(&ft).unwrap();
             let b = mcs::bottom_up(&ft).unwrap();
-            let c = TreeBdd::build(&ft).unwrap().minimal_cut_sets().unwrap();
             assert_eq!(a, b);
-            assert_eq!(b, c);
         }
     }
 

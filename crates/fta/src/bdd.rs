@@ -1,22 +1,18 @@
 //! Binary decision diagrams (BDDs) for fault trees.
 //!
 //! A reduced ordered BDD represents the tree's *structure function*
-//! exactly, which buys two things the cut-set view cannot give:
-//!
-//! 1. **Exact hazard probabilities** by Shannon decomposition — no
-//!    rare-event approximation, no inclusion–exclusion blow-up. The paper
-//!    uses the engineering-standard Eq. 1 approximation; comparing it
-//!    against the BDD-exact value quantifies the approximation error.
-//! 2. An **independent oracle** for the MOCUS/bottom-up cut-set engines:
-//!    the minimal solutions of a coherent BDD are exactly the minimal cut
-//!    sets (Rauzy's algorithm).
+//! exactly, which buys **exact hazard probabilities** by Shannon
+//! decomposition — no rare-event approximation, no inclusion–exclusion
+//! blow-up. The paper uses the engineering-standard Eq. 1 approximation;
+//! comparing it against the BDD-exact value quantifies the approximation
+//! error. Minimal cut sets come from [`crate::mcs::bottom_up`], not from
+//! the BDD.
 //!
 //! The implementation is a classic unique-table manager with an ITE-based
-//! apply, memoized probability evaluation, and memoized minimal-solution
-//! extraction. Variables are the tree's leaves, ordered by first DFS
-//! visit (a standard, effective static heuristic).
+//! apply and memoized probability evaluation. Variables are the tree's
+//! leaves, ordered by first DFS visit (a standard, effective static
+//! heuristic).
 
-use crate::cutset::{CutSet, CutSetCollection};
 use crate::quant::ProbabilityMap;
 use crate::tree::{FaultTree, GateKind, NodeId, NodeKind};
 use crate::{FtaError, Result};
@@ -75,9 +71,7 @@ pub struct TreeBdd {
     root: Ref,
     /// BDD level → leaf index of the owning tree.
     level_to_leaf: Vec<usize>,
-    /// Leaf index → BDD level.
-    leaf_to_level: HashMap<usize, u32>,
-    /// Number of leaves in the owning tree (cut sets use leaf indices).
+    /// Number of leaves in the owning tree.
     num_leaves: usize,
 }
 
@@ -234,7 +228,6 @@ impl TreeBdd {
             nodes: b.nodes,
             root,
             level_to_leaf: order,
-            leaf_to_level,
             num_leaves: tree.leaves().len(),
         };
         // Gated: the reachable-node count is a DFS, not a field read.
@@ -313,17 +306,6 @@ impl TreeBdd {
         self.nodes.len().saturating_sub(2)
     }
 
-    /// `true` if the structure function is constant `false` (hazard
-    /// impossible).
-    pub fn is_false(&self) -> bool {
-        self.root == FALSE
-    }
-
-    /// `true` if the structure function is constant `true`.
-    pub fn is_true(&self) -> bool {
-        self.root == TRUE
-    }
-
     /// Exact top-event probability by Shannon decomposition, assuming
     /// independent leaves with the probabilities in `probs` (indexed by
     /// leaf index).
@@ -382,64 +364,6 @@ impl TreeBdd {
         }
     }
 
-    /// Extracts the minimal cut sets (minimal solutions) of the coherent
-    /// structure function, per Rauzy's recursion
-    /// `K(f) = K(f₀) ∪ x·(K(f₁) ⊖ K(f₀))`.
-    ///
-    /// # Errors
-    ///
-    /// [`FtaError::BudgetExceeded`] if intermediate collections exceed
-    /// [`crate::mcs::DEFAULT_BUDGET`].
-    pub fn minimal_cut_sets(&self) -> Result<CutSetCollection> {
-        self.minimal_cut_sets_with_budget(crate::mcs::DEFAULT_BUDGET)
-    }
-
-    /// [`minimal_cut_sets`](Self::minimal_cut_sets) with an explicit
-    /// budget on intermediate cut-set counts.
-    ///
-    /// # Errors
-    ///
-    /// [`FtaError::BudgetExceeded`] when the budget is exceeded.
-    pub fn minimal_cut_sets_with_budget(&self, budget: usize) -> Result<CutSetCollection> {
-        let mut memo: HashMap<Ref, Vec<CutSet>> = HashMap::new();
-        memo.insert(FALSE, Vec::new());
-        memo.insert(TRUE, vec![CutSet::empty()]);
-        let sets = self.minsol_rec(self.root, budget, &mut memo)?;
-        Ok(CutSetCollection::from_sets(sets))
-    }
-
-    fn minsol_rec(
-        &self,
-        r: Ref,
-        budget: usize,
-        memo: &mut HashMap<Ref, Vec<CutSet>>,
-    ) -> Result<Vec<CutSet>> {
-        if let Some(sets) = memo.get(&r) {
-            return Ok(sets.clone());
-        }
-        let node = self.nodes[r.0 as usize];
-        let leaf = self.level_to_leaf[node.var as usize];
-        let k0 = self.minsol_rec(node.low, budget, memo)?;
-        let k1 = self.minsol_rec(node.high, budget, memo)?;
-        // K(f₁) ⊖ K(f₀): drop solutions of the high branch already covered
-        // by a (smaller or equal) solution that works without the variable.
-        let mut result = k0.clone();
-        for s in k1 {
-            if k0.iter().any(|t| t.subsumes(&s)) {
-                continue;
-            }
-            result.push(s.union(&CutSet::singleton(leaf)));
-            if result.len() > budget {
-                return Err(FtaError::BudgetExceeded {
-                    what: "BDD minimal solutions",
-                    limit: budget,
-                });
-            }
-        }
-        memo.insert(r, result.clone());
-        Ok(result)
-    }
-
     /// Exports the Shannon decomposition as a flat, compilation-friendly
     /// plan: the internal nodes reachable from the root in bottom-up
     /// topological order (children always precede parents), each
@@ -483,16 +407,6 @@ impl TreeBdd {
     /// The number of leaves of the tree this BDD was built from.
     pub fn num_leaves(&self) -> usize {
         self.num_leaves
-    }
-
-    /// The variable order used, as leaf indices from root level down.
-    pub fn variable_order(&self) -> &[usize] {
-        &self.level_to_leaf
-    }
-
-    /// BDD level of a leaf, if the leaf occurs in the order.
-    pub fn level_of_leaf(&self, leaf: usize) -> Option<u32> {
-        self.leaf_to_level.get(&leaf).copied()
     }
 }
 
@@ -734,15 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn minimal_solutions_match_mocus() {
-        let ft = and_or_tree();
-        let bdd = TreeBdd::build(&ft).unwrap();
-        let from_bdd = bdd.minimal_cut_sets().unwrap();
-        let from_mocus = mcs::mocus(&ft).unwrap();
-        assert_eq!(from_bdd, from_mocus);
-    }
-
-    #[test]
     fn kofn_probability_is_exact_binomial() {
         // 2-of-3 with p = 0.1 each: 3 p²(1−p) + p³ = 0.028.
         let mut ft = FaultTree::new("t");
@@ -818,10 +723,6 @@ mod tests {
         let pm = ft.stored_probabilities().unwrap();
         assert!(
             (default.probability(&pm).unwrap() - custom.probability(&pm).unwrap()).abs() < 1e-15
-        );
-        assert_eq!(
-            default.minimal_cut_sets().unwrap(),
-            custom.minimal_cut_sets().unwrap()
         );
     }
 

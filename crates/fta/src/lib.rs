@@ -9,12 +9,12 @@
 //! * [`tree`] — arena-based fault-tree DAGs with validation, builders,
 //!   and traversal. INHIBIT conditions are first-class leaves (the paper's
 //!   Sect. II-D constraint probabilities attach to them).
-//! * [`mcs`] — minimal cut sets via MOCUS (top-down) and a memoized
-//!   bottom-up set-algebra engine; subsumption minimization.
+//! * [`mcs`] — minimal cut sets: the memoized bottom-up set-algebra
+//!   engine every library path uses, and top-down MOCUS as the tests'
+//!   reference; subsumption minimization.
 //! * [`bdd`] — a binary decision diagram package (unique table, ITE,
-//!   Shannon-decomposition probability, minimal-solution extraction) used
-//!   both as an exact quantification engine and as an independent oracle
-//!   for the cut-set algorithms.
+//!   Shannon-decomposition probability) used as the exact quantification
+//!   engine.
 //! * [`quant`] — hazard probabilities: the paper's rare-event
 //!   approximation (Eq. 1), the min-cut upper bound, exact
 //!   inclusion–exclusion, and BDD-exact evaluation.

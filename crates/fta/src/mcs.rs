@@ -1,19 +1,20 @@
 //! Minimal cut set computation.
 //!
-//! Two independent engines:
-//!
+//! * [`bottom_up`] — the library's engine: a memoized bottom-up
+//!   set-algebra pass that computes, for every node, the minimal cut sets
+//!   of the sub-DAG it roots. Every library path that needs cut sets
+//!   ([`FaultTree::minimal_cut_sets`], [`crate::quant`],
+//!   [`crate::importance`]) calls it.
 //! * [`mocus`] — the classical top-down MOCUS algorithm (Fussell &
 //!   Vesely): rows of node sets are expanded gate by gate until only
-//!   leaves remain, then subsumption-minimized.
-//! * [`bottom_up`] — a memoized bottom-up set-algebra engine that
-//!   computes, for every node, the minimal cut sets of the sub-DAG it
-//!   roots. Faster on trees with shared subtrees.
+//!   leaves remain, then subsumption-minimized. No library path calls
+//!   it; it is the independent reference the tests compare `bottom_up`
+//!   against on trees too large to enumerate.
 //!
-//! Both return the same [`CutSetCollection`] (a property the test suite
-//! and `proptest` enforce on random trees, with the BDD engine as a third
-//! oracle). INHIBIT gates are treated as AND — their conditions simply
-//! appear in the cut sets as condition leaves, which is exactly how the
-//! paper's Eq. 2 wants constraints to surface for quantification.
+//! Both return the same [`CutSetCollection`]. INHIBIT gates are treated
+//! as AND — their conditions simply appear in the cut sets as condition
+//! leaves, which is exactly how the paper's Eq. 2 wants constraints to
+//! surface for quantification.
 //!
 //! Both engines take an optional budget on intermediate cut-set counts and
 //! fail with [`FtaError::BudgetExceeded`] instead of exhausting memory on

@@ -24,13 +24,13 @@ use crate::tree::{FaultTree, GateKind, NodeId, NodeKind};
 use crate::Result;
 use std::collections::HashMap;
 
-/// Default reachable-node count above which a module's BDD is re-ordered
-/// by sifting (small BDDs are not worth the rebuilds).
-pub const DEFAULT_SIFT_THRESHOLD: usize = 512;
+/// Reachable-node count above which a module's BDD is re-ordered by
+/// sifting (small BDDs are not worth the rebuilds).
+const SIFT_THRESHOLD: usize = 512;
 
-/// Default cumulative allocated-node budget for one module's sifting
-/// pass (see [`TreeBdd::build_sifted`]).
-pub const DEFAULT_SIFT_BUDGET: usize = 1 << 17;
+/// Cumulative allocated-node budget for one module's sifting pass (see
+/// [`TreeBdd::build_sifted`]).
+const SIFT_BUDGET: usize = 1 << 17;
 
 /// What one slot of a module's local variable space stands for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,34 +89,19 @@ pub struct ModularPlan {
 
 impl ModularPlan {
     /// Decomposes `tree` into independent modules and compiles one
-    /// [`TreeBdd`] per module with the default sifting policy
-    /// ([`DEFAULT_SIFT_THRESHOLD`] / [`DEFAULT_SIFT_BUDGET`]).
+    /// [`TreeBdd`] per module. A module whose first-build BDD exceeds
+    /// 512 reachable nodes gets a greedy [`TreeBdd::build_sifted`]
+    /// re-ordering pass under a budget of 2¹⁷ allocated nodes, unless
+    /// that BDD is already within 4× of the module's input count: such
+    /// a BDD is near-linear — the variable order has nothing left to
+    /// win — and a sifting sweep over a wide module (one adjacent-swap
+    /// rebuild per input) would cost far more than any conceivable
+    /// saving.
     ///
     /// # Errors
     ///
     /// [`crate::FtaError::NoRoot`] if the tree has no root.
     pub fn build(tree: &FaultTree) -> Result<Self> {
-        Self::build_with_sifting(tree, DEFAULT_SIFT_THRESHOLD, DEFAULT_SIFT_BUDGET)
-    }
-
-    /// [`build`](Self::build) with an explicit sifting policy: modules
-    /// whose first-build BDD exceeds `sift_threshold` reachable nodes
-    /// get a greedy [`TreeBdd::build_sifted`] re-ordering pass under
-    /// `sift_budget` allocated nodes. `sift_threshold == usize::MAX`
-    /// disables sifting entirely. Modules whose BDD is already within
-    /// 4× of their input count are never sifted: such a BDD is
-    /// near-linear — the variable order has nothing left to win — and a
-    /// sifting sweep over a wide module (one adjacent-swap rebuild per
-    /// input) would cost far more than any conceivable saving.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::FtaError::NoRoot`] if the tree has no root.
-    pub fn build_with_sifting(
-        tree: &FaultTree,
-        sift_threshold: usize,
-        sift_budget: usize,
-    ) -> Result<Self> {
         let module_gates = detect_modules(tree)?;
         let module_of: HashMap<NodeId, usize> = module_gates
             .iter()
@@ -128,8 +113,8 @@ impl ModularPlan {
             let (local, inputs) = build_module_tree(tree, gate, &module_of)?;
             let mut bdd = TreeBdd::build(&local)?;
             let linear_floor = local.leaves().len().saturating_mul(4);
-            if bdd.node_count() > sift_threshold && bdd.node_count() > linear_floor {
-                let sifted = TreeBdd::build_sifted(&local, sift_budget)?;
+            if bdd.node_count() > SIFT_THRESHOLD && bdd.node_count() > linear_floor {
+                let sifted = TreeBdd::build_sifted(&local, SIFT_BUDGET)?;
                 if sifted.node_count() < bdd.node_count() {
                     bdd = sifted;
                 }

@@ -154,17 +154,19 @@ pub fn rare_event(mcs: &CutSetCollection, probs: &ProbabilityMap) -> Result<f64>
     Ok(sum)
 }
 
-/// Min-cut upper bound `1 − ∏(1 − P(MCS))`.
+/// Min-cut upper bound `1 − ∏(1 − P(MCS))`, evaluated as
+/// `−expm1(Σ ln(1 − P(MCS)))` so that it keeps full relative precision
+/// when every cut set is rare (`1 − ∏` would cancel to a few digits).
 ///
 /// # Errors
 ///
 /// [`FtaError::MissingProbability`] if a member leaf has no entry.
 pub fn min_cut_upper_bound(mcs: &CutSetCollection, probs: &ProbabilityMap) -> Result<f64> {
-    let mut complement = 1.0;
+    let mut ln_complement = 0.0;
     for cs in mcs.iter() {
-        complement *= 1.0 - cut_set_probability(cs, probs)?;
+        ln_complement += (-cut_set_probability(cs, probs)?).ln_1p();
     }
-    Ok(1.0 - complement)
+    Ok(0.0 - ln_complement.exp_m1())
 }
 
 /// Default budget on inclusion–exclusion terms (2²⁰).
@@ -356,6 +358,21 @@ mod tests {
         assert!(rare_event(&mcs, &probs).unwrap() > 1.0);
         // ...while the min-cut bound does not.
         assert!(min_cut_upper_bound(&mcs, &probs).unwrap() <= 1.0);
+    }
+
+    #[test]
+    fn min_cut_bound_keeps_relative_precision_on_rare_cut_sets() {
+        // {a}, {b} at 1e-12 each: the bound is 2e-12 − 1e-24, which
+        // `1 − ∏(1 − p)` would return with only about four correct digits.
+        let probs = ProbabilityMap::new(vec![1e-12, 1e-12]).unwrap();
+        let mcs =
+            CutSetCollection::from_sets(vec![CutSet::from_leaves([0]), CutSet::from_leaves([1])]);
+        let bound = min_cut_upper_bound(&mcs, &probs).unwrap();
+        let want = 2e-12 - 1e-24;
+        assert!((bound - want).abs() <= 1e-15 * want, "bound = {bound:e}");
+        // A certain cut set makes the bound exactly 1.
+        let certain = ProbabilityMap::new(vec![1.0, 1e-12]).unwrap();
+        assert_eq!(min_cut_upper_bound(&mcs, &certain).unwrap(), 1.0);
     }
 
     #[test]

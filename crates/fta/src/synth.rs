@@ -7,8 +7,9 @@
 //!   benchmark harness to sweep tree size while keeping the expected
 //!   minimal-cut-set counts checkable in closed form.
 //! * A seeded **random tree** generator ([`random_tree`]) — used by
-//!   property tests to cross-check the MOCUS / bottom-up / BDD engines
-//!   against each other on arbitrary structures.
+//!   property tests to check the bottom-up cut-set engine against MOCUS
+//!   and the quantification engines against an enumeration oracle on
+//!   arbitrary structures.
 
 use crate::tree::{FaultTree, NodeId};
 use rand::rngs::StdRng;
@@ -298,7 +299,6 @@ pub fn modular_tree(config: ModularTreeConfig) -> FaultTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bdd::TreeBdd;
     use crate::mcs;
 
     #[test]
@@ -334,9 +334,7 @@ mod tests {
             ft.validate().unwrap();
             let m = mcs::mocus(&ft).unwrap();
             let b = mcs::bottom_up(&ft).unwrap();
-            let bdd = TreeBdd::build(&ft).unwrap().minimal_cut_sets().unwrap();
             assert_eq!(m, b, "seed {seed}: mocus vs bottom-up");
-            assert_eq!(b, bdd, "seed {seed}: bottom-up vs bdd");
         }
     }
 

@@ -44,9 +44,8 @@ use crate::model::SafetyModel;
 use crate::{Result, SafeOptError};
 use safety_opt_engine::fleet::{Fleet, FleetBuilder, FleetEvaluator, FleetScratch};
 use safety_opt_engine::{
-    faultinject, CompileBudget, CompileStats, EngineError, EvalDeadline, GradWorkspace, Value,
+    faultinject, CompileBudget, CompileStats, EngineError, EvalDeadline, Value,
 };
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -303,18 +302,6 @@ impl CompiledFleet {
         }
     }
 
-    /// One model's compiled cost as a scalar optimization objective —
-    /// the fleet twin of [`crate::compile::CompiledModel::objective`]
-    /// without the memo cache.
-    pub fn model_objective(&self, model: usize) -> FleetModelObjective {
-        FleetModelObjective {
-            fleet: Arc::clone(&self.fleet),
-            model,
-            scratch: RefCell::new((Vec::new(), vec![0.0; self.n_hazards(model)])),
-            grad_ws: RefCell::new(GradWorkspace::new()),
-        }
-    }
-
     /// One model's compiled cost as a
     /// [`safety_opt_optim::BatchDifferentiableObjective`] — the hook the
     /// lockstep multi-start drivers plug into.
@@ -365,61 +352,6 @@ fn lower_model_into(builder: &mut FleetBuilder, model: &SafetyModel, dim: usize)
     Ok(())
 }
 
-/// One fleet model's cost as an [`safety_opt_optim::Objective`]
-/// (masked arena sweep; evaluation failures surface as `+∞`, exactly
-/// like [`crate::compile::CompiledObjective`]).
-#[derive(Debug)]
-pub struct FleetModelObjective {
-    fleet: Arc<Fleet>,
-    model: usize,
-    scratch: RefCell<(Vec<f64>, Vec<f64>)>,
-    grad_ws: RefCell<GradWorkspace>,
-}
-
-impl safety_opt_optim::Objective for FleetModelObjective {
-    fn eval(&self, x: &[f64]) -> f64 {
-        if x.len() != self.fleet.n_inputs() {
-            return f64::INFINITY;
-        }
-        let (scratch, hazards) = &mut *self.scratch.borrow_mut();
-        let v = self.fleet.eval_model_into(self.model, x, scratch, hazards);
-        if v.is_finite() {
-            v
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// The analytic-gradient hook, via the masked reverse-mode adjoint
-/// sweep ([`Fleet::eval_model_grad_into`]) — value and gradient match
-/// the standalone [`crate::compile::CompiledObjective`]'s `value_grad`
-/// bit for bit on the safety-model lowering (golden-pinned; in general
-/// the gradient carries the engine's ulp-level adjoint
-/// accumulation-order caveat when cross-model sharing reorders a
-/// subexpression's consumers). Evaluation
-/// failures surface as an `∞` value alongside the poisoned gradient
-/// (finite-difference fallback signal), exactly like the standalone
-/// twin.
-impl safety_opt_optim::DifferentiableObjective for FleetModelObjective {
-    fn value_grad(&self, x: &[f64], grad: &mut [f64]) -> f64 {
-        if x.len() != self.fleet.n_inputs() || grad.len() != x.len() {
-            grad.fill(f64::NAN);
-            return f64::INFINITY;
-        }
-        let ws = &mut *self.grad_ws.borrow_mut();
-        let (_, hazards) = &mut *self.scratch.borrow_mut();
-        let v = self
-            .fleet
-            .eval_model_grad_into(self.model, x, ws, hazards, grad);
-        if v.is_finite() {
-            v
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
 /// One fleet model's cost as a [`safety_opt_optim::BatchObjective`]:
 /// one parallel masked sweep per round, through the checked
 /// [`CompiledFleet::model_cost_batch`] /
@@ -461,8 +393,8 @@ impl FleetModelBatchObjective {
 }
 
 /// Values map non-finite to `∞`, and a wrong-arity batch is infeasible
-/// (all `∞`), like [`FleetModelObjective`]'s `eval`; engine errors
-/// re-raise, so a worker panic resumes with its own payload.
+/// (all `∞`), like [`crate::compile::CompiledObjective`]'s `eval`; engine
+/// errors re-raise, so a worker panic resumes with its own payload.
 impl safety_opt_optim::BatchObjective for FleetModelBatchObjective {
     fn eval_batch(&self, points: &[Vec<f64>], out: &mut Vec<f64>) {
         *out = feasible(self.costs(points)).unwrap_or_else(|| vec![f64::NAN; points.len()]);
@@ -476,8 +408,9 @@ impl safety_opt_optim::BatchObjective for FleetModelBatchObjective {
 /// into: one parallel masked adjoint sweep per round — and within
 /// each worker, the engine's lane-blocked SoA adjoint path. Values map
 /// non-finite to `∞` and gradients stay poisoned, pointwise identical
-/// to [`FleetModelObjective`]'s sequential `value_grad`; a wrong-arity
-/// batch is infeasible (`∞` values, NaN gradients).
+/// to the standalone [`crate::compile::CompiledObjective`]'s sequential
+/// `value_grad`; a wrong-arity batch is infeasible (`∞` values, NaN
+/// gradients).
 impl safety_opt_optim::BatchDifferentiableObjective for FleetModelBatchObjective {
     fn eval_grad_batch(&self, points: &[Vec<f64>], values: &mut Vec<f64>, grads: &mut Vec<f64>) {
         (*values, *grads) = feasible(self.grads(points)).unwrap_or_else(|| {
@@ -584,12 +517,6 @@ mod tests {
         for (k, model) in models.iter().enumerate() {
             let compiled = CompiledModel::compile_with_threads(model, 1).unwrap();
             let single = compiled.objective(false);
-            let fo = fleet.model_objective(k);
-            for p in grid_points() {
-                assert_eq!(fo.eval(&p).to_bits(), single.eval(&p).to_bits());
-            }
-            // Wrong arity is infeasible, not a panic.
-            assert_eq!(fo.eval(&[1.0]), f64::INFINITY);
             // Batch objective agrees pointwise.
             let bo = fleet.model_batch_objective(k);
             let pts = grid_points();
@@ -659,30 +586,18 @@ mod tests {
         for (k, model) in models.iter().enumerate() {
             let compiled = CompiledModel::compile_with_threads(model, 1).unwrap();
             let single = compiled.objective(false);
-            let fo = fleet.model_objective(k);
             let mut gs = vec![0.0; 2];
-            let mut gf = vec![0.0; 2];
-            for p in &points {
-                let vs = single.value_grad(p, &mut gs);
-                let vf = fo.value_grad(p, &mut gf);
-                assert_eq!(vs.to_bits(), vf.to_bits(), "value, model {k}");
-                for (a, b) in gs.iter().zip(&gf) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "grad, model {k}");
-                }
-            }
-            // Wrong arity poisons the gradient and returns ∞, like the
-            // standalone twin.
-            assert_eq!(fo.value_grad(&[1.0], &mut gf), f64::INFINITY);
-            // Batch gradient hook agrees pointwise with the sequential
-            // value_grad (the lockstep-vs-sequential invariant).
+            // Batch gradient hook agrees pointwise with the standalone
+            // model's sequential value_grad (the lockstep-vs-sequential
+            // invariant).
             let bo = fleet.model_batch_objective(k);
             let mut values = Vec::new();
             let mut grads = Vec::new();
             bo.eval_grad_batch(&points, &mut values, &mut grads);
             for (i, p) in points.iter().enumerate() {
-                let v = fo.value_grad(p, &mut gf);
+                let v = single.value_grad(p, &mut gs);
                 assert_eq!(values[i].to_bits(), v.to_bits(), "batch value {i}");
-                for (a, b) in grads[i * 2..i * 2 + 2].iter().zip(&gf) {
+                for (a, b) in grads[i * 2..i * 2 + 2].iter().zip(&gs) {
                     assert_eq!(a.to_bits(), b.to_bits(), "batch grad {i}");
                 }
             }
@@ -698,12 +613,13 @@ mod tests {
         let models = family(3);
         let fleet = CompiledFleet::compile_with_threads(&models, 2).unwrap();
         let domain = models[0].space().domain().unwrap();
-        for k in 0..models.len() {
+        for (k, model) in models.iter().enumerate() {
             let lockstep = MultiStart::new(GradientDescent::default(), 3)
                 .minimize_batch(&fleet.model_batch_objective(k), &domain)
                 .unwrap();
+            let standalone = CompiledModel::compile_with_threads(model, 1).unwrap();
             let sequential = MultiStart::new(GradientDescent::default(), 3)
-                .minimize_differentiable(&fleet.model_objective(k), &domain)
+                .minimize_differentiable(&standalone.objective(false), &domain)
                 .unwrap();
             assert_eq!(lockstep.best_x, sequential.best_x, "model {k}");
             assert_eq!(
@@ -726,13 +642,14 @@ mod tests {
         let models = family(3);
         let fleet = CompiledFleet::compile_with_threads(&models, 2).unwrap();
         let domain = models[0].space().domain().unwrap();
-        for k in 0..models.len() {
+        for (k, model) in models.iter().enumerate() {
             let ms = MultiStart::new(QuasiNewton::default(), 4);
             let lockstep = ms
                 .minimize_batch(&fleet.model_batch_objective(k), &domain)
                 .unwrap();
+            let standalone = CompiledModel::compile_with_threads(model, 1).unwrap();
             let sequential = ms
-                .minimize_differentiable(&fleet.model_objective(k), &domain)
+                .minimize_differentiable(&standalone.objective(false), &domain)
                 .unwrap();
             assert_eq!(lockstep.best_x, sequential.best_x, "model {k}");
             assert_eq!(
@@ -792,8 +709,11 @@ mod tests {
         let fleet = CompiledFleet::compile(std::slice::from_ref(&model)).unwrap();
         let costs = fleet.costs_all(&[vec![0.5]]).unwrap();
         assert!(costs[0].is_nan());
-        let obj = fleet.model_objective(0);
-        assert_eq!(obj.eval(&[0.5]), f64::INFINITY);
+        let mut out = Vec::new();
+        fleet
+            .model_batch_objective(0)
+            .eval_batch(&[vec![0.5]], &mut out);
+        assert_eq!(out, [f64::INFINITY]);
     }
 
     #[test]
@@ -852,18 +772,13 @@ mod tests {
         let compiled = CompiledModel::compile_with_threads(&models[0], 1).unwrap();
         let fleet = CompiledFleet::compile_with_threads(&models, 1).unwrap();
         let scalar = compiled.objective(false);
-        let fleet_scalar = fleet.model_objective(0);
         let batch = fleet.model_batch_objective(0);
         let point = vec![vec![19.0]];
         type Path<'a> = Box<dyn Fn() -> (Vec<f64>, Option<Vec<f64>>) + 'a>;
-        let paths: [(&str, Path<'_>); 6] = [
+        let paths: [(&str, Path<'_>); 5] = [
             (
                 "CompiledObjective::eval",
                 Box::new(|| (vec![scalar.eval(&point[0])], None)),
-            ),
-            (
-                "FleetModelObjective::eval",
-                Box::new(|| (vec![fleet_scalar.eval(&point[0])], None)),
             ),
             (
                 "CompiledModel::eval_batch",

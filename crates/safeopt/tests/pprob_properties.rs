@@ -4,6 +4,7 @@
 //! function.
 
 use proptest::prelude::*;
+use safety_opt_core::compile::CompiledModel;
 use safety_opt_core::model::{Hazard, SafetyModel};
 use safety_opt_core::param::{ParamId, ParamValues, ParameterSpace};
 use safety_opt_core::pprob::{complement, constant, exposure, overtime, product, scaled, ProbExpr};
@@ -102,5 +103,39 @@ proptest! {
         let early = e.eval(&ParamValues::new(&[t_small])).unwrap();
         let late = e.eval(&ParamValues::new(&[t_small + dt])).unwrap();
         prop_assert!(late <= early + 1e-12);
+    }
+
+    // The rare-event linearisation of an exposure: for λt ∈ [0, 0.1),
+    // `p = 1 − e^{−λt}` satisfies `0 ≤ λt − p ≤ (λt)²/2`, because the
+    // series `λt − p = (λt)²/2 − (λt)³/6 + …` alternates with falling
+    // terms. Checked on the scalar expression and on the compiled op,
+    // pointwise and through a lane-blocked batch.
+    #[test]
+    fn exposure_linearisation_error_is_bounded(
+        rate in 0.001f64..2.0,
+        u in 0.0f64..1.0,
+    ) {
+        let t_max = 0.1 / rate;
+        let mut space = ParameterSpace::new();
+        let t = space.parameter("t", 0.0, t_max).unwrap();
+        let expr = exposure(rate, t);
+        let hazard = Hazard::builder("h").cut_set("exposure", [expr.clone()]).build();
+        let compiled =
+            CompiledModel::compile_with_threads(&SafetyModel::new(space).hazard(hazard, 1.0), 1)
+                .unwrap();
+        let points: Vec<Vec<f64>> = (0..19).map(|k| vec![t_max * u * k as f64 / 19.0]).collect();
+        let (_, batch) = compiled.cost_and_hazards_batch(&points).unwrap();
+        for (point, &from_batch) in points.iter().zip(&batch) {
+            let lt = rate * point[0];
+            prop_assert!(lt < 0.1);
+            let scalar = expr.eval(&ParamValues::new(point)).unwrap();
+            let pointwise = compiled.cost(point).unwrap();
+            for (what, p) in [("scalar", scalar), ("pointwise", pointwise), ("batch", from_batch)] {
+                prop_assert!(
+                    (0.0..=lt * lt / 2.0).contains(&(lt - p)),
+                    "{what}: λt = {lt:e}, p = {p:e}, λt − p = {:e}", lt - p
+                );
+            }
+        }
     }
 }

@@ -36,15 +36,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tree = build_tree()?;
     print!("{}", to_ascii(&tree)?);
 
-    // Three independent engines must agree.
+    // Two independent cut-set engines must agree.
     let by_mocus = mcs::mocus(&tree)?;
     let by_bottom_up = mcs::bottom_up(&tree)?;
-    let bdd = TreeBdd::build(&tree)?;
-    let by_bdd = bdd.minimal_cut_sets()?;
     assert_eq!(by_mocus, by_bottom_up);
-    assert_eq!(by_bottom_up, by_bdd);
     println!(
-        "\n{} minimal cut sets (MOCUS ≡ bottom-up ≡ BDD), orders 1..{}",
+        "\n{} minimal cut sets (MOCUS ≡ bottom-up), orders 1..{}",
         by_mocus.len(),
         by_mocus.max_order()
     );
@@ -70,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  Eq. 1 over-estimates by {:.3} % (tiny: failure probabilities are small)",
         100.0 * report.rare_event_relative_error()
     );
-    println!("  BDD size: {} nodes", bdd.node_count());
+    println!("  BDD size: {} nodes", TreeBdd::build(&tree)?.node_count());
 
     // Importance: where to spend the next reliability euro.
     let importance = ImportanceReport::compute(&tree, &probs)?;

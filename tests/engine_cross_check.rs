@@ -1,9 +1,10 @@
-//! Property-based cross-checks of the three cut-set/quantification
-//! engines on randomly generated fault trees.
+//! Property-based cross-checks of the cut-set and quantification engines
+//! on randomly generated fault trees (the exactness claims themselves are
+//! checked against an enumeration oracle in `exactness_oracle.rs`).
 //!
 //! Invariants enforced on every random instance:
 //!
-//! * MOCUS ≡ bottom-up ≡ BDD minimal solutions,
+//! * MOCUS ≡ bottom-up minimal cut sets,
 //! * minimal cut sets form an antichain,
 //! * structure-function evaluation agrees between the cut sets and the
 //!   BDD on random leaf assignments,
@@ -42,9 +43,7 @@ proptest! {
         tree.validate().unwrap();
         let by_mocus = mcs::mocus(&tree).unwrap();
         let by_bottom_up = mcs::bottom_up(&tree).unwrap();
-        let by_bdd = TreeBdd::build(&tree).unwrap().minimal_cut_sets().unwrap();
         prop_assert_eq!(&by_mocus, &by_bottom_up);
-        prop_assert_eq!(&by_bottom_up, &by_bdd);
         prop_assert!(by_mocus.is_minimal(), "cut sets must form an antichain");
     }
 

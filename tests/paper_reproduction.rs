@@ -141,10 +141,10 @@ fn e5_short_runtime_collision_risk() {
 }
 
 /// E6 — Sect. IV-B.2: the fault trees reproduce the paper's minimal cut
-/// set structure, and all three cut-set engines agree on them.
+/// set structure, and MOCUS agrees with the bottom-up engine on them.
 #[test]
 fn e6_fault_tree_cut_sets() {
-    use safety_optimization::fta::{bdd::TreeBdd, mcs};
+    use safety_optimization::fta::mcs;
 
     let col = fault_trees::collision_tree().unwrap();
     let col_mcs = mcs::bottom_up(&col).unwrap();
@@ -161,8 +161,6 @@ fn e6_fault_tree_cut_sets() {
     for ft in [col, alr] {
         let a = mcs::mocus(&ft).unwrap();
         let b = mcs::bottom_up(&ft).unwrap();
-        let c = TreeBdd::build(&ft).unwrap().minimal_cut_sets().unwrap();
         assert_eq!(a, b);
-        assert_eq!(b, c);
     }
 }

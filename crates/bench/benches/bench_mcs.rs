@@ -56,7 +56,7 @@ fn bench_random_trees(c: &mut Criterion) {
 }
 
 fn bench_workload_size(c: &mut Criterion) {
-    // 48×12×4: 1105 gates, 2400 leaves (38 bit-set blocks), 2784 cut sets
+    // 48×12×4: 1105 gates, 2400 leaves (a 38-block universe), 2784 cut sets
     // of order ≤ 3 — where the lowest-leaf subsumption index pays.
     let tree = modular_tree(ModularTreeConfig {
         modules: 48,

@@ -426,14 +426,16 @@ macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
         $crate::proptest!(@config ($cfg) $($rest)*);
     };
+    // Outer attributes (`#[test]` itself, `///` doc comments, `#[ignore]`)
+    // pass through to the generated function, as upstream.
     (@config ($cfg:expr)
         $(
-            #[test]
+            $(#[$meta:meta])*
             fn $name:ident($($arg:pat in $strategy:expr),+ $(,)?) $body:block
         )*
     ) => {
         $(
-            #[test]
+            $(#[$meta])*
             fn $name() {
                 #[allow(unused_imports)]
                 use $crate::Strategy as _;
@@ -461,6 +463,11 @@ macro_rules! proptest {
                 );
             }
         )*
+    };
+    // Anything else after the config is a syntax error here, not another
+    // round of the default-config arm below.
+    (@config $($rest:tt)*) => {
+        compile_error!("unsupported `proptest!` syntax: expected `#[test] fn name(pat in strategy, …) { … }` items");
     };
     ($($rest:tt)*) => {
         $crate::proptest!(@config ($crate::ProptestConfig::default()) $($rest)*);
@@ -551,6 +558,12 @@ mod tests {
         fn ranges_stay_in_bounds(x in 0.0f64..1.0, n in 1usize..10) {
             prop_assert!((0.0..1.0).contains(&x));
             prop_assert!((1..10).contains(&n));
+        }
+
+        /// A doc comment before `#[test]` passes through to the test.
+        #[test]
+        fn doc_commented_properties_compile(n in 0usize..3) {
+            prop_assert!(n < 3);
         }
 
         #[test]

@@ -71,6 +71,7 @@ pub mod fast_erf;
 pub mod faultinject;
 pub mod fleet;
 pub mod grad;
+pub mod hash;
 pub mod profile;
 pub mod tape;
 

@@ -24,11 +24,11 @@
 //! arithmetic.
 
 use crate::fast_erf;
+use crate::hash::FxHashMap;
 pub(crate) use fuse::ModelOps;
 use safety_opt_stats::dist::{ContinuousDistribution, TruncatedNormal};
 use safety_opt_stats::special;
 use safety_opt_telemetry as telemetry;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 mod fuse;
@@ -773,6 +773,10 @@ impl Tape {
     }
 }
 
+/// [`TapeBuilder`]'s touch-order entry of a register the current model
+/// has not touched.
+const UNTOUCHED: u32 = u32::MAX;
+
 /// Builder for [`Tape`] with hash-consing and constant folding.
 ///
 /// Commutative n-ary ops (products, clamped sums) canonicalize their
@@ -785,18 +789,25 @@ impl Tape {
 /// its standalone tape would, keeping fleet evaluation bit-identical to
 /// per-model compilation even when hash-consing interleaves registers
 /// across models.
+///
+/// The hash-consing table is keyed by op structure (register numbers and
+/// float bit patterns) and hashes with the small [`FxHashMap`]; the touch
+/// order is a `Vec` indexed by register. No table here is keyed by text
+/// from the input, so none needs std's randomly seeded hasher (see
+/// [`crate::hash`]).
 #[derive(Default)]
 pub struct TapeBuilder {
     n_inputs: usize,
     ops: Vec<Op>,
     args: Vec<Reg>,
-    interned: HashMap<OpKey, Reg>,
+    interned: FxHashMap<OpKey, Reg>,
     outputs: Vec<Value>,
     weights: Vec<f64>,
     stats: CompileStats,
     /// First-touch sequence number per register for the model currently
-    /// being lowered (inputs are pre-touched in index order).
-    touch: HashMap<Reg, u32>,
+    /// being lowered (inputs are pre-touched in index order), indexed by
+    /// register; [`UNTOUCHED`] past the end or where not touched yet.
+    touch: Vec<u32>,
     next_touch: u32,
 }
 
@@ -828,22 +839,22 @@ impl TapeBuilder {
     /// a standalone build of that model would.
     pub(crate) fn reset_model_order(&mut self) {
         self.touch.clear();
-        for i in 0..self.n_inputs {
-            self.touch.insert(Reg(i as u32), i as u32);
-        }
+        self.touch.extend(0..self.n_inputs as u32);
         self.next_touch = self.n_inputs as u32;
     }
 
     /// First-touch sequence number of `r` for the current model,
     /// assigned on demand.
     fn touch_key(&mut self, r: Reg) -> u32 {
-        if let Some(&k) = self.touch.get(&r) {
-            return k;
+        let i = r.index();
+        if i >= self.touch.len() {
+            self.touch.resize(i + 1, UNTOUCHED);
         }
-        let k = self.next_touch;
-        self.touch.insert(r, k);
-        self.next_touch += 1;
-        k
+        if self.touch[i] == UNTOUCHED {
+            self.touch[i] = self.next_touch;
+            self.next_touch += 1;
+        }
+        self.touch[i]
     }
 
     /// Register holding input coordinate `i`.
@@ -978,7 +989,7 @@ impl TapeBuilder {
                     self.touch_key(r);
                 }
                 let touch = &self.touch;
-                regs.sort_by_key(|r| touch[r]);
+                regs.sort_by_key(|r| touch[r.index()]);
                 let key = OpKey::Product(c.to_bits(), regs.clone());
                 if let Some(&r) = self.interned.get(&key) {
                     // First demand of an op interned by an earlier model
@@ -1012,7 +1023,7 @@ impl TapeBuilder {
             self.touch_key(r);
         }
         let touch = &self.touch;
-        regs.sort_by_key(|r| touch[r]);
+        regs.sort_by_key(|r| touch[r.index()]);
         let key = OpKey::SumClamp(b.to_bits(), regs.clone());
         if let Some(&r) = self.interned.get(&key) {
             // First demand of an op interned by an earlier model still
@@ -1118,8 +1129,10 @@ impl TapeBuilder {
         let mut touched: Vec<(u32, u32)> = self
             .touch
             .iter()
-            .filter(|(r, _)| r.index() >= self.n_inputs)
-            .map(|(r, &k)| (k, (r.index() - self.n_inputs) as u32))
+            .enumerate()
+            .skip(self.n_inputs)
+            .filter(|&(_, &k)| k != UNTOUCHED)
+            .map(|(r, &k)| (k, (r - self.n_inputs) as u32))
             .collect();
         touched.sort_unstable();
         touched.into_iter().map(|(_, slot)| slot).collect()

@@ -12,11 +12,17 @@
 //! apply and memoized probability evaluation. Variables are the tree's
 //! leaves, ordered by first DFS visit (a standard, effective static
 //! heuristic).
+//!
+//! The unique and ITE tables, keyed by node triples, hash with the
+//! engine's small [`FxHashMap`]; every memo keyed by a tree node, BDD
+//! node, level or leaf slot is a `Vec` indexed by it. Only tables keyed
+//! by names from the input text keep std's randomly seeded hasher, since
+//! a fixed hash would let chosen names collide.
 
 use crate::quant::ProbabilityMap;
 use crate::tree::{FaultTree, GateKind, NodeId, NodeKind};
 use crate::{FtaError, Result};
-use std::collections::HashMap;
+use safety_opt_engine::hash::FxHashMap;
 
 use safety_opt_telemetry as telemetry;
 
@@ -75,15 +81,30 @@ pub struct TreeBdd {
     num_leaves: usize,
 }
 
-/// Internal construction state (unique table + op caches).
-struct Builder {
-    nodes: Vec<BddNode>,
-    unique: HashMap<(u32, Ref, Ref), Ref>,
-    ite_cache: HashMap<(Ref, Ref, Ref), Ref>,
+/// The unique table and the ITE cache, hashed as the [module
+/// docs](self) describe. A run of builds (the modules of one plan, the
+/// candidate orders of a sifting pass) passes one set from build to
+/// build, so their memory is allocated once.
+#[derive(Default)]
+pub(crate) struct BddTables {
+    unique: FxHashMap<(u32, Ref, Ref), Ref>,
+    ite_cache: FxHashMap<(Ref, Ref, Ref), Ref>,
 }
 
-impl Builder {
-    fn new() -> Self {
+/// Internal construction state: the node arena and the tables.
+struct Builder<'t> {
+    nodes: Vec<BddNode>,
+    unique: &'t mut FxHashMap<(u32, Ref, Ref), Ref>,
+    ite_cache: &'t mut FxHashMap<(Ref, Ref, Ref), Ref>,
+}
+
+impl<'t> Builder<'t> {
+    /// A manager for `variables` variables over emptied `tables`.
+    /// Building a fault tree's BDD allocates a few nodes and ITE results
+    /// per variable (about seven and six on the industrial tree's top
+    /// module), so both tables get room for eight per variable up front
+    /// instead of growing through repeated rehashes.
+    fn new(variables: usize, tables: &'t mut BddTables) -> Self {
         let terminals = vec![
             BddNode {
                 var: u32::MAX,
@@ -96,10 +117,15 @@ impl Builder {
                 high: TRUE,
             },
         ];
+        let BddTables { unique, ite_cache } = tables;
+        unique.clear();
+        ite_cache.clear();
+        unique.reserve(8 * variables);
+        ite_cache.reserve(8 * variables);
         Self {
             nodes: terminals,
-            unique: HashMap::new(),
-            ite_cache: HashMap::new(),
+            unique,
+            ite_cache,
         }
     }
 
@@ -189,6 +215,17 @@ impl TreeBdd {
     /// [`FtaError::UnknownNode`] if `order` references an invalid leaf or
     /// omits a reachable one.
     pub fn build_with_order(tree: &FaultTree, order: Vec<usize>) -> Result<Self> {
+        Self::build_in(tree, order, &mut BddTables::default())
+    }
+
+    /// [`build`](Self::build) on reused tables.
+    pub(crate) fn build_reusing(tree: &FaultTree, tables: &mut BddTables) -> Result<Self> {
+        let order = dfs_leaf_order(tree)?;
+        Self::build_in(tree, order, tables)
+    }
+
+    /// [`build_with_order`](Self::build_with_order) on reused tables.
+    fn build_in(tree: &FaultTree, order: Vec<usize>, tables: &mut BddTables) -> Result<Self> {
         // Deterministic fault-injection site: every BDD compilation
         // funnels through here (`build`, `build_sifted`, module-wise
         // plans), so one armed site covers all Shannon/apply work.
@@ -200,29 +237,29 @@ impl TreeBdd {
             });
         }
         let root_id = tree.root()?;
-        let mut leaf_to_level: HashMap<usize, u32> = HashMap::new();
+        let mut leaf_to_level = vec![NO_LEVEL; tree.leaves().len()];
         for (level, &leaf) in order.iter().enumerate() {
-            if leaf >= tree.leaves().len() {
+            let Some(slot) = leaf_to_level.get_mut(leaf) else {
                 return Err(FtaError::UnknownNode {
                     reference: format!("leaf index {leaf}"),
                 });
-            }
-            if leaf_to_level.insert(leaf, level as u32).is_some() {
+            };
+            if std::mem::replace(slot, level as u32) != NO_LEVEL {
                 return Err(FtaError::UnknownNode {
                     reference: format!("duplicate leaf index {leaf} in order"),
                 });
             }
         }
         for leaf in tree.reachable_leaves()? {
-            if !leaf_to_level.contains_key(&leaf) {
+            if leaf_to_level[leaf] == NO_LEVEL {
                 return Err(FtaError::UnknownNode {
                     reference: format!("reachable leaf index {leaf} missing from order"),
                 });
             }
         }
 
-        let mut b = Builder::new();
-        let mut memo: HashMap<NodeId, Ref> = HashMap::new();
+        let mut b = Builder::new(order.len(), tables);
+        let mut memo: Vec<Option<Ref>> = vec![None; tree.len()];
         let root = build_node(tree, root_id, &leaf_to_level, &mut b, &mut memo);
         let built = Self {
             nodes: b.nodes,
@@ -253,7 +290,8 @@ impl TreeBdd {
     /// [`FtaError::NoRoot`] if the tree has no root.
     pub fn build_sifted(tree: &FaultTree, node_budget: usize) -> Result<Self> {
         let mut order = dfs_leaf_order(tree)?;
-        let mut best = Self::build_with_order(tree, order.clone())?;
+        let mut tables = BddTables::default();
+        let mut best = Self::build_in(tree, order.clone(), &mut tables)?;
         let mut spent = best.allocated_count();
         if order.len() < 2 {
             return Ok(best);
@@ -262,7 +300,7 @@ impl TreeBdd {
             let mut improved = false;
             for i in 0..order.len() - 1 {
                 order.swap(i, i + 1);
-                let candidate = Self::build_with_order(tree, order.clone())?;
+                let candidate = Self::build_in(tree, order.clone(), &mut tables)?;
                 spent = spent.saturating_add(candidate.allocated_count());
                 let better = candidate.node_count() < best.node_count();
                 if better {
@@ -286,17 +324,19 @@ impl TreeBdd {
     /// became garbage during intermediate folds; see
     /// [`allocated_count`](Self::allocated_count).
     pub fn node_count(&self) -> usize {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = vec![false; self.nodes.len()];
+        let mut count = 0;
         let mut stack = vec![self.root];
         while let Some(r) = stack.pop() {
-            if r == TRUE || r == FALSE || !seen.insert(r) {
+            if r == TRUE || r == FALSE || std::mem::replace(&mut seen[r.0 as usize], true) {
                 continue;
             }
+            count += 1;
             let node = self.nodes[r.0 as usize];
             stack.push(node.low);
             stack.push(node.high);
         }
-        seen.len()
+        count
     }
 
     /// Total nodes allocated by the manager, including construction
@@ -315,19 +355,14 @@ impl TreeBdd {
     /// [`FtaError::MissingProbability`] if a leaf used by the BDD has no
     /// entry in `probs`.
     pub fn probability(&self, probs: &ProbabilityMap) -> Result<f64> {
-        let mut memo: HashMap<Ref, f64> = HashMap::new();
-        memo.insert(FALSE, 0.0);
-        memo.insert(TRUE, 1.0);
+        let mut memo: Vec<Option<f64>> = vec![None; self.nodes.len()];
+        memo[FALSE.0 as usize] = Some(0.0);
+        memo[TRUE.0 as usize] = Some(1.0);
         self.prob_rec(self.root, probs, &mut memo)
     }
 
-    fn prob_rec(
-        &self,
-        r: Ref,
-        probs: &ProbabilityMap,
-        memo: &mut HashMap<Ref, f64>,
-    ) -> Result<f64> {
-        if let Some(&p) = memo.get(&r) {
+    fn prob_rec(&self, r: Ref, probs: &ProbabilityMap, memo: &mut [Option<f64>]) -> Result<f64> {
+        if let Some(p) = memo[r.0 as usize] {
             return Ok(p);
         }
         let node = self.nodes[r.0 as usize];
@@ -340,7 +375,7 @@ impl TreeBdd {
         let p_low = self.prob_rec(node.low, probs, memo)?;
         let p_high = self.prob_rec(node.high, probs, memo)?;
         let p = p_leaf * p_high + (1.0 - p_leaf) * p_low;
-        memo.insert(r, p);
+        memo[r.0 as usize] = Some(p);
         Ok(p)
     }
 
@@ -371,23 +406,25 @@ impl TreeBdd {
     /// interface the evaluation-engine lowering consumes — one fused
     /// `p·hi + (1−p)·lo` op per node.
     pub fn shannon_plan(&self) -> ShannonPlan {
-        let mut index: HashMap<Ref, ShannonRef> = HashMap::new();
-        index.insert(FALSE, ShannonRef::False);
-        index.insert(TRUE, ShannonRef::True);
+        let mut index: Vec<Option<ShannonRef>> = vec![None; self.nodes.len()];
+        index[FALSE.0 as usize] = Some(ShannonRef::False);
+        index[TRUE.0 as usize] = Some(ShannonRef::True);
+        let exported =
+            |index: &[Option<ShannonRef>], r: Ref| index[r.0 as usize].expect("child first");
         let mut nodes = Vec::new();
         let mut stack: Vec<(Ref, bool)> = vec![(self.root, false)];
         while let Some((r, expanded)) = stack.pop() {
-            if index.contains_key(&r) {
+            if index[r.0 as usize].is_some() {
                 continue;
             }
             let node = self.nodes[r.0 as usize];
             if expanded {
                 let plan_node = ShannonNode {
                     leaf: self.level_to_leaf[node.var as usize],
-                    low: index[&node.low],
-                    high: index[&node.high],
+                    low: exported(&index, node.low),
+                    high: exported(&index, node.high),
                 };
-                index.insert(r, ShannonRef::Node(nodes.len()));
+                index[r.0 as usize] = Some(ShannonRef::Node(nodes.len()));
                 nodes.push(plan_node);
             } else {
                 stack.push((r, true));
@@ -399,7 +436,7 @@ impl TreeBdd {
         SHANNON_NODES.add(nodes.len() as u64);
         ShannonPlan {
             nodes,
-            root: index[&self.root],
+            root: exported(&index, self.root),
             num_leaves: self.num_leaves,
         }
     }
@@ -541,21 +578,24 @@ fn dfs_leaf_order(tree: &FaultTree) -> Result<Vec<usize>> {
     Ok(order)
 }
 
+/// [`TreeBdd::build_with_order`]'s level of a leaf that is not in the
+/// order.
+const NO_LEVEL: u32 = u32::MAX;
+
 fn build_node(
     tree: &FaultTree,
     id: NodeId,
-    leaf_to_level: &HashMap<usize, u32>,
+    leaf_to_level: &[u32],
     b: &mut Builder,
-    memo: &mut HashMap<NodeId, Ref>,
+    memo: &mut [Option<Ref>],
 ) -> Ref {
-    if let Some(&r) = memo.get(&id) {
+    if let Some(r) = memo[id.index()] {
         return r;
     }
     let r = match tree.node(id).kind() {
         NodeKind::BasicEvent { .. } | NodeKind::Condition { .. } => {
             let leaf = tree.leaf_index(id).expect("leaf slot");
-            let level = leaf_to_level[&leaf];
-            b.variable(level)
+            b.variable(leaf_to_level[leaf])
         }
         NodeKind::Gate { kind, inputs } => {
             let input_refs: Vec<Ref> = inputs
@@ -571,7 +611,7 @@ fn build_node(
             }
         }
     };
-    memo.insert(id, r);
+    memo[id.index()] = Some(r);
     r
 }
 
@@ -581,11 +621,11 @@ fn build_node(
 /// inputs) cost `O(n log n)` apply work instead of the linear fold's
 /// `O(n²)` — each level merges sub-results of comparable size rather
 /// than dragging one ever-growing accumulator past every input.
-fn reduce_balanced(
-    b: &mut Builder,
+fn reduce_balanced<'t>(
+    b: &mut Builder<'t>,
     mut refs: Vec<Ref>,
     unit: Ref,
-    op: impl Fn(&mut Builder, Ref, Ref) -> Ref,
+    op: impl Fn(&mut Builder<'t>, Ref, Ref) -> Ref,
 ) -> Ref {
     if refs.is_empty() {
         return unit;

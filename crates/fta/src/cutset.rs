@@ -333,7 +333,7 @@ mod tests {
 
     // The indexed minimization returns exactly the definition's antichain,
     // in the same order, from empty collections up to a hundred-odd sets
-    // and over one to 47 bit-set blocks.
+    // and over leaf universes of one to 47 bit-set blocks.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
 

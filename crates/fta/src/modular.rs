@@ -18,11 +18,10 @@
 //! root value simply feeds the parent's Shannon chain (the engine's
 //! fused `Chain` op) where a leaf input would have been.
 
-use crate::bdd::{ShannonPlan, ShannonRef, TreeBdd};
+use crate::bdd::{BddTables, ShannonPlan, ShannonRef, TreeBdd};
 use crate::preprocess::detect_modules;
 use crate::tree::{FaultTree, GateKind, NodeId, NodeKind};
 use crate::Result;
-use std::collections::HashMap;
 
 /// Reachable-node count above which a module's BDD is re-ordered by
 /// sifting (small BDDs are not worth the rebuilds).
@@ -103,15 +102,16 @@ impl ModularPlan {
     /// [`crate::FtaError::NoRoot`] if the tree has no root.
     pub fn build(tree: &FaultTree) -> Result<Self> {
         let module_gates = detect_modules(tree)?;
-        let module_of: HashMap<NodeId, usize> = module_gates
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i))
-            .collect();
+        let mut module_of: Vec<Option<usize>> = vec![None; tree.len()];
+        for (i, &id) in module_gates.iter().enumerate() {
+            module_of[id.index()] = Some(i);
+        }
+        let mut local_ids: Vec<Option<NodeId>> = vec![None; tree.len()];
+        let mut tables = BddTables::default();
         let mut modules = Vec::with_capacity(module_gates.len());
         for &gate in &module_gates {
-            let (local, inputs) = build_module_tree(tree, gate, &module_of)?;
-            let mut bdd = TreeBdd::build(&local)?;
+            let (local, inputs) = build_module_tree(tree, gate, &module_of, &mut local_ids)?;
+            let mut bdd = TreeBdd::build_reusing(&local, &mut tables)?;
             let linear_floor = local.leaves().len().saturating_mul(4);
             if bdd.node_count() > SIFT_THRESHOLD && bdd.node_count() > linear_floor {
                 let sifted = TreeBdd::build_sifted(&local, SIFT_BUDGET)?;
@@ -269,14 +269,19 @@ impl ModularPlan {
 /// Extracts module `gate`'s local tree: a standalone [`FaultTree`] whose
 /// leaves are the module's own leaves plus one pseudo basic-event per
 /// nested module top, with the slot mapping recorded as [`PlanInput`]s.
+///
+/// `module_of` gives each module gate's index, `map` is an all-`None`
+/// node → local-node table of `tree.len()` entries that a successful call
+/// hands back all `None` again, so one table serves every module.
 fn build_module_tree(
     tree: &FaultTree,
     gate: NodeId,
-    module_of: &HashMap<NodeId, usize>,
+    module_of: &[Option<usize>],
+    map: &mut [Option<NodeId>],
 ) -> Result<(FaultTree, Vec<PlanInput>)> {
     let mut local = FaultTree::new(tree.node(gate).name());
     let mut inputs: Vec<PlanInput> = Vec::new();
-    let mut map: HashMap<NodeId, NodeId> = HashMap::new();
+    let mut mapped: Vec<NodeId> = Vec::new();
     let mut stack: Vec<(NodeId, bool)> = vec![(gate, false)];
     while let Some((id, expanded)) = stack.pop() {
         if expanded {
@@ -284,21 +289,25 @@ fn build_module_tree(
                 unreachable!("only gates get an exit phase");
             };
             let name = tree.node(id).name();
-            let local_inputs: Vec<NodeId> = gi.iter().map(|c| map[c]).collect();
+            let local_inputs: Vec<NodeId> = gi
+                .iter()
+                .map(|c| map[c.index()].expect("inputs map first"))
+                .collect();
             let lid = match kind {
                 GateKind::And => local.and_gate(name, local_inputs)?,
                 GateKind::Or => local.or_gate(name, local_inputs)?,
                 GateKind::KOfN(k) => local.k_of_n_gate(name, *k, local_inputs)?,
                 GateKind::Inhibit => local.inhibit_gate(name, local_inputs[0], local_inputs[1])?,
             };
-            map.insert(id, lid);
+            map[id.index()] = Some(lid);
+            mapped.push(id);
             continue;
         }
-        if map.contains_key(&id) {
+        if map[id.index()].is_some() {
             continue;
         }
         let node = tree.node(id);
-        let nested_module = id != gate && module_of.contains_key(&id);
+        let nested_module = id != gate && module_of[id.index()].is_some();
         if node.is_leaf() || nested_module {
             // A local pseudo-variable. Names stay collision-free: the
             // original tree enforced uniqueness and a nested module's
@@ -308,11 +317,11 @@ fn build_module_tree(
             } else {
                 local.basic_event(node.name())?
             };
-            map.insert(id, lid);
-            inputs.push(if nested_module {
-                PlanInput::Module(module_of[&id])
-            } else {
-                PlanInput::Leaf(tree.leaf_index(id).expect("leaf slot"))
+            map[id.index()] = Some(lid);
+            mapped.push(id);
+            inputs.push(match module_of[id.index()] {
+                Some(j) if nested_module => PlanInput::Module(j),
+                _ => PlanInput::Leaf(tree.leaf_index(id).expect("leaf slot")),
             });
         } else {
             stack.push((id, true));
@@ -324,7 +333,10 @@ fn build_module_tree(
             }
         }
     }
-    let root = map[&gate];
+    let root = map[gate.index()].expect("the module gate maps last");
+    for id in mapped {
+        map[id.index()] = None;
+    }
     local.set_root(root)?;
     Ok((local, inputs))
 }

@@ -29,9 +29,32 @@
 //!
 //! [`to_text`] emits this format; `parse(to_text(t))` reproduces the tree
 //! (up to leaf ordering, which the writer preserves).
+//!
+//! # How the parser reads
+//!
+//! [`parse`] reads the text once, line by line, and scans each line in
+//! place, finding delimiters eight bytes at a time (every delimiter is
+//! ASCII, so a byte test never splits a UTF-8 character). A name is a
+//! slice borrowed from the text; only a quoted name with escapes is
+//! decoded into a new string. Each name is interned once into a symbol
+//! table that later becomes the tree's name index, so every occurrence
+//! of a name is hashed once, with std's randomly seeded hasher since the
+//! keys come from the input. A gate stores its inputs as symbols in one
+//! shared argument array; a reference to a gate defined further down is
+//! a symbol still pending. When every line is read, the leaves are
+//! created in declaration order and the gates in depth-first order of
+//! their references, by an explicit walk rather than recursion, so
+//! chains of any depth parse.
+//!
+//! Errors and their line numbers are those of the line-at-a-time parser
+//! this one replaced (`tests/parse_roundtrip.rs` keeps it as the
+//! reference both are checked against): syntax errors first, in line
+//! order, then the tree builder's errors in creation order, then the
+//! `top` checks.
 
-use crate::tree::{FaultTree, GateKind, NodeId, NodeKind};
+use crate::tree::{check_probability, FaultTree, GateKind, NodeId, NodeKind};
 use crate::{FtaError, Result};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Parses a fault tree from its textual representation.
@@ -42,239 +65,566 @@ use std::collections::HashMap;
 /// [`FtaError::CyclicTree`] for recursive gate definitions, plus the usual
 /// structural errors (duplicate names, bad thresholds, missing `top`).
 pub fn parse(text: &str) -> Result<FaultTree> {
-    let mut tree_name: Option<String> = None;
-    let mut top_name: Option<(String, usize)> = None;
-    // name -> (kind, prob, line) for leaves
-    let mut leaf_decls: Vec<(String, bool, Option<f64>, usize)> = Vec::new();
-    // name -> (gate spec, line)
-    let mut gate_decls: Vec<(String, GateSpec, usize)> = Vec::new();
-
+    // Every line declares at most one node: sizing the tables by the
+    // line count spares their growth rehashes.
+    let mut decls = Declarations::with_capacity(text.bytes().filter(|&b| b == b'\n').count() + 1);
+    let mut lines = 0;
     for (lineno, raw) in text.lines().enumerate() {
-        let lineno = lineno + 1;
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
+        lines = lineno + 1;
+        decls.read_line(raw, lines)?;
+    }
+    decls.build(lines)
+}
+
+/// A leaf statement: `basic`/`cond`, the name's symbol and the optional
+/// probability.
+struct LeafDecl {
+    symbol: usize,
+    condition: bool,
+    probability: Option<f64>,
+}
+
+/// A gate definition: its name's symbol, kind, inputs (a range of
+/// [`Declarations::args`]) and line.
+struct GateDecl {
+    symbol: usize,
+    kind: GateKind,
+    args: std::ops::Range<usize>,
+    line: usize,
+}
+
+/// Everything one read of the text declares, names interned.
+#[derive(Default)]
+struct Declarations<'a> {
+    tree_name: Option<Cow<'a, str>>,
+    top: Option<(Cow<'a, str>, usize)>,
+    /// Symbol → name.
+    names: Vec<Cow<'a, str>>,
+    /// Name → symbol, as `NodeId(symbol)` until [`build`](Self::build)
+    /// turns each symbol into its node's id and hands the table to the
+    /// tree as its name index, so a name is hashed once per occurrence.
+    /// Keys come from the text, so the table keeps std's randomly seeded
+    /// hasher.
+    symbols: HashMap<String, NodeId>,
+    leaves: Vec<LeafDecl>,
+    gates: Vec<GateDecl>,
+    /// Every gate's input symbols, back to back.
+    args: Vec<usize>,
+}
+
+impl<'a> Declarations<'a> {
+    fn with_capacity(lines: usize) -> Self {
+        Self {
+            names: Vec::with_capacity(lines),
+            symbols: HashMap::with_capacity(lines),
+            ..Self::default()
         }
-        if let Some(rest) = line.strip_prefix("tree ") {
-            let (name, rest) = take_name(rest, lineno)?;
-            expect_empty(rest, lineno)?;
-            tree_name = Some(name);
-        } else if let Some(rest) = line.strip_prefix("top ") {
-            let (name, rest) = take_name(rest, lineno)?;
-            expect_empty(rest, lineno)?;
-            top_name = Some((name, lineno));
-        } else if let Some(rest) = line.strip_prefix("basic ") {
-            let (name, prob) = parse_leaf(rest, lineno)?;
-            leaf_decls.push((name, false, prob, lineno));
-        } else if let Some(rest) = line.strip_prefix("cond ") {
-            let (name, prob) = parse_leaf(rest, lineno)?;
-            leaf_decls.push((name, true, prob, lineno));
-        } else if let Some((lhs, rhs)) = split_top_level(line, ":=") {
-            let (name, spec) = parse_gate(lhs, rhs, lineno)?;
-            gate_decls.push((name, spec, lineno));
+    }
+
+    fn intern(&mut self, name: Cow<'a, str>) -> usize {
+        if let Some(symbol) = self.symbols.get(name.as_ref()) {
+            return symbol.0;
+        }
+        let symbol = self.names.len();
+        self.symbols
+            .insert(name.as_ref().to_owned(), NodeId(symbol));
+        self.names.push(name);
+        symbol
+    }
+
+    /// [`intern`](Self::intern) for a name being declared, which is
+    /// usually new: its key is made up front, so a new name is hashed
+    /// once.
+    fn declare(&mut self, name: Cow<'a, str>) -> usize {
+        let next = self.names.len();
+        let symbol = self
+            .symbols
+            .entry(name.as_ref().to_owned())
+            .or_insert(NodeId(next))
+            .0;
+        if symbol == next {
+            self.names.push(name);
+        }
+        symbol
+    }
+
+    /// Reads one line (without its line break).
+    fn read_line(&mut self, raw: &'a str, line: usize) -> Result<()> {
+        let (code, walrus) = scan_line(raw);
+        let stmt = code.trim();
+        if stmt.is_empty() {
+            return Ok(());
+        }
+        if let Some(rest) = stmt.strip_prefix("tree ") {
+            let (name, rest) = take_name(rest, line)?;
+            expect_empty(rest, line)?;
+            self.tree_name = Some(name);
+        } else if let Some(rest) = stmt.strip_prefix("top ") {
+            let (name, rest) = take_name(rest, line)?;
+            expect_empty(rest, line)?;
+            self.top = Some((name, line));
+        } else if let Some(rest) = stmt.strip_prefix("basic ") {
+            self.read_leaf(rest, false, line)?;
+        } else if let Some(rest) = stmt.strip_prefix("cond ") {
+            self.read_leaf(rest, true, line)?;
+        } else if let Some(at) = walrus {
+            // `scan_line` indexes the raw line, `stmt` starts after its
+            // leading whitespace, which holds no `:=`.
+            let at = at - (code.len() - code.trim_start().len());
+            self.read_gate(&stmt[..at], &stmt[at + 2..], line)?;
         } else {
             return Err(FtaError::Parse {
-                line: lineno,
-                message: format!("unrecognized statement: {line:?}"),
+                line,
+                message: format!("unrecognized statement: {stmt:?}"),
             });
         }
+        Ok(())
     }
 
-    let name = tree_name.unwrap_or_else(|| "fault-tree".to_string());
-    let mut ft = FaultTree::new(name);
-
-    // Create leaves in declaration order so leaf indices are stable.
-    let mut ids: HashMap<String, NodeId> = HashMap::new();
-    for (name, is_cond, prob, _line) in &leaf_decls {
-        let id = match (is_cond, prob) {
-            (false, Some(p)) => ft.basic_event_with_probability(name.clone(), *p)?,
-            (false, None) => ft.basic_event(name.clone())?,
-            (true, Some(p)) => ft.condition_with_probability(name.clone(), *p)?,
-            (true, None) => ft.condition(name.clone())?,
+    fn read_leaf(&mut self, rest: &'a str, condition: bool, line: usize) -> Result<()> {
+        let (name, rest) = take_name(rest, line)?;
+        let rest = rest.trim();
+        let probability = if rest.is_empty() {
+            None
+        } else {
+            let p = rest.strip_prefix("p=").ok_or_else(|| FtaError::Parse {
+                line,
+                message: format!("expected `p=<value>`, found {rest:?}"),
+            })?;
+            Some(p.trim().parse().map_err(|_| FtaError::Parse {
+                line,
+                message: format!("invalid probability literal {p:?}"),
+            })?)
         };
-        ids.insert(name.clone(), id);
-    }
-
-    // Build gates depth-first over the reference graph, detecting cycles.
-    let gate_index: HashMap<String, usize> = gate_decls
-        .iter()
-        .enumerate()
-        .map(|(i, (n, _, _))| (n.clone(), i))
-        .collect();
-    let mut state = vec![0u8; gate_decls.len()]; // 0 unvisited, 1 visiting, 2 done
-    for i in 0..gate_decls.len() {
-        build_gate(i, &gate_decls, &gate_index, &mut state, &mut ids, &mut ft)?;
-    }
-
-    let (top, top_line) = top_name.ok_or(FtaError::Parse {
-        line: text.lines().count().max(1),
-        message: "missing `top <name>` statement".to_string(),
-    })?;
-    let top_id = *ids.get(&top).ok_or(FtaError::Parse {
-        line: top_line,
-        message: format!("top references unknown node {top:?}"),
-    })?;
-    ft.set_root(top_id)?;
-    Ok(ft)
-}
-
-#[derive(Debug, Clone)]
-enum GateSpec {
-    And(Vec<String>),
-    Or(Vec<String>),
-    KOfN(usize, Vec<String>),
-    Inhibit(String, String),
-}
-
-impl GateSpec {
-    fn references(&self) -> Vec<&String> {
-        match self {
-            GateSpec::And(v) | GateSpec::Or(v) => v.iter().collect(),
-            GateSpec::KOfN(_, v) => v.iter().collect(),
-            GateSpec::Inhibit(a, b) => vec![a, b],
-        }
-    }
-}
-
-fn build_gate(
-    i: usize,
-    decls: &[(String, GateSpec, usize)],
-    index: &HashMap<String, usize>,
-    state: &mut [u8],
-    ids: &mut HashMap<String, NodeId>,
-    ft: &mut FaultTree,
-) -> Result<()> {
-    if state[i] == 2 {
-        return Ok(());
-    }
-    if state[i] == 1 {
-        return Err(FtaError::CyclicTree {
-            via: decls[i].0.clone(),
+        let symbol = self.declare(name);
+        self.leaves.push(LeafDecl {
+            symbol,
+            condition,
+            probability,
         });
+        Ok(())
     }
-    state[i] = 1;
-    let (name, spec, line) = &decls[i];
-    for r in spec.references() {
-        if let Some(&j) = index.get(r) {
-            build_gate(j, decls, index, state, ids, ft)?;
-        } else if !ids.contains_key(r) {
+
+    fn read_gate(&mut self, lhs: &'a str, rhs: &'a str, line: usize) -> Result<()> {
+        let (name, lhs_rest) = take_name(lhs, line)?;
+        expect_empty(lhs_rest, line)?;
+        let rhs = rhs.trim();
+        let open = rhs.find('(').ok_or_else(|| FtaError::Parse {
+            line,
+            message: format!("expected gate form after :=, found {rhs:?}"),
+        })?;
+        if !rhs.ends_with(')') {
             return Err(FtaError::Parse {
-                line: *line,
-                message: format!("gate {name:?} references undeclared node {r:?}"),
+                line,
+                message: "gate definition must end with `)`".to_string(),
             });
         }
-    }
-    let resolve = |name: &String| -> NodeId { ids[name] };
-    let id = match spec {
-        GateSpec::And(inputs) => ft.and_gate(name.clone(), inputs.iter().map(resolve))?,
-        GateSpec::Or(inputs) => ft.or_gate(name.clone(), inputs.iter().map(resolve))?,
-        GateSpec::KOfN(k, inputs) => {
-            ft.k_of_n_gate(name.clone(), *k, inputs.iter().map(resolve))?
-        }
-        GateSpec::Inhibit(cause, cond) => {
-            ft.inhibit_gate(name.clone(), resolve(cause), resolve(cond))?
-        }
-    };
-    ids.insert(name.clone(), id);
-    state[i] = 2;
-    Ok(())
-}
-
-fn strip_comment(line: &str) -> &str {
-    // `#` outside quotes starts a comment (backslash escapes keep a
-    // quoted `\"` from toggling the quote state).
-    let mut in_quote = false;
-    let mut escaped = false;
-    for (i, c) in line.char_indices() {
-        if escaped {
-            escaped = false;
-            continue;
-        }
-        match c {
-            '\\' if in_quote => escaped = true,
-            '"' => in_quote = !in_quote,
-            '#' if !in_quote => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-/// Splits `s` at the first occurrence of `pat` that sits outside quoted
-/// names (so `"a:=b" := or(x)` splits at the real definition marker, and
-/// an inhibit argument named `"a|b"` does not split the cause/condition).
-fn split_top_level<'a>(s: &'a str, pat: &str) -> Option<(&'a str, &'a str)> {
-    let mut in_quote = false;
-    let mut escaped = false;
-    for (i, c) in s.char_indices() {
-        if escaped {
-            escaped = false;
-            continue;
-        }
-        match c {
-            '\\' if in_quote => escaped = true,
-            '"' => in_quote = !in_quote,
-            _ if !in_quote && s[i..].starts_with(pat) => {
-                return Some((&s[..i], &s[i + pat.len()..]));
+        let body = &rhs[open + 1..rhs.len() - 1];
+        let start = self.args.len();
+        let kind = match rhs[..open].trim() {
+            "and" => {
+                self.read_inputs(body, line)?;
+                GateKind::And
             }
-            _ => {}
+            "or" => {
+                self.read_inputs(body, line)?;
+                GateKind::Or
+            }
+            "kofn" => {
+                let (k_str, list) = body.split_once(';').ok_or_else(|| FtaError::Parse {
+                    line,
+                    message: "kofn needs the form kofn(k; a, b, …)".to_string(),
+                })?;
+                let k = k_str.trim().parse().map_err(|_| FtaError::Parse {
+                    line,
+                    message: format!("invalid threshold {k_str:?}"),
+                })?;
+                self.read_inputs(list, line)?;
+                GateKind::KOfN(k)
+            }
+            "inhibit" => {
+                let at = find_unquoted(body, b'|').ok_or_else(|| FtaError::Parse {
+                    line,
+                    message: "inhibit needs the form inhibit(cause | condition)".to_string(),
+                })?;
+                let (cause, r1) = take_name(&body[..at], line)?;
+                expect_empty(r1, line)?;
+                let (cond, r2) = take_name(&body[at + 1..], line)?;
+                expect_empty(r2, line)?;
+                let cause = self.intern(cause);
+                let cond = self.intern(cond);
+                self.args.extend([cause, cond]);
+                GateKind::Inhibit
+            }
+            other => {
+                return Err(FtaError::Parse {
+                    line,
+                    message: format!("unknown gate type {other:?}"),
+                })
+            }
+        };
+        let symbol = self.declare(name);
+        self.gates.push(GateDecl {
+            symbol,
+            kind,
+            args: start..self.args.len(),
+            line,
+        });
+        Ok(())
+    }
+
+    /// Reads a comma-separated input list onto [`args`](Self::args);
+    /// blank entries are skipped, and at least one input is required.
+    ///
+    /// Each entry is read from where the previous one ended: a name (a
+    /// bare name stops before any comma, a quoted one holds no comma
+    /// outside its quotes), then blanks up to the comma or the end. Only
+    /// an entry with more after its name looks for its comma, to report
+    /// the rest of that entry.
+    fn read_inputs(&mut self, body: &'a str, line: usize) -> Result<()> {
+        let start = self.args.len();
+        let mut rest = body.trim_start();
+        while !rest.is_empty() {
+            if let Some(next) = rest.strip_prefix(',') {
+                rest = next.trim_start();
+                continue;
+            }
+            // A bare-name error shows the entry, not the rest of the list.
+            let (name, tail) = take_name(rest, line).map_err(|e| {
+                if rest.starts_with('"') {
+                    e
+                } else {
+                    expected_name(entry(rest), line)
+                }
+            })?;
+            let symbol = self.intern(name);
+            self.args.push(symbol);
+            let tail = tail.trim_start();
+            rest = match tail.strip_prefix(',') {
+                Some(next) => next.trim_start(),
+                None if tail.is_empty() => tail,
+                None => return expect_empty(entry(tail), line),
+            };
+        }
+        if self.args.len() == start {
+            return Err(FtaError::Parse {
+                line,
+                message: "gate needs at least one input".to_string(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Creates the tree: leaves in declaration order, then every gate
+    /// after the gates it references, in declaration order otherwise.
+    /// `lines` is the text's line count (the line of a missing `top`).
+    ///
+    /// Each node runs the checks of the [`FaultTree`] builder method that
+    /// would create it, in the same order; the name check reads which
+    /// symbols already have a node instead of a name index.
+    fn build(self, lines: usize) -> Result<FaultTree> {
+        let name = match &self.tree_name {
+            Some(name) => name.to_string(),
+            None => "fault-tree".to_string(),
+        };
+        let mut ft = FaultTree::new(name);
+        ft.reserve(self.leaves.len() + self.gates.len());
+        let mut node_of: Vec<Option<NodeId>> = vec![None; self.names.len()];
+        for leaf in &self.leaves {
+            if let Some(p) = leaf.probability {
+                check_probability(&self.names[leaf.symbol], p)?;
+            }
+            let kind = if leaf.condition {
+                NodeKind::Condition {
+                    probability: leaf.probability,
+                }
+            } else {
+                NodeKind::BasicEvent {
+                    probability: leaf.probability,
+                }
+            };
+            self.create(&mut ft, &mut node_of, leaf.symbol, kind)?;
+        }
+
+        // The last definition of a name is the one references reach.
+        let mut gate_of: Vec<Option<usize>> = vec![None; self.names.len()];
+        for (i, gate) in self.gates.iter().enumerate() {
+            gate_of[gate.symbol] = Some(i);
+        }
+        const UNVISITED: u8 = 0;
+        const VISITING: u8 = 1;
+        const DONE: u8 = 2;
+        let mut state = vec![UNVISITED; self.gates.len()];
+        // Depth-first walk: (gate, next input to resolve).
+        let mut stack: Vec<(usize, usize)> = Vec::new();
+        for root in 0..self.gates.len() {
+            if state[root] == DONE {
+                continue;
+            }
+            state[root] = VISITING;
+            stack.push((root, 0));
+            while let Some((g, next)) = stack.last_mut() {
+                let gate = &self.gates[*g];
+                let args = &self.args[gate.args.clone()];
+                if let Some(&r) = args.get(*next) {
+                    *next += 1;
+                    match gate_of[r] {
+                        Some(j) if state[j] == DONE => {}
+                        Some(j) if state[j] == VISITING => {
+                            return Err(FtaError::CyclicTree {
+                                via: self.names[self.gates[j].symbol].to_string(),
+                            });
+                        }
+                        Some(j) => {
+                            state[j] = VISITING;
+                            stack.push((j, 0));
+                        }
+                        None if node_of[r].is_none() => {
+                            return Err(FtaError::Parse {
+                                line: gate.line,
+                                message: format!(
+                                    "gate {:?} references undeclared node {:?}",
+                                    self.names[gate.symbol], self.names[r]
+                                ),
+                            });
+                        }
+                        None => {}
+                    }
+                    continue;
+                }
+                let inputs: Vec<NodeId> = args
+                    .iter()
+                    .map(|&r| node_of[r].expect("inputs are created first"))
+                    .collect();
+                ft.check_gate(&self.names[gate.symbol], gate.kind, &inputs)?;
+                let kind = NodeKind::Gate {
+                    kind: gate.kind,
+                    inputs,
+                };
+                self.create(&mut ft, &mut node_of, gate.symbol, kind)?;
+                state[*g] = DONE;
+                stack.pop();
+            }
+        }
+
+        let (top, top_line) = self.top.ok_or(FtaError::Parse {
+            line: lines.max(1),
+            message: "missing `top <name>` statement".to_string(),
+        })?;
+        let top_id = self
+            .symbols
+            .get(top.as_ref())
+            .and_then(|symbol| node_of[symbol.0])
+            .ok_or_else(|| FtaError::Parse {
+                line: top_line,
+                message: format!("top references unknown node {top:?}"),
+            })?;
+        // Every symbol is a declared node or a resolved reference to one.
+        let mut names = self.symbols;
+        for id in names.values_mut() {
+            *id = node_of[id.0].expect("every name has its node");
+        }
+        ft.set_name_index(names);
+        ft.set_root(top_id)?;
+        Ok(ft)
+    }
+
+    /// Creates the node of `symbol` unless its name is taken.
+    fn create(
+        &self,
+        ft: &mut FaultTree,
+        node_of: &mut [Option<NodeId>],
+        symbol: usize,
+        kind: NodeKind,
+    ) -> Result<()> {
+        if node_of[symbol].is_some() {
+            return Err(FtaError::DuplicateName {
+                name: self.names[symbol].to_string(),
+            });
+        }
+        node_of[symbol] = Some(ft.push_unnamed(self.names[symbol].to_string(), kind));
+        Ok(())
+    }
+}
+
+/// Index of the first byte at or after `from` that is one of `set`, or
+/// `bytes.len()`. Eight bytes are tested at a time: a byte equal to
+/// `b` is a zero byte of the word xor `b`, which the classic
+/// `(x − 0x01…) & !x & 0x80…` test flags. Borrows can flag a byte above a
+/// true zero byte too, never below one, so the lowest flag is exact.
+fn find_byte<const N: usize>(bytes: &[u8], from: usize, set: [u8; N]) -> usize {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    let mut i = from;
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let word = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        let mut flags = 0;
+        for b in set {
+            let x = word ^ (LO * u64::from(b));
+            flags |= x.wrapping_sub(LO) & !x & HI;
+        }
+        if flags != 0 {
+            return i + (flags.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    while let Some(b) = bytes.get(i) {
+        if set.contains(b) {
+            return i;
+        }
+        i += 1;
+    }
+    bytes.len().max(from)
+}
+
+/// Index of the `"` that closes a quoted name whose text starts at
+/// `from`, skipping escaped characters, or `bytes.len()` (or past it)
+/// if the quote is not closed.
+fn closing_quote(bytes: &[u8], mut from: usize) -> usize {
+    loop {
+        from = find_byte(bytes, from, [b'"', b'\\']);
+        match bytes.get(from) {
+            Some(b'\\') => from += 2,
+            _ => return from,
         }
     }
-    None
+}
+
+/// One scan of a raw line under the quote rules (`"` toggles a quoted
+/// name, `\` escapes the next character inside one): the text before
+/// the first `#` outside quotes, and the byte index of the first `:=`
+/// outside quotes in that text.
+fn scan_line(line: &str) -> (&str, Option<usize>) {
+    let bytes = line.as_bytes();
+    let mut walrus = None;
+    let mut i = 0;
+    loop {
+        i = find_byte(bytes, i, [b'"', b'#', b':']);
+        match bytes.get(i) {
+            None => return (line, walrus),
+            Some(b'#') => return (&line[..i], walrus),
+            Some(b':') => {
+                if walrus.is_none() && bytes.get(i + 1) == Some(&b'=') {
+                    walrus = Some(i);
+                }
+                i += 1;
+            }
+            Some(_) => i = closing_quote(bytes, i + 1) + 1,
+        }
+    }
+}
+
+/// Byte index of the first `delim` outside quoted names.
+fn find_unquoted(s: &str, delim: u8) -> Option<usize> {
+    let bytes = s.as_bytes();
+    let mut i = 0;
+    loop {
+        i = find_byte(bytes, i, [b'"', delim]);
+        match bytes.get(i) {
+            None => return None,
+            Some(b'"') => i = closing_quote(bytes, i + 1) + 1,
+            Some(_) => return Some(i),
+        }
+    }
 }
 
 /// Reads a (possibly quoted) name from the front of `s`; returns the name
-/// and the remaining string. Quoted names decode the escapes [`quote`]
-/// emits (`\"`, `\\`, `\n`, `\r`).
-fn take_name(s: &str, line: usize) -> Result<(String, &str)> {
+/// and the remaining string. A bare name is borrowed from `s`; a quoted
+/// one too unless it holds escapes ([`quote`] emits `\"`, `\\`, `\n`,
+/// `\r`), which are decoded into a new string.
+fn take_name(s: &str, line: usize) -> Result<(Cow<'_, str>, &str)> {
     let s = s.trim_start();
-    if let Some(rest) = s.strip_prefix('"') {
-        let mut name = String::new();
-        let mut chars = rest.char_indices();
-        loop {
-            let Some((i, c)) = chars.next() else {
+    let Some(rest) = s.strip_prefix('"') else {
+        let end = bare_name_len(s);
+        if end == 0 {
+            return Err(expected_name(s, line));
+        }
+        return Ok((Cow::Borrowed(&s[..end]), &s[end..]));
+    };
+    let bytes = rest.as_bytes();
+    let mut decoded: Option<String> = None;
+    // Start of the run of plain characters not yet copied to `decoded`.
+    let mut run = 0;
+    let mut i = 0;
+    loop {
+        i = find_byte(bytes, i, [b'"', b'\\']);
+        match bytes.get(i) {
+            None => {
                 return Err(FtaError::Parse {
                     line,
                     message: "unterminated quoted name".to_string(),
-                });
-            };
-            match c {
-                '"' => return Ok((name, &rest[i + 1..])),
-                '\\' => {
-                    let Some((_, esc)) = chars.next() else {
+                })
+            }
+            Some(b'"') => {
+                let name = match decoded {
+                    None => Cow::Borrowed(&rest[..i]),
+                    Some(mut name) => {
+                        name.push_str(&rest[run..i]);
+                        Cow::Owned(name)
+                    }
+                };
+                return Ok((name, &rest[i + 1..]));
+            }
+            Some(b'\\') => {
+                let Some(esc) = rest[i + 1..].chars().next() else {
+                    return Err(FtaError::Parse {
+                        line,
+                        message: "dangling escape in quoted name".to_string(),
+                    });
+                };
+                let name = decoded.get_or_insert_with(String::new);
+                name.push_str(&rest[run..i]);
+                name.push(match esc {
+                    '"' => '"',
+                    '\\' => '\\',
+                    'n' => '\n',
+                    'r' => '\r',
+                    other => {
                         return Err(FtaError::Parse {
                             line,
-                            message: "dangling escape in quoted name".to_string(),
-                        });
-                    };
-                    name.push(match esc {
-                        '"' => '"',
-                        '\\' => '\\',
-                        'n' => '\n',
-                        'r' => '\r',
-                        other => {
-                            return Err(FtaError::Parse {
-                                line,
-                                message: format!("unknown escape `\\{other}` in quoted name"),
-                            })
-                        }
-                    });
-                }
-                c => name.push(c),
+                            message: format!("unknown escape `\\{other}` in quoted name"),
+                        })
+                    }
+                });
+                i += 1 + esc.len_utf8();
+                run = i;
+            }
+            Some(_) => unreachable!("find_byte stops at a quote or a backslash"),
+        }
+    }
+}
+
+/// Length in bytes of the bare name (alphanumerics, `_` and `-`) that
+/// starts `s`.
+fn bare_name_len(s: &str) -> usize {
+    let bytes = s.as_bytes();
+    let mut i = 0;
+    while let Some(&b) = bytes.get(i) {
+        if b.is_ascii_alphanumeric() || b == b'_' || b == b'-' {
+            i += 1;
+        } else if b.is_ascii() {
+            break;
+        } else {
+            match s[i..].chars().next() {
+                Some(c) if c.is_alphanumeric() => i += c.len_utf8(),
+                _ => break,
             }
         }
-    } else {
-        let end = s
-            .find(|c: char| !(c.is_alphanumeric() || c == '_' || c == '-'))
-            .unwrap_or(s.len());
-        if end == 0 {
-            return Err(FtaError::Parse {
-                line,
-                message: format!("expected a name at {s:?}"),
-            });
-        }
-        Ok((s[..end].to_string(), &s[end..]))
     }
+    i
+}
+
+fn expected_name(s: &str, line: usize) -> FtaError {
+    FtaError::Parse {
+        line,
+        message: format!("expected a name at {s:?}"),
+    }
+}
+
+/// The entry of an input list that starts `s`: up to the first comma
+/// outside quoted names.
+fn entry(s: &str) -> &str {
+    &s[..find_unquoted(s, b',').unwrap_or(s.len())]
 }
 
 fn expect_empty(rest: &str, line: usize) -> Result<()> {
@@ -286,122 +636,6 @@ fn expect_empty(rest: &str, line: usize) -> Result<()> {
             message: format!("unexpected trailing input: {:?}", rest.trim()),
         })
     }
-}
-
-fn parse_leaf(rest: &str, line: usize) -> Result<(String, Option<f64>)> {
-    let (name, rest) = take_name(rest, line)?;
-    let rest = rest.trim();
-    if rest.is_empty() {
-        return Ok((name, None));
-    }
-    let p = rest.strip_prefix("p=").ok_or(FtaError::Parse {
-        line,
-        message: format!("expected `p=<value>`, found {rest:?}"),
-    })?;
-    let value: f64 = p.trim().parse().map_err(|_| FtaError::Parse {
-        line,
-        message: format!("invalid probability literal {p:?}"),
-    })?;
-    Ok((name, Some(value)))
-}
-
-fn parse_gate(lhs: &str, rhs: &str, line: usize) -> Result<(String, GateSpec)> {
-    let (name, lhs_rest) = take_name(lhs, line)?;
-    expect_empty(lhs_rest, line)?;
-    let rhs = rhs.trim();
-    let open = rhs.find('(').ok_or(FtaError::Parse {
-        line,
-        message: format!("expected gate form after :=, found {rhs:?}"),
-    })?;
-    if !rhs.ends_with(')') {
-        return Err(FtaError::Parse {
-            line,
-            message: "gate definition must end with `)`".to_string(),
-        });
-    }
-    let head = rhs[..open].trim();
-    let body = &rhs[open + 1..rhs.len() - 1];
-    let spec = match head {
-        "and" => GateSpec::And(parse_name_list(body, line)?),
-        "or" => GateSpec::Or(parse_name_list(body, line)?),
-        "kofn" => {
-            let (k_str, list) = body.split_once(';').ok_or(FtaError::Parse {
-                line,
-                message: "kofn needs the form kofn(k; a, b, …)".to_string(),
-            })?;
-            let k: usize = k_str.trim().parse().map_err(|_| FtaError::Parse {
-                line,
-                message: format!("invalid threshold {k_str:?}"),
-            })?;
-            GateSpec::KOfN(k, parse_name_list(list, line)?)
-        }
-        "inhibit" => {
-            let (cause, cond) = split_top_level(body, "|").ok_or(FtaError::Parse {
-                line,
-                message: "inhibit needs the form inhibit(cause | condition)".to_string(),
-            })?;
-            let (cause, r1) = take_name(cause, line)?;
-            expect_empty(r1, line)?;
-            let (cond, r2) = take_name(cond, line)?;
-            expect_empty(r2, line)?;
-            GateSpec::Inhibit(cause, cond)
-        }
-        other => {
-            return Err(FtaError::Parse {
-                line,
-                message: format!("unknown gate type {other:?}"),
-            })
-        }
-    };
-    Ok((name, spec))
-}
-
-fn parse_name_list(body: &str, line: usize) -> Result<Vec<String>> {
-    let mut out = Vec::new();
-    for part in split_top_level_commas(body) {
-        let (name, rest) = take_name(&part, line)?;
-        expect_empty(rest, line)?;
-        out.push(name);
-    }
-    if out.is_empty() {
-        return Err(FtaError::Parse {
-            line,
-            message: "gate needs at least one input".to_string(),
-        });
-    }
-    Ok(out)
-}
-
-fn split_top_level_commas(s: &str) -> Vec<String> {
-    let mut parts = Vec::new();
-    let mut current = String::new();
-    let mut in_quote = false;
-    let mut escaped = false;
-    for c in s.chars() {
-        if escaped {
-            escaped = false;
-            current.push(c);
-            continue;
-        }
-        match c {
-            '\\' if in_quote => {
-                escaped = true;
-                current.push(c);
-            }
-            '"' => {
-                in_quote = !in_quote;
-                current.push(c);
-            }
-            ',' if !in_quote => {
-                parts.push(std::mem::take(&mut current));
-            }
-            _ => current.push(c),
-        }
-    }
-    if !current.trim().is_empty() || !parts.is_empty() {
-        parts.push(current);
-    }
-    parts.into_iter().filter(|p| !p.trim().is_empty()).collect()
 }
 
 /// Serializes a fault tree to the textual format accepted by [`parse`].

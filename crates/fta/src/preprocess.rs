@@ -39,7 +39,6 @@
 
 use crate::tree::{FaultTree, GateKind, NodeId, NodeKind};
 use crate::Result;
-use std::collections::HashMap;
 
 use safety_opt_telemetry as telemetry;
 
@@ -171,7 +170,7 @@ pub fn preprocess_with_constants(
         tree,
         fanout: &fanout,
         specs: Vec::new(),
-        memo: HashMap::new(),
+        memo: vec![None; tree.len()],
         tally: Tally::default(),
     };
     let root_res = rw.rewrite(root, &mut constant);
@@ -258,13 +257,14 @@ struct Rewriter<'t> {
     tree: &'t FaultTree,
     fanout: &'t [usize],
     specs: Vec<Spec>,
-    memo: HashMap<NodeId, Res>,
+    /// Rewrite result per original node, indexed by node.
+    memo: Vec<Option<Res>>,
     tally: Tally,
 }
 
 impl Rewriter<'_> {
     fn rewrite(&mut self, id: NodeId, constant: &mut impl FnMut(usize) -> Option<bool>) -> Res {
-        if let Some(&r) = self.memo.get(&id) {
+        if let Some(r) = self.memo[id.index()] {
             return r;
         }
         let r = match self.tree.node(id).kind() {
@@ -293,7 +293,7 @@ impl Rewriter<'_> {
                 }
             }
         };
-        self.memo.insert(id, r);
+        self.memo[id.index()] = Some(r);
         r
     }
 
@@ -451,7 +451,7 @@ fn materialize(original: &FaultTree, specs: &[Spec], root: Res) -> Result<FaultT
         leaf_ids.push(id);
     }
 
-    let mut built: HashMap<usize, NodeId> = HashMap::new();
+    let mut built: Vec<Option<NodeId>> = vec![None; specs.len()];
     let mut fresh = 0usize;
     let root_id = match root {
         Res::Const(_) => unreachable!("constant roots are handled by the caller"),
@@ -473,11 +473,11 @@ fn build_spec(
     j: usize,
     specs: &[Spec],
     leaf_ids: &[NodeId],
-    built: &mut HashMap<usize, NodeId>,
+    built: &mut [Option<NodeId>],
     fresh: &mut usize,
     ft: &mut FaultTree,
 ) -> Result<NodeId> {
-    if let Some(&id) = built.get(&j) {
+    if let Some(id) = built[j] {
         return Ok(id);
     }
     let spec = &specs[j];
@@ -511,7 +511,7 @@ fn build_spec(
         SpecKind::Or => ft.or_gate(name, inputs)?,
         SpecKind::KOfN(k) => ft.k_of_n_gate(name, k, inputs)?,
     };
-    built.insert(j, id);
+    built[j] = Some(id);
     Ok(id)
 }
 

@@ -11,6 +11,7 @@
 //! are allowed and handled correctly by every algorithm in this crate.
 
 use crate::{FtaError, Result};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Opaque handle to a node inside one [`FaultTree`].
@@ -161,15 +162,29 @@ impl FaultTree {
     }
 
     fn add_node(&mut self, name: String, kind: NodeKind) -> Result<NodeId> {
-        if self.names.contains_key(&name) {
-            return Err(FtaError::DuplicateName { name });
-        }
+        let entry = match self.names.entry(name) {
+            Entry::Occupied(taken) => {
+                return Err(FtaError::DuplicateName {
+                    name: taken.key().clone(),
+                });
+            }
+            Entry::Vacant(entry) => entry,
+        };
+        let id = NodeId(self.nodes.len());
+        let name = entry.key().clone();
+        entry.insert(id);
+        Ok(self.push_unnamed(name, kind))
+    }
+
+    /// Appends a node whose name the caller guarantees unique, without
+    /// entering it in the name index: the parser hands over its own
+    /// finished index with [`set_name_index`](Self::set_name_index).
+    pub(crate) fn push_unnamed(&mut self, name: String, kind: NodeKind) -> NodeId {
         let id = NodeId(self.nodes.len());
         let is_leaf = matches!(
             kind,
             NodeKind::BasicEvent { .. } | NodeKind::Condition { .. }
         );
-        self.names.insert(name.clone(), id);
         self.nodes.push(Node { name, kind });
         if is_leaf {
             self.leaf_slot.push(Some(self.leaves.len()));
@@ -177,7 +192,21 @@ impl FaultTree {
         } else {
             self.leaf_slot.push(None);
         }
-        Ok(id)
+        id
+    }
+
+    /// Reserves room for `additional` more nodes.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.nodes.reserve(additional);
+        self.leaf_slot.reserve(additional);
+    }
+
+    /// Installs the name index of a tree built by
+    /// [`push_unnamed`](Self::push_unnamed): every node's name, mapped to
+    /// its id.
+    pub(crate) fn set_name_index(&mut self, names: HashMap<String, NodeId>) {
+        debug_assert_eq!(names.len(), self.nodes.len(), "one entry per node");
+        self.names = names;
     }
 
     /// Appends `input` to `gate`'s inputs without the builder's checks,
@@ -249,37 +278,51 @@ impl FaultTree {
     }
 
     fn gate(&mut self, name: String, kind: GateKind, inputs: Vec<NodeId>) -> Result<NodeId> {
+        self.check_gate(&name, kind, &inputs)?;
+        self.add_node(name, NodeKind::Gate { kind, inputs })
+    }
+
+    /// The checks [`and_gate`](Self::and_gate) and its siblings make
+    /// before the name check, in their order: inputs present, existing
+    /// and distinct, and `1 <= k <= n` for k-of-n.
+    pub(crate) fn check_gate(&self, name: &str, kind: GateKind, inputs: &[NodeId]) -> Result<()> {
         if inputs.is_empty() {
-            return Err(FtaError::EmptyGate { gate: name });
+            return Err(FtaError::EmptyGate {
+                gate: name.to_owned(),
+            });
         }
-        for &input in &inputs {
+        for &input in inputs {
             if input.0 >= self.nodes.len() {
                 return Err(FtaError::UnknownNode {
                     reference: format!("#{}", input.0),
                 });
             }
         }
-        let mut seen = std::collections::HashSet::new();
-        for &input in &inputs {
-            if !seen.insert(input) {
-                return Err(FtaError::UnknownNode {
-                    reference: format!(
-                        "duplicate input {:?} to gate {name:?}",
-                        self.nodes[input.0].name
-                    ),
-                });
-            }
+        let mut sorted = inputs.to_vec();
+        sorted.sort_unstable();
+        if sorted.windows(2).any(|w| w[0] == w[1]) {
+            // Report the first input that repeats an earlier one.
+            let repeat = (1..inputs.len())
+                .find(|&i| inputs[..i].contains(&inputs[i]))
+                .expect("a repeated input");
+            let input = inputs[repeat];
+            return Err(FtaError::UnknownNode {
+                reference: format!(
+                    "duplicate input {:?} to gate {name:?}",
+                    self.nodes[input.0].name
+                ),
+            });
         }
         if let GateKind::KOfN(k) = kind {
             if k == 0 || k > inputs.len() {
                 return Err(FtaError::InvalidThreshold {
-                    gate: name,
+                    gate: name.to_owned(),
                     k,
                     n: inputs.len(),
                 });
             }
         }
-        self.add_node(name, NodeKind::Gate { kind, inputs })
+        Ok(())
     }
 
     /// Adds an AND gate over `inputs`.
@@ -601,7 +644,7 @@ impl FaultTree {
     }
 }
 
-fn check_probability(event: &str, p: f64) -> Result<()> {
+pub(crate) fn check_probability(event: &str, p: f64) -> Result<()> {
     if (0.0..=1.0).contains(&p) {
         Ok(())
     } else {

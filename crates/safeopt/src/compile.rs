@@ -25,6 +25,7 @@ use crate::model::{Hazard, QuantMethod, SafetyModel};
 use crate::param::{ParamValues, ParameterSpace};
 use crate::pprob::{ExprStructure, ProbExpr};
 use crate::{Result, SafeOptError};
+use safety_opt_engine::hash::FxHashMap;
 use safety_opt_engine::{
     faultinject, BatchEvaluator, CacheStats, CompileBudget, CompileStats, EngineError,
     EvalDeadline, GradWorkspace, QuantizedCache, Tape, TapeBuilder, Value,
@@ -33,7 +34,6 @@ use safety_opt_fta::bdd::ShannonRef;
 use safety_opt_fta::modular::PlanInput;
 use safety_opt_telemetry as telemetry;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Hazards whose exact BDD lowering blew its node budget and degraded
@@ -129,7 +129,7 @@ impl CompiledModel {
         let space = model.space_arc();
         let quant = model.quant_method();
         let mut builder = TapeBuilder::new(space.len());
-        let mut memo: HashMap<usize, Value> = HashMap::new();
+        let mut memo: FxHashMap<usize, Value> = FxHashMap::default();
         for (hazard, &cost) in model.hazards().iter().zip(model.costs()) {
             let hazard_value =
                 lower_hazard(&mut builder, &mut memo, &space, hazard, quant, &budget)?;
@@ -467,7 +467,7 @@ pub(crate) fn infinite_if_not_finite(values: &mut [f64]) {
 ///   produce identical op keys.
 pub(crate) fn lower_hazard(
     b: &mut TapeBuilder,
-    memo: &mut HashMap<usize, Value>,
+    memo: &mut FxHashMap<usize, Value>,
     space: &ParameterSpace,
     hazard: &Hazard,
     method: QuantMethod,
@@ -540,7 +540,7 @@ pub(crate) fn lower_hazard(
 /// the graceful-degradation target for budget-blown exact hazards.
 fn lower_rare_event(
     b: &mut TapeBuilder,
-    memo: &mut HashMap<usize, Value>,
+    memo: &mut FxHashMap<usize, Value>,
     space: &ParameterSpace,
     hazard: &Hazard,
 ) -> Result<Value> {
@@ -561,7 +561,7 @@ fn lower_rare_event(
 /// [`crate::fleet`]).
 pub(crate) fn lower(
     b: &mut TapeBuilder,
-    memo: &mut HashMap<usize, Value>,
+    memo: &mut FxHashMap<usize, Value>,
     space: &ParameterSpace,
     expr: &ProbExpr,
 ) -> Result<Value> {

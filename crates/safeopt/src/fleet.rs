@@ -43,10 +43,10 @@ use crate::compile::{feasible, infinite_if_not_finite, lower_hazard};
 use crate::model::SafetyModel;
 use crate::{Result, SafeOptError};
 use safety_opt_engine::fleet::{Fleet, FleetBuilder, FleetEvaluator, FleetScratch};
+use safety_opt_engine::hash::FxHashMap;
 use safety_opt_engine::{
     faultinject, CompileBudget, CompileStats, EngineError, EvalDeadline, Value,
 };
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -335,7 +335,7 @@ fn lower_model_into(builder: &mut FleetBuilder, model: &SafetyModel, dim: usize)
             got: space.len(),
         });
     }
-    let mut memo: HashMap<usize, Value> = HashMap::new();
+    let mut memo: FxHashMap<usize, Value> = FxHashMap::default();
     let quant = model.quant_method();
     for (hazard, &cost) in model.hazards().iter().zip(model.costs()) {
         let b = builder.lowerer();

@@ -243,7 +243,9 @@ impl ModelCutSet {
 #[derive(Debug, Clone)]
 pub struct Hazard {
     name: String,
-    cut_sets: Vec<ModelCutSet>,
+    /// Shared, so a clone (each compile keeps one per hazard) copies a
+    /// pointer, not thousands of named cut sets.
+    cut_sets: Arc<[ModelCutSet]>,
     /// Shannon decomposition of the tree the hazard came from (absent
     /// for hand-written cut-set hazards).
     exact: Option<Arc<ExactHazard>>,
@@ -286,7 +288,7 @@ impl Hazard {
     /// Propagates factor-evaluation errors.
     pub fn probability(&self, params: &ParamValues<'_>) -> Result<f64> {
         let mut sum = 0.0;
-        for cs in &self.cut_sets {
+        for cs in self.cut_sets.iter() {
             sum += cs.probability(params)?;
         }
         Ok(sum.clamp(0.0, 1.0))
@@ -382,7 +384,7 @@ impl Hazard {
         }
         Ok(Self {
             name: tree.name().to_owned(),
-            cut_sets,
+            cut_sets: cut_sets.into(),
             exact: Some(Arc::new(exact)),
         })
     }
@@ -482,7 +484,7 @@ impl HazardBuilder {
     pub fn build(self) -> Hazard {
         Hazard {
             name: self.name,
-            cut_sets: self.cut_sets,
+            cut_sets: self.cut_sets.into(),
             exact: None,
         }
     }
